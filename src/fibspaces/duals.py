@@ -24,7 +24,7 @@ from .exactreal import (
     conjugate,
     rpow,
 )
-from .sequences import LambdaSeq, PrefixGenerator, fib, fib_sq
+from .sequences import LambdaSeq, PrefixGenerator, fib_sq
 from .subsetsup import RANDOM_SUBSETS, subset_sup
 from .triangles import DenseWindow
 from .verdicts import (
@@ -37,35 +37,23 @@ from .verdicts import (
 CONDITION_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
 
 
-def _g_entry(lam: LambdaSeq, n: int, k: int) -> Fraction:
-    """Closed-form inverse-triangle entry (duplicated from the triangle
-    module's closed form; the pairing matrices scale these by a_n)."""
-    if k > n:
-        return Fraction(0)
-    if k == n:
-        return lam.value(n) * fib_sq(n + 1) / (lam.gap(n) * fib(n) * fib(n + 1))
-    bracket = Fraction(1) / (lam.gap(k) * fib(k) * fib(k + 1)) - Fraction(1) / (
-        lam.gap(k + 1) * fib(k + 1) * fib(k + 2)
-    )
-    return lam.value(k) * fib_sq(n + 1) * bracket
-
-
 def diag_coeff(lam: LambdaSeq, n: int) -> Fraction:
     """The diagonal weight lambda_n f_{n+1}^2 / (gap(n) f_n f_{n+1})."""
-    return lam.value(n) * fib_sq(n + 1) / (lam.gap(n) * fib(n) * fib(n + 1))
+    return lam.kernel.grow(n + 1).diag[n]
+
+
+def _g_rows(a_vals, lam: LambdaSeq) -> list[list[Fraction]]:
+    """Rows of the absolute-pairing triangle: inverse row n scaled by a_n."""
+    entry = lam.kernel.inverse_entry
+    return [[entry(n, k) * an for k in range(n + 1)] for n, an in enumerate(a_vals)]
 
 
 def alpha_matrix(a, lam: LambdaSeq) -> DenseWindow:
     """Pairing triangle for absolute summability: row n is the n-th
     inverse-triangle row scaled by a_n, so that row n applied to y = Ex
     gives a_n x_n exactly."""
-    values = list(a)
-    size = len(values)
-    rows = []
-    for n in range(size):
-        an = Fraction(values[n])
-        rows.append(tuple(_g_entry(lam, n, k) * an for k in range(n + 1)))
-    return DenseWindow(tuple(rows))
+    values = [Fraction(v) for v in list(a)]
+    return DenseWindow(tuple(tuple(row) for row in _g_rows(values, lam)))
 
 
 def abar(a, lam: LambdaSeq, k: int, n: int) -> Fraction:
@@ -75,43 +63,45 @@ def abar(a, lam: LambdaSeq, k: int, n: int) -> Fraction:
                + (1/(gap(k) f_k f_{k+1}) - 1/(gap(k+1) f_{k+1} f_{k+2}))
                  * sum_{j=k+1}^{n} f_{j+1}^2 a_j ].
 
-    Defined for k < n; treated as zero for k >= n (triangle support).
+    Defined for k < n; treated as zero for k >= n (triangle support).  This
+    sums the tail directly, one entry at a time; :func:`_abar_table` is the
+    fast route to whole tables.
     """
     values = list(a)
     if not 0 <= k < n:
         raise DomainError(f"need 0 <= k < n, got k={k}, n={n}")
     if n >= len(values):
         raise DomainError(f"index n={n} outside window of length {len(values)}")
-    head = Fraction(values[k]) * fib_sq(k + 1) / (lam.gap(k) * fib(k) * fib(k + 1))
-    bracket = Fraction(1) / (lam.gap(k) * fib(k) * fib(k + 1)) - Fraction(1) / (
-        lam.gap(k + 1) * fib(k + 1) * fib(k + 2)
-    )
+    kern = lam.kernel.grow(k + 1)
     tail = sum((fib_sq(j + 1) * Fraction(values[j]) for j in range(k + 1, n + 1)),
                Fraction(0))
-    return lam.value(k) * (head + bracket * tail)
+    head = Fraction(values[k]) * fib_sq(k + 1) * kern.w[k]
+    return kern.lam[k] * (head + kern.b[k] * tail)
 
 
 def abar_limit(a: PrefixGenerator, lam: LambdaSeq, k: int) -> Fraction:
     """abar_k(n) stabilizes exactly once n clears the support of a; that
     stable value is the limit.  Only defined for finitely supported a."""
+    return _abar_limits(a, lam, k + 1)[k]
+
+
+def _abar_limits(a: PrefixGenerator, lam: LambdaSeq, count: int) -> list[Fraction]:
+    """abar_limit for k < count, from one set of partial sums."""
     if a.support is None:
         raise DomainError("limit of abar needs a finitely supported sequence")
-    n = max(a.support, k + 1)
-    window = a.prefix(n + 1)
-    return abar(window, lam, k, n)
+    window = [Fraction(v) for v in a.prefix(max(a.support, count))]
+    return lam.kernel.limit_row(window)[:count]
 
 
 def beta_matrix(a, lam: LambdaSeq) -> DenseWindow:
     """Partial-sum pairing triangle: abar_k(n) below the diagonal, the
     diagonal weight scaled by a_n on it."""
     values = [Fraction(v) for v in list(a)]
-    size = len(values)
-    rows = []
-    for n in range(size):
-        row = [abar(values, lam, k, n) for k in range(n)]
-        row.append(diag_coeff(lam, n) * values[n])
-        rows.append(tuple(row))
-    return DenseWindow(tuple(rows))
+    diag = lam.kernel.grow(len(values)).diag
+    rows = _abar_table(values, lam, len(values))
+    return DenseWindow(tuple(
+        tuple(row) + (diag[n] * values[n],) for n, row in enumerate(rows)
+    ))
 
 
 def apply_dense_row(window: DenseWindow, y, n: int):
@@ -158,11 +148,19 @@ def _sweep_points(window: int) -> list[int]:
 
 
 def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
-    """abar_k(n) for all k < n < w, with the shared suffix sums reused."""
-    table = []
-    for n in range(w):
-        table.append([abar(a_vals, lam, k, n) for k in range(n)])
-    return table
+    """abar_k(n) for all k < n < w, in O(w^2) operations.
+
+    With the prefix sums T_n = sum_{j<=n} f_{j+1}^2 a_j, abar_k(n) is
+    base_k + lambda_k b_k T_n, where base_k = a_k diag_k - lambda_k b_k T_k.
+    """
+    if len(a_vals) < w:
+        raise DomainError(f"window of length {len(a_vals)} is shorter than {w}")
+    kern = lam.kernel.grow(w)
+    a = [Fraction(v) for v in a_vals[:w]]
+    sums = kern.partial_sums(a)
+    col = kern.col
+    base = [a[k] * kern.diag[k] - col[k] * sums[k] for k in range(w)]
+    return [[base[k] + col[k] * sums[n] for k in range(n)] for n in range(w)]
 
 
 def _certified_power_sum(values, q: Fraction, precision=DEFAULT_PRECISION) -> CertifiedReal:
@@ -180,8 +178,13 @@ def dual_condition(
     p=None,
     subset_mode: str = "auto",
     seed: int = 0,
+    *,
+    table: list | None = None,
 ) -> DualReport:
     """Evaluate one membership condition over a deepening window.
+
+    ``table`` may carry the :func:`_abar_table` of the deepest window, so
+    that several conditions on one candidate share it.
 
     d1: subset-sup of column sums of the absolute-pairing triangle (needs q);
     d2: sup over columns of absolute column sums of the same triangle;
@@ -213,16 +216,28 @@ def dual_condition(
     value: CertifiedReal | None = None
     lower_bound_only = False
 
-    if condition in ("d4", "d6", "d7", "d8"):
-        full_table = _abar_table(a_deep, lam, deepest)
+    if condition in ("d4", "d6", "d7", "d8") and table is None:
+        table = _abar_table(a_deep, lam, deepest)
+    # Each sweep point reads a prefix of these rows or per-row quantities.
+    if condition in ("d1", "d2"):
+        g_rows = _g_rows(a_deep, lam)
+        col_sums: list[Fraction] = []
+    elif condition == "d4":
+        row_sums = [_certified_power_sum(row, q) for row in table[1:]]
+    elif condition == "d5":
+        diag = lam.kernel.grow(deepest).diag
+    elif condition == "d6":
+        row_max = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
+    elif condition == "d8":
+        row_l1 = [sum((abs(v) for v in row), Fraction(0)) for row in table]
 
     if condition == "d7":
         if support is not None:
-            limits = [abar_limit(a, lam, k) for k in range(deepest - 1)]
+            limits = _abar_limits(a, lam, deepest - 1)
 
             def row_distance(m: int) -> Fraction:
                 return sum(
-                    (abs(full_table[m][k] - limits[k]) for k in range(m)), Fraction(0)
+                    (abs(table[m][k] - limits[k]) for k in range(m)), Fraction(0)
                 )
 
         else:
@@ -230,7 +245,7 @@ def dual_condition(
             # at 2m (a trivially shrinking reference would never diverge).
             def row_distance(m: int) -> Fraction:
                 return sum(
-                    (abs(full_table[m][k] - full_table[2 * m][k]) for k in range(m)),
+                    (abs(table[m][k] - table[2 * m][k]) for k in range(m)),
                     Fraction(0),
                 )
 
@@ -244,7 +259,7 @@ def dual_condition(
         if support is not None and deepest - 1 > support:
             far = deepest - 1
             stabilized = all(
-                full_table[far][k] == limits[k] for k in range(far)
+                table[far][k] == limits[k] for k in range(far)
             ) and all(d == 0 for (x, _), d in zip(sweep, payloads) if x > support)
         verdict = classify_to_zero(sweep, stabilized_exactly=stabilized)
         value = CertifiedReal.exact(payloads[-1]) if payloads else None
@@ -272,11 +287,7 @@ def dual_condition(
     else:
         for w in points:
             if condition == "d1":
-                rows = [
-                    [_g_entry(lam, n, k) * a_deep[n] for k in range(n + 1)]
-                    for n in range(w)
-                ]
-                rows = [r for r in rows if any(r)]
+                rows = [r for r in g_rows[:w] if any(r)]
                 samples = RANDOM_SUBSETS if w == deepest else 1000
                 found = subset_sup(rows, float(q), mode=subset_mode, seed=seed, samples=samples)
                 lower_bound_only = not found.enumerated
@@ -286,28 +297,24 @@ def dual_condition(
                 if w == deepest:
                     value = quantity
             elif condition == "d2":
-                col = [
-                    sum((abs(_g_entry(lam, n, k) * a_deep[n]) for n in range(k, w)),
-                        Fraction(0))
-                    for k in range(w)
-                ]
-                quantity = max(col) if col else Fraction(0)
+                for n in range(len(col_sums), w):
+                    col_sums.append(Fraction(0))
+                    for k, g in enumerate(g_rows[n]):
+                        col_sums[k] += abs(g)
+                quantity = max(col_sums) if col_sums else Fraction(0)
                 sweep.append((w, float(quantity)))
                 payloads.append(quantity)
                 if w == deepest:
                     value = CertifiedReal.exact(quantity)
             elif condition == "d4":
-                row_sums = [
-                    _certified_power_sum(full_table[n], q) for n in range(1, w)
-                ]
-                best = CertifiedReal.max_of(row_sums)
+                best = CertifiedReal.max_of(row_sums[: w - 1])
                 sweep.append((w, float(best.value)))
                 payloads.append(best.value)
                 if w == deepest:
                     value = best
             elif condition == "d5":
                 quantity = max(
-                    (abs(diag_coeff(lam, n) * a_deep[n]) for n in range(w)),
+                    (abs(diag[n] * a_deep[n]) for n in range(w)),
                     default=Fraction(0),
                 )
                 sweep.append((w, float(quantity)))
@@ -315,19 +322,13 @@ def dual_condition(
                 if w == deepest:
                     value = CertifiedReal.exact(quantity)
             elif condition == "d6":
-                quantity = max(
-                    (abs(v) for n in range(w) for v in full_table[n]),
-                    default=Fraction(0),
-                )
+                quantity = max(row_max[:w])
                 sweep.append((w, float(quantity)))
                 payloads.append(quantity)
                 if w == deepest:
                     value = CertifiedReal.exact(quantity)
             elif condition == "d8":
-                quantity = max(
-                    (sum((abs(v) for v in full_table[n]), Fraction(0)) for n in range(w)),
-                    default=Fraction(0),
-                )
+                quantity = max(row_l1[:w])
                 sweep.append((w, float(quantity)))
                 payloads.append(quantity)
                 if w == deepest:
@@ -424,6 +425,11 @@ def dual_membership(
     p_for_q = p_norm if p_norm is not None else (
         Exponent.infinity() if space == "linf" else Exponent.of(1)
     )
+    # The abar conditions share one table; the deepest sweep point is the
+    # window itself (a window below 4 is refused by dual_condition).
+    table = None
+    if window >= 4 and any(c in ("d4", "d6", "d7", "d8") for c in conditions):
+        table = _abar_table([Fraction(v) for v in a.prefix(window)], lam, window)
     reports = []
     for cond in conditions:
         need_p = cond in ("d1", "d4")
@@ -431,7 +437,7 @@ def dual_membership(
             dual_condition(
                 a, lam, cond, window=window,
                 p=p_for_q if need_p else None,
-                subset_mode=subset_mode, seed=seed,
+                subset_mode=subset_mode, seed=seed, table=table,
             )
         )
     combined = conjunction([r.verdict for r in reports], label=f"{kind}-dual:{space}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .duals import diag_coeff, dual_membership
+from .duals import _certified_power_sum, _sweep_points, diag_coeff, dual_membership
 from .errors import (
     AlphaLimitUndetermined,
     DomainError,
@@ -35,7 +35,7 @@ from .exactreal import (
     conjugate,
     rpow,
 )
-from .sequences import LambdaSeq, from_values, fib, fib_sq
+from .sequences import LambdaSeq, from_values, fib
 from .subsetsup import RANDOM_SUBSETS, subset_sup
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
@@ -93,30 +93,24 @@ class HatMatrix:
         cached = self._rows.get(n)
         if cached is not None:
             return cached
-        lam = self.lam
-        support = _row_support(self.source, n)
-        entries: list[Fraction] = []
-        if support > 0:
-            # suffix[j] = sum_{i >= j} f_{i+1}^2 a_ni, so the series over
-            # j > k is suffix[k + 1]; everything truncates at the support.
-            suffix = [Fraction(0)] * (support + 1)
-            for j in range(support - 1, -1, -1):
-                suffix[j] = suffix[j + 1] + fib_sq(j + 1) * self.source.entry(n, j)
-            for k in range(support):
-                head = (
-                    self.source.entry(n, k)
-                    * fib_sq(k + 1)
-                    / (lam.gap(k) * fib(k) * fib(k + 1))
-                )
-                bracket = Fraction(1) / (lam.gap(k) * fib(k) * fib(k + 1)) - Fraction(
-                    1
-                ) / (lam.gap(k + 1) * fib(k + 1) * fib(k + 2))
-                entries.append(lam.value(k) * (head + bracket * suffix[k + 1]))
+        # Row n is finitely supported, so the series over j > k truncates.
+        entries = self.lam.kernel.limit_row(self._source_row(n))
         while entries and entries[-1] == 0:
             entries.pop()
         row = tuple(entries)
         self._rows[n] = row
         return row
+
+    def _source_row(self, n: int) -> list[Fraction]:
+        return [self.source.entry(n, j) for j in range(_row_support(self.source, n))]
+
+    def partial_row(self, n: int, m: int) -> list[Fraction]:
+        """Row n with every inner sum stopped at j = m."""
+        values = self._source_row(n)
+        kern = self.lam.kernel.grow(len(values))
+        sums = kern.partial_sums(values)
+        stop = min(m, len(values) - 1)
+        return [kern.abar(values, sums, k, max(k, stop)) for k in range(len(values))]
 
     def entry(self, n: int, k: int) -> Fraction:
         row = self.row(n)
@@ -128,28 +122,19 @@ class HatMatrix:
 def hat_entry(source, lam: LambdaSeq, n: int, k: int, m: int | None = None) -> Fraction:
     """The transformed entry; with ``m`` given, the partial version whose
     inner sum stops at j = m."""
+    hat = HatMatrix(source, lam)
     if m is None:
-        return HatMatrix(source, lam).entry(n, k)
-    support = _row_support(source, n)
-    head = source.entry(n, k) * fib_sq(k + 1) / (lam.gap(k) * fib(k) * fib(k + 1))
-    bracket = Fraction(1) / (lam.gap(k) * fib(k) * fib(k + 1)) - Fraction(1) / (
-        lam.gap(k + 1) * fib(k + 1) * fib(k + 2)
-    )
-    tail = sum(
-        (fib_sq(j + 1) * source.entry(n, j) for j in range(k + 1, min(m, support - 1) + 1)),
-        Fraction(0),
-    )
-    return lam.value(k) * (head + bracket * tail)
+        return hat.entry(n, k)
+    row = hat.partial_row(n, m)
+    return row[k] if k < len(row) else Fraction(0)
 
 
 def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
     """Independent route: pair row n against column k of the closed-form
     inverse triangle (transpose pairing).  Must equal :func:`hat_entry`."""
-    from .duals import _g_entry
-
     support = _row_support(source, n)
     return sum(
-        (source.entry(n, j) * _g_entry(lam, j, k) for j in range(k, support)),
+        (source.entry(n, j) * lam.kernel.inverse_entry(j, k) for j in range(k, support)),
         Fraction(0),
     )
 
@@ -272,22 +257,6 @@ def _normalize_kind(kind: str, p) -> tuple[str, Exponent | None]:
     raise DomainError(f"unknown space kind {kind!r}")
 
 
-def _sweep_range(bound: int) -> list[int]:
-    pts, w = [], 4
-    while w < bound:
-        pts.append(w)
-        w = max(w + 2, int(w * 1.5))
-    pts.append(bound)
-    return sorted(set(pts))
-
-
-def _row_power_sum(row, power: Fraction, precision=DEFAULT_PRECISION) -> CertifiedReal:
-    total = CertifiedReal.exact(0)
-    for v in row:
-        total = total + rpow(abs(v), power, precision)
-    return total
-
-
 def _sup_condition(hat: HatMatrix, window: int, per_row, *, to_zero=False) -> Verdict:
     """Evaluate sup_n (or lim_n) of a per-row certified quantity; finitely
     determined when the matrix has finitely many nonzero rows."""
@@ -384,7 +353,7 @@ def _evaluate_class_condition(
             raise UnsupportedPair("row q-norms need a finite conjugate exponent")
         return _sup_condition(
             hat, window,
-            lambda n: _row_power_sum(hat.row(n), q_frac),
+            lambda n: _certified_power_sum(hat.row(n), q_frac),
         )
 
     if cid == "entry-sup":
@@ -449,14 +418,13 @@ def _evaluate_class_condition(
         )
         points = []
         exact_zero_seen = False
-        for m in _sweep_range(max(window, max_support + 2)):
+        for m in _sweep_points(max(window, max_support + 2)):
             total = Fraction(0)
             for n in range(bound):
                 row = hat.row(n)
-                support = _row_support(src_matrix, n)
+                partial = hat.partial_row(n, m)
                 for k in range(len(row)):
-                    partial = hat_entry(src_matrix, lam, n, k, m=m)
-                    total += abs(partial - row[k])
+                    total += abs(partial[k] - row[k])
             points.append((m, float(total)))
             if m >= max_support and total == 0:
                 exact_zero_seen = True
@@ -495,7 +463,7 @@ def _evaluate_class_condition(
         rows = [r for r in rows if any(r)]
         power = float(q_frac) if q_frac is not None else 1.0
         found = subset_sup(rows, power, seed=seed)
-        val = _row_power_sum(found.column_sums, q_frac if q_frac else Fraction(1))
+        val = _certified_power_sum(found.column_sums, q_frac if q_frac else Fraction(1))
         status = Status.HOLDS_EXACTLY if (found.enumerated and hat.finite_rows) \
             else Status.EVIDENCE_BOUNDED
         return Verdict(status, value=val,
@@ -510,7 +478,7 @@ def _evaluate_class_condition(
         ]
         cols = [c for c in cols if any(c)]
         found = subset_sup(cols, float(power), seed=seed)
-        val = _row_power_sum(found.column_sums, power)
+        val = _certified_power_sum(found.column_sums, power)
         status = Status.HOLDS_EXACTLY if (found.enumerated and hat.finite_rows) \
             else Status.EVIDENCE_BOUNDED
         return Verdict(status, value=val,
@@ -604,7 +572,7 @@ def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision):
     inv_q = 1 / q
 
     def fn(n):
-        power_sum = _row_power_sum(hat.row(n), q, precision)
+        power_sum = _certified_power_sum(hat.row(n), q, precision)
         return rpow(power_sum, inv_q, precision)
 
     return fn
@@ -670,7 +638,7 @@ def operator_norm(
         rows = [hat.row(n) for n in range(bound)]
         rows = [r for r in rows if any(r)]
         found = subset_sup(rows, float(q_frac), seed=seed)
-        power_sum = _row_power_sum(found.column_sums, q_frac, precision)
+        power_sum = _certified_power_sum(found.column_sums, q_frac, precision)
         value = rpow(power_sum, 1 / q_frac, precision)
         return OpNormResult(
             kind="bracket",
@@ -714,6 +682,48 @@ class MncEstimate:
         }
 
 
+def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int,
+                precision: int, seed: int) -> list[tuple[int, float]]:
+    """The pairs (r, s(r)) for r <= r_max."""
+    sweep: list[tuple[int, float]] = []
+    if target in ("c0", "c"):
+        # Column limits are exactly zero in the finite case, so both targets
+        # share the same tail quantity.
+        per_row = _row_quantity_fn(hat, p, precision)
+        values = [per_row(n) for n in range(bound)]
+        suffix: list[CertifiedReal] = [CertifiedReal.exact(0)] * (bound + 1)
+        for n in range(bound - 1, -1, -1):
+            suffix[n] = CertifiedReal.max_of((values[n], suffix[n + 1]))
+        for r in range(r_max + 1):
+            s_r = suffix[r] if r < bound else CertifiedReal.exact(0)
+            sweep.append((r, float(s_r.value)))
+    elif target == "l1":
+        if not p.is_infinite and p.as_fraction() == 1:
+            width = max((len(hat.row(n)) for n in range(bound)), default=0)
+            for r in range(r_max + 1):
+                sums = [Fraction(0)] * width
+                for n in range(r, bound):
+                    for k, v in enumerate(hat.row(n)):
+                        sums[k] += abs(v)
+                sweep.append((r, float(max(sums, default=Fraction(0)))))
+        else:
+            q_frac = conjugate(p).as_fraction()
+            for r in range(r_max + 1):
+                rows = [hat.row(n) for n in range(r, bound)]
+                rows = [row for row in rows if any(row)]
+                found = subset_sup(rows, float(q_frac), seed=seed,
+                                   samples=min(RANDOM_SUBSETS, 2000))
+                power_sum = _certified_power_sum(found.column_sums, q_frac, precision)
+                sweep.append((r, float(rpow(power_sum, 1 / q_frac, precision).value)))
+            # A subset feasible at r+1 is feasible at r, so tightening each
+            # sampled lower bound by its successors keeps it a valid lower
+            # bound and restores the monotonicity the true s(r) has.
+            for i in range(len(sweep) - 2, -1, -1):
+                r, v = sweep[i]
+                sweep[i] = (r, max(v, sweep[i + 1][1]))
+    return sweep
+
+
 def noncompactness_estimate(
     source_matrix,
     lam: LambdaSeq,
@@ -744,46 +754,11 @@ def noncompactness_estimate(
             "target 'c' needs exact column limits (finitely supported matrix)"
         )
 
-    sweep: list[tuple[int, float]] = []
-    if target in ("c0", "c"):
-        # Column limits are exactly zero in the finite case, so both targets
-        # share the same tail quantity.
-        per_row = _row_quantity_fn(hat, p, precision)
-        values = [per_row(n) for n in range(bound)]
-        suffix: list[CertifiedReal] = [CertifiedReal.exact(0)] * (bound + 1)
-        for n in range(bound - 1, -1, -1):
-            suffix[n] = CertifiedReal.max_of((values[n], suffix[n + 1]))
-        for r in range(r_max + 1):
-            s_r = suffix[r] if r < bound else CertifiedReal.exact(0)
-            sweep.append((r, float(s_r.value)))
-    elif target == "l1":
-        if not p.is_infinite and p.as_fraction() == 1:
-            width = max((len(hat.row(n)) for n in range(bound)), default=0)
-            for r in range(r_max + 1):
-                sums = [Fraction(0)] * width
-                for n in range(r, bound):
-                    for k, v in enumerate(hat.row(n)):
-                        sums[k] += abs(v)
-                sweep.append((r, float(max(sums, default=Fraction(0)))))
-        else:
-            q_frac = conjugate(p).as_fraction()
-            for r in range(r_max + 1):
-                rows = [hat.row(n) for n in range(r, bound)]
-                rows = [row for row in rows if any(row)]
-                found = subset_sup(rows, float(q_frac), seed=seed,
-                                   samples=min(RANDOM_SUBSETS, 2000))
-                power_sum = _row_power_sum(found.column_sums, q_frac, precision)
-                sweep.append((r, float(rpow(power_sum, 1 / q_frac, precision).value)))
-            # A subset feasible at r+1 is feasible at r, so tightening each
-            # sampled lower bound by its successors keeps it a valid lower
-            # bound and restores the monotonicity the true s(r) has.
-            for i in range(len(sweep) - 2, -1, -1):
-                r, v = sweep[i]
-                sweep[i] = (r, max(v, sweep[i + 1][1]))
-
+    sweep = _tail_sweep(hat, p, target, bound, r_max, precision, seed)
     # Tail suprema cannot grow as the tail shrinks.
     for (_, a), (_, b) in zip(sweep, sweep[1:]):
-        assert b <= a + 1e-12, "tail sweep must be non-increasing"
+        if b > a + 1e-12:
+            raise DomainError(f"tail sweep grows from {a!r} to {b!r}")
 
     if hat.finite_rows:
         # s(r) = 0 once r clears the last nonzero row: the limit is exact.

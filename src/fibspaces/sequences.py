@@ -83,6 +83,7 @@ class LambdaSeq:
         self.params = params
         self._fn = fn
         self.reciprocal_summable = reciprocal_summable
+        self.kernel = Kernel(fn)
         if validate:
             self._validate_prefix(_VALIDATION_WINDOW)
 
@@ -197,6 +198,96 @@ class LambdaSeq:
         raise ParseError(f"bad lambda spec {spec!r}")
 
 
+class Kernel:
+    """The closed-form coefficients of the composed triangle E and of its
+    inverse for one weight sequence, as arrays grown on demand.
+
+    With w_k = 1/(gap(k) f_k f_{k+1}) and b_k = w_k - w_{k+1}:
+
+    * the inverse has f_{n+1}^2 lambda_k b_k below the diagonal (``col``)
+      and diag_n = lambda_n f_{n+1}^2 w_n on it (``diag``);
+    * E has (gap(k) f_k - gap(k+1) f_{k+2}) / (f_{k+1} lambda_n) below the
+      diagonal and 1/diag_n on it;
+    * pairing a sequence a against column k of the inverse up to row n gives
+      abar_k(n) = a_k diag_k + lambda_k b_k (T_n - T_k), with the prefix
+      sums T_n = sum_{j<=n} f_{j+1}^2 a_j.
+
+    Index k of each array holds the k-th coefficient; ``lam``, ``gap`` and
+    ``w`` run one index further than ``b``, ``col`` and ``diag``.  The
+    kernel reads lambda_k as ``value(k)`` and holds no reference to its
+    sequence, so the two form no reference cycle.
+    """
+
+    __slots__ = ("_value", "lam", "gap", "w", "b", "col", "diag")
+
+    def __init__(self, value: Callable[[int], Fraction]):
+        self._value = value
+        self.lam: list[Fraction] = []
+        self.gap: list[Fraction] = []
+        self.w: list[Fraction] = []
+        self.b: list[Fraction] = []
+        self.col: list[Fraction] = []
+        self.diag: list[Fraction] = []
+
+    def grow(self, n: int) -> "Kernel":
+        """Make the coefficients of indices 0..n-1 available."""
+        if n <= len(self.b):
+            return self
+        lam, gap, w = self.lam, self.gap, self.w
+        while len(w) <= n:
+            k = len(w)
+            value = Fraction(self._value(k))
+            gap.append(value - lam[-1] if lam else value)
+            lam.append(value)
+            w.append(1 / (gap[k] * fib(k) * fib(k + 1)))
+        for k in range(len(self.b), n):
+            self.b.append(w[k] - w[k + 1])
+            self.col.append(lam[k] * self.b[k])
+            self.diag.append(lam[k] * fib_sq(k + 1) * w[k])
+        return self
+
+    def e_entry(self, n: int, k: int) -> Fraction:
+        """Entry (n, k) of E."""
+        if k > n:
+            return Fraction(0)
+        self.grow(n + 1)
+        if k == n:
+            return 1 / self.diag[n]
+        gap = self.gap
+        return (gap[k] * fib(k) - gap[k + 1] * fib(k + 2)) / (fib(k + 1) * self.lam[n])
+
+    def inverse_entry(self, n: int, k: int) -> Fraction:
+        """Entry (n, k) of the inverse of E; needs the coefficients up to
+        index k only."""
+        if k > n:
+            return Fraction(0)
+        self.grow(k + 1)
+        if k == n:
+            return self.diag[n]
+        return fib_sq(n + 1) * self.col[k]
+
+    def partial_sums(self, a) -> list[Fraction]:
+        """T_n = sum_{j<=n} f_{j+1}^2 a_j for every index n of a."""
+        sums, acc = [], Fraction(0)
+        for j, v in enumerate(a):
+            acc = acc + fib_sq(j + 1) * v
+            sums.append(acc)
+        return sums
+
+    def abar(self, a, sums, k: int, n: int) -> Fraction:
+        """abar_k(n) from the partial sums of a, for k <= n (k = n gives the
+        scaled diagonal a_n diag_n).  Needs ``grow(k + 1)`` first."""
+        return a[k] * self.diag[k] + self.col[k] * (sums[n] - sums[k])
+
+    def limit_row(self, a) -> list[Fraction]:
+        """abar_k(n) for large n and every index k of a, when a holds the
+        whole support: the inner sums run to the end of a."""
+        self.grow(len(a))
+        sums = self.partial_sums(a)
+        last = len(a) - 1
+        return [self.abar(a, sums, k, last) for k in range(len(a))]
+
+
 # ---------------------------------------------------------------------------
 # Finite windows and prefix generators
 
@@ -301,6 +392,14 @@ def inv_fib_pow(m: int) -> PrefixGenerator:
     )
 
 
+def parse_index(text: str, spec: str) -> int:
+    """The integer parameter of a spec such as "unit:<k>"; ParseError otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad integer {text!r} in spec {spec!r}") from None
+
+
 def parse_generator_spec(spec: str) -> PrefixGenerator:
     """Parse "zero" | "e" | "unit:<k>" | "inv-fib-pow:<m>" | "values:a,b,..." | "file:<path>"."""
     spec = spec.strip()
@@ -310,9 +409,9 @@ def parse_generator_spec(spec: str) -> PrefixGenerator:
         return ones_seq()
     kind, _, rest = spec.partition(":")
     if kind == "unit" and rest:
-        return unit_seq(int(rest))
+        return unit_seq(parse_index(rest, spec))
     if kind == "inv-fib-pow" and rest:
-        return inv_fib_pow(int(rest))
+        return inv_fib_pow(parse_index(rest, spec))
     if kind == "values" and rest:
         return from_values([parse_rational(tok) for tok in rest.split(",")])
     if kind == "file" and rest:

@@ -146,16 +146,7 @@ def e_matrix(lam: LambdaSeq) -> Triangle:
     (1/lambda_n) [ gap(k) f_k/f_{k+1} - gap(k+1) f_{k+2}/f_{k+1} ];
     on the diagonal it is gap(n) f_n / (lambda_n f_{n+1}).
     """
-
-    def fn(n, k):
-        if k == n:
-            return lam.gap(n) * fib(n) / (lam.value(n) * fib(n + 1))
-        bracket = lam.gap(k) * Fraction(fib(k), fib(k + 1)) - lam.gap(k + 1) * Fraction(
-            fib(k + 2), fib(k + 1)
-        )
-        return bracket / lam.value(n)
-
-    return Triangle(fn, name=f"E[{lam.describe()}]")
+    return Triangle(lam.kernel.e_entry, name=f"E[{lam.describe()}]")
 
 
 def e_inverse_matrix(lam: LambdaSeq) -> Triangle:
@@ -165,16 +156,7 @@ def e_inverse_matrix(lam: LambdaSeq) -> Triangle:
     lambda_k f_{n+1}^2 [ 1/(gap(k) f_k f_{k+1}) - 1/(gap(k+1) f_{k+1} f_{k+2}) ];
     diagonal: lambda_n f_{n+1}^2 / (gap(n) f_n f_{n+1}).
     """
-
-    def fn(n, k):
-        if k == n:
-            return lam.value(n) * fib_sq(n + 1) / (lam.gap(n) * fib(n) * fib(n + 1))
-        bracket = Fraction(1, 1) / (lam.gap(k) * fib(k) * fib(k + 1)) - Fraction(
-            1, 1
-        ) / (lam.gap(k + 1) * fib(k + 1) * fib(k + 2))
-        return lam.value(k) * fib_sq(n + 1) * bracket
-
-    return Triangle(fn, name=f"Einv[{lam.describe()}]")
+    return Triangle(lam.kernel.inverse_entry, name=f"Einv[{lam.describe()}]")
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +295,7 @@ def basis_vector(k: int, lam: LambdaSeq, size: int) -> SeqWindow:
     inverse-column entries.  Satisfies E b^(k) = e^(k) exactly."""
     if not 0 <= k < size:
         raise DomainError(f"basis index {k} outside window of length {size}")
-    head = lam.value(k) / (lam.gap(k) * fib(k) * fib(k + 1))
-    step = lam.value(k) / (lam.gap(k + 1) * fib(k + 1) * fib(k + 2))
-    out = []
-    for n in range(size):
-        if n < k:
-            out.append(Fraction(0))
-        elif n == k:
-            out.append(fib_sq(n + 1) * head)
-        else:
-            out.append(fib_sq(n + 1) * (head - step))
+    out = [lam.kernel.inverse_entry(n, k) for n in range(size)]
     return SeqWindow(tuple(out), {"basis": k, "lambda": lam.describe()})
 
 
@@ -403,29 +376,53 @@ def matrix_from_json(obj) -> RowWindowedMatrix:
         raise ParseError(f"unsupported tail rule {tail!r}")
     kind = obj["kind"]
     if kind == "dense":
-        rows = [[parse_rational(str(v)) for v in row] for row in obj.get("entries", [])]
+        entries = _json_list(obj.get("entries", []), "'entries'")
+        rows = [
+            [parse_rational(str(v)) for v in _json_list(row, "a dense row")]
+            for row in entries
+        ]
         return RowWindowedMatrix(rows, name="dense")
     if kind == "rows":
         sparse = obj.get("rows", {})
-        indices = [int(n) for n in sparse]
-        size = max(indices) + 1 if indices else 0
-        rows: list[list[Fraction]] = [[] for _ in range(size)]
+        if not isinstance(sparse, dict):
+            raise ParseError("matrix JSON 'rows' must be an object")
+        parsed: dict[int, list[Fraction]] = {}
         for n_str, row in sparse.items():
-            rows[int(n_str)] = [parse_rational(str(v)) for v in row]
-        return RowWindowedMatrix(rows, name="rows")
+            n = _json_int(n_str, "row index")
+            if n < 0:
+                raise ParseError(f"matrix JSON row index must be >= 0, got {n}")
+            parsed[n] = [parse_rational(str(v)) for v in _json_list(row, "a sparse row")]
+        size = max(parsed) + 1 if parsed else 0
+        return RowWindowedMatrix([parsed.get(n, []) for n in range(size)], name="rows")
     if kind == "band":
-        size = int(obj.get("size", 0))
+        size = _json_int(obj.get("size", 0), "'size'")
         if size < 1:
             raise ParseError("band matrix needs a positive 'size'")
+        bands = obj.get("bands", {})
+        if not isinstance(bands, dict):
+            raise ParseError("matrix JSON 'bands' must be an object")
         rows = [[Fraction(0)] * size for _ in range(size)]
-        for off_str, values in obj.get("bands", {}).items():
-            off = int(off_str)
-            for i, v in enumerate(values):
+        for off_str, values in bands.items():
+            off = _json_int(off_str, "band offset")
+            for i, v in enumerate(_json_list(values, "a band")):
                 n, k = (i, i + off) if off >= 0 else (i - off, i)
                 if n < size and k < size:
                     rows[n][k] = parse_rational(str(v))
         return RowWindowedMatrix(rows, name="band")
     raise ParseError(f"unknown matrix kind {kind!r}")
+
+
+def _json_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"matrix JSON {what} must be an integer, got {value!r}") from None
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"matrix JSON {what} must be a list, got {value!r}")
+    return value
 
 
 def load_matrix(path: str) -> RowWindowedMatrix:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import MissingExponent, UnknownWitness
 from .exactreal import DEFAULT_PRECISION, Exponent, rpow
-from .sequences import LambdaSeq, PrefixGenerator, SeqWindow
+from .sequences import LambdaSeq, PrefixGenerator, SeqWindow, parse_index
 from .triangles import inverse_transform
 
 WITNESS_IDS = ("u", "v-hilbert", "t", "v-e0", "power-law", "alternating")
@@ -61,7 +61,7 @@ def gen_witness(
     if n < 1:
         raise UnknownWitness("witness window length must be >= 1")
     if name.startswith("unit:"):
-        k = int(name.split(":", 1)[1])
+        k = parse_index(name.split(":", 1)[1], name)
         values = tuple(Fraction(1 if i == k else 0) for i in range(n))
         return SeqWindow(values, {"witness": name})
     if p is not None:

@@ -76,6 +76,31 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--x", "unit:abc", "-N", "4"),
+        ("dual", "--a", "unit:x", "--space", "l1", "--kind", "beta"),
+        ("dual", "--a", "inv-fib-pow:3.5", "--space", "l1", "--kind", "beta"),
+    ])
+    def test_non_integer_spec_parameter_is_parse_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "rows", "rows": {"x": ["1"]}},
+        {"kind": "band", "size": "abc"},
+        {"kind": "dense", "entries": 5},
+        {"kind": "rows", "rows": {"-1": ["1"]}},
+        {"kind": "dense", "entries": [5]},
+        {"kind": "band", "size": 3, "bands": {"one": ["1"]}},
+    ])
+    def test_malformed_matrix_json_is_parse_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "opnorm", "--A", str(path), "--p", "2")
+        assert code == 2
+        assert "input error" in err
+
 
 class TestCommands:
     @pytest.fixture

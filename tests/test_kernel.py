@@ -1,0 +1,147 @@
+"""The per-lambda coefficient kernel and the tables built from it, checked
+against the slow independent routes (direct tail sums, composition,
+forward-substitution inverse)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibspaces.duals import (
+    _abar_table,
+    abar,
+    abar_limit,
+    diag_coeff,
+    dual_condition,
+    dual_membership,
+)
+from fibspaces.errors import DomainError
+from fibspaces import matclasses
+from fibspaces.matclasses import HatMatrix, hat_entry, noncompactness_estimate
+from fibspaces.sequences import LambdaSeq, fib, from_values, inv_fib_pow
+from fibspaces.triangles import (
+    RowWindowedMatrix,
+    compose,
+    e_inverse_matrix,
+    e_matrix,
+    fhat_matrix,
+    invert_window,
+    lambda_matrix,
+)
+
+LIN = LambdaSeq.linear(1, 1)
+GEO = LambdaSeq.geometric(2, 1)
+EXPLICIT = LambdaSeq.explicit([1, 3, 4, 7, 11])
+# Two different sequences that describe themselves the same way.
+TWIN_A = LambdaSeq.custom(lambda n: n * n + 1, name="twin")
+TWIN_B = LambdaSeq.custom(lambda n: 3**n, name="twin")
+FAMILIES = [LIN, GEO, EXPLICIT, TWIN_A, TWIN_B]
+
+
+def _rational_window(seed: int, n: int) -> list[Fraction]:
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    w=st.integers(min_value=2, max_value=20),
+    lam=st.sampled_from([LIN, GEO, EXPLICIT]),
+    support=st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
+)
+@settings(max_examples=40, deadline=None)
+def test_abar_table_matches_direct_sums(seed, w, lam, support):
+    a = _rational_window(seed, w)
+    if support is not None:
+        a = a[:support] + [Fraction(0)] * max(0, w - support)
+    table = _abar_table(a, lam, w)
+    assert [len(row) for row in table] == list(range(w))
+    for n in range(w):
+        for k in range(n):
+            assert table[n][k] == abar(a, lam, k, n)
+
+
+def test_abar_table_needs_the_whole_window():
+    with pytest.raises(DomainError):
+        _abar_table([Fraction(1)] * 3, LIN, 4)
+
+
+class TestKernelArrays:
+    def test_arrays_match_the_sequence(self):
+        for lam in FAMILIES:
+            kern = lam.kernel.grow(12)
+            for k in range(12):
+                assert kern.lam[k] == lam.value(k)
+                assert kern.gap[k] == lam.gap(k)
+                assert kern.w[k] == 1 / (lam.gap(k) * fib(k) * fib(k + 1))
+                assert kern.b[k] == kern.w[k] - kern.w[k + 1]
+                assert kern.diag[k] == lam.value(k) * fib(k + 1) ** 2 * kern.w[k]
+
+    def test_growth_in_steps_matches_one_step(self):
+        stepped = LambdaSeq.geometric(3, 2)
+        for n in (1, 2, 5, 9):
+            stepped.kernel.grow(n)
+        fresh = LambdaSeq.geometric(3, 2).kernel.grow(9)
+        assert stepped.kernel.diag == fresh.diag
+        assert stepped.kernel.col == fresh.col
+
+    def test_kernel_lives_on_the_instance(self):
+        assert TWIN_A.describe() == TWIN_B.describe()
+        assert TWIN_A.kernel is not TWIN_B.kernel
+        assert e_matrix(TWIN_A).entry(3, 1) != e_matrix(TWIN_B).entry(3, 1)
+        assert diag_coeff(TWIN_A, 4) != diag_coeff(TWIN_B, 4)
+
+
+class TestTrianglesAgainstOracles:
+    @pytest.mark.parametrize("lam", FAMILIES, ids=lambda lam: lam.describe())
+    def test_e_is_the_composition(self, lam):
+        assert e_matrix(lam).window(16) == compose(
+            lambda_matrix(lam), fhat_matrix()
+        ).window(16)
+
+    @pytest.mark.parametrize("lam", FAMILIES, ids=lambda lam: lam.describe())
+    def test_closed_form_inverse_is_the_substitution_inverse(self, lam):
+        assert e_inverse_matrix(lam).window(16) == invert_window(e_matrix(lam), 16)
+
+
+class TestSharedWork:
+    def test_membership_shares_one_table(self):
+        for gen in (from_values([Fraction(1, 2), -3, 0, Fraction(7, 5)]), inv_fib_pow(3)):
+            result = dual_membership(gen, GEO, "linf", "beta", window=20)
+            for report in result["conditions"]:
+                alone = dual_condition(gen, GEO, report.condition, window=20,
+                                       p=report.params["p"])
+                assert report.sweep == alone.sweep
+                assert str(report.value) == str(alone.value)
+                assert report.verdict.status is alone.verdict.status
+
+    def test_limits_match_deep_direct_sums(self):
+        gen = from_values([3, Fraction(-1, 2), 0, 5])
+        window = list(gen.prefix(12))
+        for k in range(8):
+            assert abar_limit(gen, LIN, k) == abar(window, LIN, k, 11)
+
+    def test_partial_hat_entries_are_abar_of_the_row(self):
+        rng = random.Random(3)
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)]
+                for _ in range(3)]
+        source = RowWindowedMatrix(rows)
+        hat = HatMatrix(source, GEO)
+        for n in range(3):
+            row = [source.entry(n, j) for j in range(source.row_support(n))]
+            for m in range(8):
+                stop = min(m, len(row) - 1)
+                for k in range(len(row)):
+                    want = (abar(row, GEO, k, stop) if k < stop
+                            else diag_coeff(GEO, k) * row[k])
+                    assert hat_entry(source, GEO, n, k, m=m) == want
+                    assert hat.partial_row(n, m)[k] == want
+
+
+def test_growing_tail_sweep_is_a_domain_error(monkeypatch):
+    monkeypatch.setattr(matclasses, "_tail_sweep", lambda *args: [(0, 1.0), (1, 2.0)])
+    single = RowWindowedMatrix([[Fraction(1)]])
+    with pytest.raises(DomainError, match="tail sweep grows"):
+        noncompactness_estimate(single, LIN, 2, "c0", r_max=4)
