@@ -21,6 +21,7 @@ from .exactreal import (
     conjugate,
     format_rational,
     parse_rational,
+    power_sum,
     rpow,
     window_norm,
 )

@@ -25,7 +25,6 @@ from .exactreal import (
 from .golden import run_checks
 from .matclasses import (
     class_check,
-    compactness_verdict,
     noncompactness_estimate,
     operator_norm,
 )
@@ -242,12 +241,8 @@ def cmd_mnc(args) -> int:
         matrix, lam, p, args.target, r_max=args.rmax,
         precision=args.precision, seed=args.seed,
     )
-    verdict = compactness_verdict(
-        matrix, lam, p, args.target, r_max=args.rmax,
-        precision=args.precision, seed=args.seed,
-    )
     payload = est.to_json()
-    payload["compactness"] = verdict.to_json()
+    payload["compactness"] = est.compactness().to_json()
     _emit(json.dumps(_report("mnc", vars(args), payload), indent=2), args.out)
     return 0
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .exactreal import (
-    DEFAULT_PRECISION,
-    CertifiedReal,
-    Exponent,
-    conjugate,
-    rpow,
-)
+from .exactreal import CertifiedReal, Exponent, conjugate, power_sum
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
 from .subsetsup import RANDOM_SUBSETS, subset_sup
 from .triangles import DenseWindow
@@ -163,13 +157,6 @@ def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     return [[base[k] + col[k] * sums[n] for k in range(n)] for n in range(w)]
 
 
-def _certified_power_sum(values, q: Fraction, precision=DEFAULT_PRECISION) -> CertifiedReal:
-    total = CertifiedReal.exact(0)
-    for v in values:
-        total = total + rpow(abs(Fraction(v)), q, precision)
-    return total
-
-
 def dual_condition(
     a: PrefixGenerator,
     lam: LambdaSeq,
@@ -223,7 +210,7 @@ def dual_condition(
         g_rows = _g_rows(a_deep, lam)
         col_sums: list[Fraction] = []
     elif condition == "d4":
-        row_sums = [_certified_power_sum(row, q) for row in table[1:]]
+        row_sums = [power_sum(row, q) for row in table[1:]]
     elif condition == "d5":
         diag = lam.kernel.grow(deepest).diag
     elif condition == "d6":
@@ -291,7 +278,7 @@ def dual_condition(
                 samples = RANDOM_SUBSETS if w == deepest else 1000
                 found = subset_sup(rows, float(q), mode=subset_mode, seed=seed, samples=samples)
                 lower_bound_only = not found.enumerated
-                quantity = _certified_power_sum(found.column_sums, q)
+                quantity = power_sum(found.column_sums, q)
                 sweep.append((w, float(quantity.value)))
                 payloads.append(tuple(found.column_sums))
                 if w == deepest:

@@ -333,17 +333,9 @@ def _rational_pow_interval(
     return _root_interval(x**a, b, precision)
 
 
-def rpow(x, p, precision: int = DEFAULT_PRECISION) -> CertifiedReal:
-    """|certified| x ** p for rational (or certified) x and rational p.
-
-    Exact whenever the result is rational (integer p, or perfect roots);
-    otherwise an enclosure of width about 2 ** -precision.
-    """
-    if precision < MIN_PRECISION:
-        raise ParseError(f"precision must be >= {MIN_PRECISION} bits")
-    if isinstance(p, Exponent):
-        p = p.as_fraction()
-    p = Fraction(p)
+def _pow_interval(x, p: Fraction, precision: int) -> tuple[Fraction, Fraction]:
+    """Enclosure [lo, hi] of x ** p for rational (or certified) x: the
+    endpoints that :func:`rpow` wraps."""
     if isinstance(x, CertifiedReal) and not x.is_exact:
         # Monotone on [lo, hi] once the sign of p is fixed and lo >= 0.
         lo_b, hi_b = x.lo, x.hi
@@ -351,13 +343,51 @@ def rpow(x, p, precision: int = DEFAULT_PRECISION) -> CertifiedReal:
             raise NegativeBaseError("uncertain base may be negative")
         if p.denominator == 1 and lo_b < 0 <= hi_b and p.numerator % 2 == 0:
             ends = [Fraction(0), lo_b**p.numerator, hi_b**p.numerator]
-            return CertifiedReal.from_interval(min(ends), max(ends))
+            return min(ends), max(ends)
         lo1, hi1 = _rational_pow_interval(lo_b, p, precision)
         lo2, hi2 = _rational_pow_interval(hi_b, p, precision)
-        return CertifiedReal.from_interval(min(lo1, lo2), max(hi1, hi2))
+        return min(lo1, lo2), max(hi1, hi2)
     if isinstance(x, CertifiedReal):
         x = x.value
-    lo, hi = _rational_pow_interval(Fraction(x), p, precision)
+    return _rational_pow_interval(Fraction(x), p, precision)
+
+
+def _checked_exponent(p, precision: int) -> Fraction:
+    if precision < MIN_PRECISION:
+        raise ParseError(f"precision must be >= {MIN_PRECISION} bits")
+    if isinstance(p, Exponent):
+        p = p.as_fraction()
+    return Fraction(p)
+
+
+def rpow(x, p, precision: int = DEFAULT_PRECISION) -> CertifiedReal:
+    """|certified| x ** p for rational (or certified) x and rational p.
+
+    Exact whenever the result is rational (integer p, or perfect roots);
+    otherwise an enclosure of width about 2 ** -precision.
+    """
+    p = _checked_exponent(p, precision)
+    return CertifiedReal.from_interval(*_pow_interval(x, p, precision))
+
+
+def power_sum(values, p, precision: int = DEFAULT_PRECISION) -> CertifiedReal:
+    """sum |v| ** p over rationals or certified reals, as one certified real.
+
+    Equal, value and error, to adding the :func:`rpow` terms one by one:
+    the interval of the summed endpoints has the summed midpoints as its
+    value and the summed half-widths as its error.  Exact zeros contribute
+    [0, 0] for p > 0 and are skipped.
+    """
+    p = _checked_exponent(p, precision)
+    skip_zero = p > 0
+    lo = hi = Fraction(0)
+    for v in values:
+        v = abs(v)
+        if skip_zero and v == 0:
+            continue
+        t_lo, t_hi = _pow_interval(v, p, precision)
+        lo += t_lo
+        hi += t_hi
     return CertifiedReal.from_interval(lo, hi)
 
 
@@ -383,19 +413,16 @@ def window_norm(
     if precision < MIN_PRECISION:
         raise ParseError(f"precision must be >= {MIN_PRECISION} bits")
     p = Exponent.of(p)
-    entries = [abs(CertifiedReal.wrap(v)) for v in x]
 
     if p.is_infinite:
+        entries = [abs(CertifiedReal.wrap(v)) for v in x]
         lo = max(e.lo for e in entries)
         hi = max(e.hi for e in entries)
         result = CertifiedReal.from_interval(lo, hi)
     else:
         pf = p.as_fraction()
-        term_precision = precision + max(8, len(entries).bit_length() + 2)
-        total = CertifiedReal.exact(0)
-        for e in entries:
-            total = total + rpow(e, pf, term_precision)
-        result = rpow(total, 1 / pf, precision)
+        term_precision = precision + max(8, len(x).bit_length() + 2)
+        result = rpow(power_sum(x, pf, term_precision), 1 / pf, precision)
 
     if tol is not None and result.err > tol:
         raise PrecisionExhausted(

@@ -18,7 +18,6 @@ from .duals import alpha_matrix, apply_dense_row, beta_matrix, dual_membership
 from .exactreal import CertifiedReal, Exponent, rpow, window_norm
 from .matclasses import (
     class_check,
-    compactness_verdict,
     noncompactness_estimate,
     operator_norm,
 )
@@ -407,7 +406,7 @@ def _check_mnc_single(cfg):
         return False, "limit not exactly zero"
     if any(v != 0 for r, v in est.sweep if r >= 1):
         return False, "tail sweep not zero from r=1"
-    verdict = compactness_verdict(_single_row_matrix(), lam, 2, "c0", r_max=8)
+    verdict = est.compactness()
     ok = verdict.status is Status.HOLDS_EXACTLY and verdict.label == "compact"
     return ok, "limit exactly 0, verdict compact"
 
@@ -418,7 +417,7 @@ def _check_mnc_identity(cfg):
     est = noncompactness_estimate(e_matrix(lam), lam, 2, "c0", r_max=32)
     if any(abs(v - 1.0) > 1e-12 for _, v in est.sweep):
         return False, "s(r) deviates from 1"
-    verdict = compactness_verdict(e_matrix(lam), lam, 2, "c0", r_max=32)
+    verdict = est.compactness()
     ok = verdict.label == "evidence-noncompact"
     return ok, "s(r) = 1 for r <= 32"
 

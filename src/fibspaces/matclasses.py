@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .duals import _certified_power_sum, _sweep_points, diag_coeff, dual_membership
+from .duals import _sweep_points, diag_coeff, dual_membership
 from .errors import (
     AlphaLimitUndetermined,
     DomainError,
@@ -33,6 +33,7 @@ from .exactreal import (
     CertifiedReal,
     Exponent,
     conjugate,
+    power_sum,
     rpow,
 )
 from .sequences import LambdaSeq, from_values, fib
@@ -64,11 +65,7 @@ def _row_bound(a) -> int | None:
 
 
 class HatMatrix:
-    """Memoized table of transformed rows for a source matrix.
-
-    Row insertion is guarded only by the dict's own atomicity; rows are
-    immutable tuples once stored, so concurrent readers are safe.
-    """
+    """Memoized table of transformed rows for a source matrix."""
 
     def __init__(self, source, lam: LambdaSeq):
         if not isinstance(source, (Triangle, RowWindowedMatrix)):
@@ -353,7 +350,7 @@ def _evaluate_class_condition(
             raise UnsupportedPair("row q-norms need a finite conjugate exponent")
         return _sup_condition(
             hat, window,
-            lambda n: _certified_power_sum(hat.row(n), q_frac),
+            lambda n: power_sum(hat.row(n), q_frac),
         )
 
     if cid == "entry-sup":
@@ -377,12 +374,12 @@ def _evaluate_class_condition(
 
     if cid == "column-pnorm-sup":
         power = tp_norm.as_fraction()
-        width = max((len(hat.row(n)) for n in range(bound)), default=0)
-        totals = [CertifiedReal.exact(0)] * width
-        for n in range(bound):
-            row = hat.row(n)
-            for k, v in enumerate(row):
-                totals[k] = totals[k] + rpow(abs(v), power)
+        rows = [hat.row(n) for n in range(bound)]
+        width = max((len(row) for row in rows), default=0)
+        totals = [
+            power_sum((row[k] for row in rows if k < len(row)), power)
+            for k in range(width)
+        ]
         if not totals:
             return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(0))
         if hat.finite_rows:
@@ -463,7 +460,7 @@ def _evaluate_class_condition(
         rows = [r for r in rows if any(r)]
         power = float(q_frac) if q_frac is not None else 1.0
         found = subset_sup(rows, power, seed=seed)
-        val = _certified_power_sum(found.column_sums, q_frac if q_frac else Fraction(1))
+        val = power_sum(found.column_sums, q_frac if q_frac else Fraction(1))
         status = Status.HOLDS_EXACTLY if (found.enumerated and hat.finite_rows) \
             else Status.EVIDENCE_BOUNDED
         return Verdict(status, value=val,
@@ -478,7 +475,7 @@ def _evaluate_class_condition(
         ]
         cols = [c for c in cols if any(c)]
         found = subset_sup(cols, float(power), seed=seed)
-        val = _certified_power_sum(found.column_sums, power)
+        val = power_sum(found.column_sums, power)
         status = Status.HOLDS_EXACTLY if (found.enumerated and hat.finite_rows) \
             else Status.EVIDENCE_BOUNDED
         return Verdict(status, value=val,
@@ -571,11 +568,7 @@ def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision):
     q = conjugate(p).as_fraction()
     inv_q = 1 / q
 
-    def fn(n):
-        power_sum = _certified_power_sum(hat.row(n), q, precision)
-        return rpow(power_sum, inv_q, precision)
-
-    return fn
+    return lambda n: rpow(power_sum(hat.row(n), q, precision), inv_q, precision)
 
 
 def operator_norm(
@@ -638,8 +631,7 @@ def operator_norm(
         rows = [hat.row(n) for n in range(bound)]
         rows = [r for r in rows if any(r)]
         found = subset_sup(rows, float(q_frac), seed=seed)
-        power_sum = _certified_power_sum(found.column_sums, q_frac, precision)
-        value = rpow(power_sum, 1 / q_frac, precision)
+        value = rpow(power_sum(found.column_sums, q_frac, precision), 1 / q_frac, precision)
         return OpNormResult(
             kind="bracket",
             bracket=(value, value * Fraction(4)),
@@ -681,6 +673,23 @@ class MncEstimate:
             "verdict": self.verdict.to_json(),
         }
 
+    def compactness(self) -> Verdict:
+        """Compactness of the matrix operator: exactly compact when the
+        noncompactness measure is exactly zero, otherwise classified from
+        the tail sweep."""
+        if self.exact and self.limit is not None and self.limit.value == 0:
+            return Verdict(Status.HOLDS_EXACTLY, self.sweep, label="compact",
+                           value=self.limit)
+        inner = classify_to_zero(self.sweep)
+        if inner.status is Status.EVIDENCE_BOUNDED:
+            return Verdict(Status.EVIDENCE_BOUNDED, self.sweep,
+                           label="evidence-compact", growth=inner.growth)
+        if inner.status is Status.EVIDENCE_DIVERGING:
+            return Verdict(Status.EVIDENCE_DIVERGING, self.sweep,
+                           label="evidence-noncompact", growth=inner.growth)
+        return Verdict(Status.INCONCLUSIVE, self.sweep, label="inconclusive",
+                       growth=inner.growth)
+
 
 def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int,
                 precision: int, seed: int) -> list[tuple[int, float]]:
@@ -713,8 +722,8 @@ def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int
                 rows = [row for row in rows if any(row)]
                 found = subset_sup(rows, float(q_frac), seed=seed,
                                    samples=min(RANDOM_SUBSETS, 2000))
-                power_sum = _certified_power_sum(found.column_sums, q_frac, precision)
-                sweep.append((r, float(rpow(power_sum, 1 / q_frac, precision).value)))
+                total = power_sum(found.column_sums, q_frac, precision)
+                sweep.append((r, float(rpow(total, 1 / q_frac, precision).value)))
             # A subset feasible at r+1 is feasible at r, so tightening each
             # sampled lower bound by its successors keeps it a valid lower
             # bound and restores the monotonicity the true s(r) has.
@@ -792,21 +801,7 @@ def compactness_verdict(
     precision: int = DEFAULT_PRECISION,
     seed: int = 0,
 ) -> Verdict:
-    """Compactness of the matrix operator: exactly compact when the
-    noncompactness measure is exactly zero, otherwise classified from the
-    tail sweep."""
-    est = noncompactness_estimate(
+    """The compactness verdict of :meth:`MncEstimate.compactness`."""
+    return noncompactness_estimate(
         source_matrix, lam, p, target, r_max, precision, seed
-    )
-    if est.exact and est.limit is not None and est.limit.value == 0:
-        return Verdict(Status.HOLDS_EXACTLY, est.sweep, label="compact",
-                       value=est.limit)
-    inner = classify_to_zero(est.sweep)
-    if inner.status is Status.EVIDENCE_BOUNDED:
-        return Verdict(Status.EVIDENCE_BOUNDED, est.sweep,
-                       label="evidence-compact", growth=inner.growth)
-    if inner.status is Status.EVIDENCE_DIVERGING:
-        return Verdict(Status.EVIDENCE_DIVERGING, est.sweep,
-                       label="evidence-noncompact", growth=inner.growth)
-    return Verdict(Status.INCONCLUSIVE, est.sweep, label="inconclusive",
-                   growth=inner.growth)
+    ).compactness()

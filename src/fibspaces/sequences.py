@@ -9,7 +9,6 @@ row of a triangle.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -27,27 +26,20 @@ _VALIDATION_WINDOW = 64
 
 
 class FibCache:
-    """Memoized arbitrary-precision Fibonacci numbers.
+    """Memoized arbitrary-precision Fibonacci numbers."""
 
-    Concurrent readers are safe; extension is serialized by a lock.
-    """
-
-    __slots__ = ("_values", "_lock")
+    __slots__ = ("_values",)
 
     def __init__(self):
         self._values = [1, 1]
-        self._lock = threading.Lock()
 
     def __call__(self, n: int) -> int:
         if n < 0:
             raise DomainError(f"Fibonacci index must be >= 0, got {n}")
         values = self._values
-        if n < len(values):
-            return values[n]
-        with self._lock:
-            while len(self._values) <= n:
-                self._values.append(self._values[-1] + self._values[-2])
-        return self._values[n]
+        while len(values) <= n:
+            values.append(values[-1] + values[-2])
+        return values[n]
 
 
 fib = FibCache()
@@ -184,9 +176,7 @@ class LambdaSeq:
             raise ParseError(f"bad lambda spec {spec!r}")
         kind, _, rest = spec.partition(":")
         if kind == "file":
-            with open(rest) as fh:
-                values = [parse_rational(line) for line in fh if line.strip()]
-            return cls.explicit(values)
+            return cls.explicit(read_rationals(rest))
         try:
             params = [parse_rational(tok) for tok in rest.split(",")]
         except ParseError:
@@ -322,11 +312,6 @@ class SeqWindow:
     def is_exact(self) -> bool:
         return all(not isinstance(v, CertifiedReal) or v.is_exact for v in self.values)
 
-    def with_provenance(self, **extra) -> "SeqWindow":
-        prov = dict(self.provenance)
-        prov.update(extra)
-        return SeqWindow(self.values, prov)
-
 
 @dataclass(frozen=True)
 class PrefixGenerator:
@@ -392,6 +377,21 @@ def inv_fib_pow(m: int) -> PrefixGenerator:
     )
 
 
+def read_input(path: str) -> str:
+    """The text of an input file; ParseError when it cannot be read as text
+    (missing, a directory, a NUL in the path, not UTF-8)."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from None
+
+
+def read_rationals(path: str) -> list[Fraction]:
+    """One rational per nonblank line of an input file."""
+    return [parse_rational(line) for line in read_input(path).split("\n") if line.strip()]
+
+
 def parse_index(text: str, spec: str) -> int:
     """The integer parameter of a spec such as "unit:<k>"; ParseError otherwise."""
     try:
@@ -415,7 +415,5 @@ def parse_generator_spec(spec: str) -> PrefixGenerator:
     if kind == "values" and rest:
         return from_values([parse_rational(tok) for tok in rest.split(",")])
     if kind == "file" and rest:
-        with open(rest) as fh:
-            vals = [parse_rational(line) for line in fh if line.strip()]
-        return from_values(vals, name=f"file:{rest}")
+        return from_values(read_rationals(rest), name=f"file:{rest}")
     raise ParseError(f"bad sequence spec {spec!r}")

@@ -16,6 +16,7 @@ from .exactreal import (
     DEFAULT_PRECISION,
     CertifiedReal,
     Exponent,
+    power_sum,
     rpow,
     window_norm,
 )
@@ -97,10 +98,7 @@ def parallelogram_check(
         if p.is_infinite:
             return window_norm(image.values, p, precision).square()
         pf = p.as_fraction()
-        power_sum = CertifiedReal.exact(0)
-        for v_ in image.values:
-            power_sum = power_sum + rpow(abs(CertifiedReal.wrap(v_)), pf, precision)
-        return rpow(power_sum, 2 / pf, precision)
+        return rpow(power_sum(image.values, pf, precision), 2 / pf, precision)
 
     lhs = sq_norm(plus) + sq_norm(minus)
     rhs = (sq_norm(u) + sq_norm(v)) * Fraction(2)

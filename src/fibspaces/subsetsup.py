@@ -5,11 +5,14 @@ rows of a quantity sum_k |sum_{n in K} m_nk| ** q.  That supremum is
 combinatorial, so the policy is: full Gray-code enumeration up to
 ``EXACT_ENUM_LIMIT`` rows (the scan runs in floats, the winning subset is
 re-evaluated exactly), and beyond that a greedy per-column sign-alignment
-heuristic plus seeded random subsets, reported as a lower bound.
+heuristic plus seeded random subsets, reported as a lower bound.  Rows
+whose float scores could overflow are scanned scaled by a common power of
+two, which leaves the ranking of subsets unchanged.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +20,8 @@ from typing import Sequence
 
 EXACT_ENUM_LIMIT = 16
 RANDOM_SUBSETS = 10_000
+# Float scores are kept below 2 ** FLOAT_SCORE_BITS (floats overflow past 2 ** 1024).
+FLOAT_SCORE_BITS = 1000
 
 
 @dataclass
@@ -48,6 +53,26 @@ def _score_float(sums, q: float) -> float:
     return sum(abs(s) ** q for s in sums)
 
 
+def _scale_shift(rows, q: float) -> int:
+    """The s for which rows scaled by 2 ** -s keep every float score below
+    2 ** FLOAT_SCORE_BITS; 0 whenever the unscaled rows already do."""
+    # |v| < 2 ** top for every entry v (bit lengths of its numerator and
+    # denominator), so a column sum is below 2 ** (top + bits(m)) and a score
+    # below width * 2 ** (q * (top + bits(m))).
+    top = max(
+        (v.numerator.bit_length() - v.denominator.bit_length() + 1
+         for row in rows for v in row if v),
+        default=None,
+    )
+    if top is None:
+        return 0
+    column_bits = top + len(rows).bit_length()
+    room = FLOAT_SCORE_BITS - max(len(r) for r in rows).bit_length()
+    if q * column_bits < room:
+        return 0
+    return math.ceil(column_bits - room / q) + 1
+
+
 def subset_sup(
     rows: Sequence[Sequence[Fraction]],
     q: float,
@@ -65,7 +90,12 @@ def subset_sup(
     if m == 0:
         return SubsetSup((), (), True)
     width = max(len(r) for r in rows)
-    floats = [[float(v) for v in row] + [0.0] * (width - len(row)) for row in rows]
+    shift = _scale_shift(rows, q)
+    scaled = rows
+    if shift:
+        factor = Fraction(1, 1 << shift)
+        scaled = [[v * factor for v in row] for row in rows]
+    floats = [[float(v) for v in row] + [0.0] * (width - len(row)) for row in scaled]
 
     if mode == "exact" and m > EXACT_ENUM_LIMIT:
         raise ValueError(f"exact enumeration limited to {EXACT_ENUM_LIMIT} rows")
@@ -101,7 +131,7 @@ def subset_sup(
         best_subset, best_key = (), None
         for _, cand in candidates:
             subset = tuple(n for n in range(m) if cand & (1 << n))
-            col = _column_sums(rows, subset)
+            col = _column_sums(scaled, subset)
             if qi is not None:
                 key = sum((abs(s) ** qi for s in col), Fraction(0))
             else:

@@ -22,14 +22,13 @@ inverse.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError, SingularDiagonal, WindowMismatch
 from .exactreal import CertifiedReal, parse_rational
-from .sequences import LambdaSeq, SeqWindow, fib, fib_sq
+from .sequences import LambdaSeq, SeqWindow, fib, fib_sq, read_input
 
 Entry = Callable[[int, int], Fraction]
 
@@ -40,7 +39,6 @@ class Triangle:
     def __init__(self, fn: Entry, name: str = "triangle"):
         self._fn = fn
         self._memo: dict[tuple[int, int], Fraction] = {}
-        self._lock = threading.Lock()
         self.name = name
 
     def entry(self, n: int, k: int) -> Fraction:
@@ -52,8 +50,7 @@ class Triangle:
         v = self._memo.get(key)
         if v is None:
             v = Fraction(self._fn(n, k))
-            with self._lock:
-                self._memo[key] = v
+            self._memo[key] = v
         return v
 
     def row(self, n: int) -> list[Fraction]:
@@ -426,5 +423,4 @@ def _json_list(value, what: str) -> list:
 
 
 def load_matrix(path: str) -> RowWindowedMatrix:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+    return matrix_from_json(json.loads(read_input(path)))

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from fibspaces.errors import NegativeBaseError, ParseError, PrecisionExhausted
 from fibspaces.exactreal import (
+    MIN_PRECISION,
     CertifiedReal,
     Exponent,
     conjugate,
     format_rational,
     integer_nth_root,
     parse_rational,
+    power_sum,
     rpow,
     window_norm,
 )
@@ -188,6 +190,61 @@ class TestWindowNorm:
             values.append(window_norm(xs, "inf"))
             for a, b in zip(values, values[1:]):
                 assert b.lo <= a.hi + Fraction(1, 2**128)
+
+
+# Rationals, exact certified reals, and enclosures whose half-width runs up
+# to twice the midpoint (so some straddle 0).
+power_terms_st = st.one_of(
+    fractions_st,
+    fractions_st.map(CertifiedReal.exact),
+    st.builds(
+        lambda v, f: CertifiedReal(v, abs(v) * f + Fraction(1, 1000)),
+        fractions_st,
+        st.fractions(min_value=0, max_value=2, max_denominator=16),
+    ),
+)
+
+
+class TestPowerSum:
+    @staticmethod
+    def _termwise(values, p, precision):
+        total = CertifiedReal.exact(0)
+        for v in values:
+            total = total + rpow(abs(v), p, precision)
+        return total
+
+    @given(
+        st.lists(power_terms_st, max_size=12),
+        st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_termwise_rpow_sum(self, values, p):
+        try:
+            want = self._termwise(values, p, 96)
+        except NegativeBaseError:
+            # An enclosure reaching below 0 has no non-integer power.
+            with pytest.raises(NegativeBaseError):
+                power_sum(values, p, 96)
+            return
+        got = power_sum(values, p, 96)
+        assert (got.value, got.err) == (want.value, want.err)
+
+    def test_straddling_enclosure_with_even_power(self):
+        values = [CertifiedReal(Fraction(1, 10), Fraction(1, 2)), Fraction(3), Fraction(0)]
+        got = power_sum(values, 2)
+        want = self._termwise(values, 2, 256)
+        assert (got.value, got.err) == (want.value, want.err)
+        assert got.lo == 9 and got.hi == 9 + Fraction(36, 100)
+
+    def test_empty_is_exact_zero(self):
+        total = power_sum([], Fraction(3, 2))
+        assert total.is_exact and total.value == 0
+
+    def test_precision_floor(self):
+        with pytest.raises(ParseError):
+            power_sum([], 2, MIN_PRECISION - 1)
+        with pytest.raises(ParseError):
+            power_sum([Fraction(2)], Fraction(3, 2), MIN_PRECISION - 1)
 
 
 @given(fractions_st, fractions_st)

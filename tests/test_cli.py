@@ -86,6 +86,17 @@ class TestExitCodes:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("opnorm", "--p", "2", "--Y", "l1"),
+        ("mnc", "--p", "2", "--Y", "l1", "--rmax", "4"),
+    ])
+    def test_entries_past_float_range(self, capsys, tmp_path, argv):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "dense", "entries": [[str(10**200)]]}))
+        code, out, err = run_cli(capsys, *argv, "--A", str(path))
+        assert code == 0, err
+        assert json.loads(out)["result"]
+
     @pytest.mark.parametrize("doc", [
         {"kind": "rows", "rows": {"x": ["1"]}},
         {"kind": "band", "size": "abc"},
@@ -166,6 +177,22 @@ class TestCommands:
         assert doc["result"]["exact"] is True
         assert doc["result"]["compactness"]["label"] == "compact"
         assert doc["result"]["sweep"][1] == [1, 0.0]
+
+    def test_mnc_runs_one_tail_sweep(self, capsys, monkeypatch):
+        from fibspaces import matclasses
+
+        calls = []
+        sweep = matclasses._tail_sweep
+
+        def counting(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(matclasses, "_tail_sweep", counting)
+        code, out, _ = run_cli(capsys, "mnc", "--A", "E", "--p", "2", "--rmax", "6")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["result"]["compactness"]["label"] == "evidence-noncompact"
 
     def test_plot_data_mnc(self, capsys, single_row):
         code, out, _ = run_cli(

@@ -1,0 +1,113 @@
+"""The CLI exit-code contract over generated malformed input: every spec
+string and matrix document ends in exit 0, 2 (bad input) or 3 (domain
+error), never in a traceback.  Windows stay at 16 or below so that no
+example runs long."""
+
+import contextlib
+import io
+import json
+import traceback
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fibspaces.cli import main
+
+ALLOWED = {0, 2, 3}
+GUARD = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+TOKENS = st.one_of(
+    st.integers(-3, 16).map(str),
+    st.sampled_from([
+        "", " ", "x", "0", "1/2", "-1/3", "1/0", "1.5", "2e0", "abc", "nan",
+        "inf", "/", ".", ":", ",", "\x00", "t", "u", "power-law", "alternating",
+    ]),
+)
+KINDS = st.sampled_from([
+    "unit", "inv-fib-pow", "values", "witness", "zero", "e", "linear",
+    "geometric", "file", "", "bogus",
+])
+
+
+@st.composite
+def specs(draw):
+    kind = draw(KINDS)
+    sep = draw(st.sampled_from([":", "", "::", " : "]))
+    return kind + sep + ",".join(draw(st.lists(TOKENS, max_size=4)))
+
+
+def run(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an argument
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = "raised"
+    return code, err.getvalue()
+
+
+def check(argv):
+    code, err = run(argv)
+    assert code in ALLOWED and "Traceback" not in err, (argv, code, err)
+
+
+@GUARD
+@given(
+    command=st.sampled_from(["transform", "inverse", "norm", "dual"]),
+    spec=specs(),
+    lam=st.one_of(specs(), st.just("linear:1,1")),
+    p=st.one_of(TOKENS, st.just("2")),
+    n=st.integers(-1, 16),
+)
+def test_sequence_and_lambda_specs(command, spec, lam, p, n):
+    if command == "transform":
+        argv = ["transform", f"--x={spec}", "-N", str(n), f"--p={p}"]
+    elif command == "inverse":
+        argv = ["transform", "--inverse", f"--y={spec}", "-N", str(n)]
+    elif command == "norm":
+        argv = ["norm", f"--x={spec}", f"--p={p}", "-N", str(n)]
+    else:
+        argv = ["dual", f"--a={spec}", "--space", "lp:2", "--kind", "beta",
+                "--window", str(n)]
+    check(argv + [f"--lambda={lam}"])
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-3, 16),
+    st.sampled_from(["1", "1/2", "-2/3", "x", "", "1/0", None, True, 1.5, 2.0, [], {}]),
+)
+JSON_ROWS = st.one_of(JSON_VALUES, st.lists(JSON_VALUES, max_size=4))
+INDICES = st.sampled_from(["0", "1", "3", "16", "-1", "-16", "x", "1.5", " 2", ""])
+DOCUMENTS = st.one_of(
+    JSON_ROWS,
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["dense", "rows", "band", "other", 3, None])},
+        optional={
+            "entries": st.one_of(JSON_VALUES, st.lists(JSON_ROWS, max_size=4)),
+            "rows": st.one_of(JSON_VALUES, st.dictionaries(INDICES, JSON_ROWS, max_size=3)),
+            "bands": st.one_of(JSON_VALUES, st.dictionaries(INDICES, JSON_ROWS, max_size=3)),
+            "size": st.one_of(st.integers(-2, 16), st.sampled_from(["4", "abc", 2.5, None, []])),
+            "tail": st.sampled_from(["zero", "one", None]),
+        },
+    ),
+)
+
+
+@GUARD
+@given(doc=DOCUMENTS, command=st.sampled_from(["opnorm", "class", "mnc"]))
+def test_matrix_documents(tmp_path, doc, command):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(doc))
+    extra = {
+        "opnorm": ["--p", "2", "--Y", "l1", "--window", "16"],
+        "class": ["--X", "lp:2", "--Y", "c0", "--window", "16"],
+        "mnc": ["--p", "2", "--Y", "c0", "--rmax", "8"],
+    }[command]
+    check([command, "--A", str(path)] + extra)

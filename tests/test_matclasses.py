@@ -280,6 +280,18 @@ class TestNoncompactness:
             assert est.exact and est.limit.value == 0
             assert verdict.label == "compact"
 
+    def test_verdict_is_the_estimate_compactness(self):
+        rng = random.Random(20)
+        cases = [
+            (SINGLE, 2, "c0"), (ZERO, 2, "c0"), (TWO, 2, "c"), (TWO, 2, "l1"),
+            (TWO, 1, "l1"), (_random_matrix(rng, 8, 8), 2, "c0"),
+            (_random_matrix(rng, 6, 6), 2, "l1"), (e_matrix(LIN), 2, "c0"),
+            (identity_triangle(), 2, "c0"), (e_matrix(GEO), 3, "l1"),
+        ]
+        for m, p, target in cases:
+            est = noncompactness_estimate(m, LIN, p, target, r_max=8)
+            assert compactness_verdict(m, LIN, p, target, r_max=8) == est.compactness()
+
     def test_domination_by_operator_norm(self):
         rng = random.Random(19)
         for _ in range(5):

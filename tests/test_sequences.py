@@ -213,33 +213,6 @@ class TestGenerators:
             parse_generator_spec("nonsense")
 
 
-class TestConcurrency:
-    def test_fib_cache_concurrent_extension(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from fibspaces.sequences import FibCache
-
-        cache = FibCache()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(cache, [1500] * 32))
-        assert len(set(results)) == 1
-        assert results[0] == cache(1500)
-
-    def test_triangle_memo_concurrent_reads(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from fibspaces.triangles import e_matrix
-
-        e = e_matrix(LambdaSeq.linear(1, 1))
-
-        def probe(seed):
-            return [e.entry(n, k) for n in range(30) for k in range(n + 1)]
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            rows = list(pool.map(probe, range(16)))
-        assert all(r == rows[0] for r in rows)
-
-
 def test_custom_lambda_oracle_validated():
     lam = LambdaSeq.custom(lambda n: Fraction(n * n + 1), name="squares")
     assert lam.value(3) == 10

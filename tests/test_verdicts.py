@@ -135,6 +135,26 @@ class TestSubsetSup:
             assert not sampled.enumerated
             assert sampled.score(2.0) <= exact.score(2.0) + 1e-12
 
+    def test_entries_past_float_range(self):
+        # Float scores of these rows would overflow; the scan runs on rows
+        # scaled by a power of two and the column sums stay exact.
+        huge = Fraction(10**200)
+        assert subset_sup([[huge]], 2.0).column_sums == (huge,)
+        rows = [[Fraction(10**400), Fraction(-3)], [Fraction(5), -Fraction(10**401)]]
+        for q in (2.0, 1.5):
+            for mode in ("exact", "sample"):
+                found = subset_sup(rows, q, mode=mode, samples=50)
+                assert found.subset == (0, 1)
+                assert found.column_sums == (10**400 + 5, -(10**401) - 3)
+
+    def test_small_entries_are_not_rescaled(self):
+        from fibspaces.subsetsup import _scale_shift
+
+        assert _scale_shift(self.ROWS, 2.0) == 0
+        assert _scale_shift([[Fraction(2**400)]], 2.0) == 0
+        assert _scale_shift([[Fraction(2**600)]], 2.0) > 0
+        assert _scale_shift([[Fraction(0)]], 2.0) == 0
+
     def test_empty(self):
         found = subset_sup([], 2.0)
         assert found.subset == () and found.enumerated
