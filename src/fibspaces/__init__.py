@@ -80,7 +80,6 @@ from .duals import (
 from .matclasses import (
     ClassReport,
     HatMatrix,
-    LiftedMatrix,
     MncEstimate,
     OpNormResult,
     class_check,
@@ -89,7 +88,6 @@ from .matclasses import (
     hat_entry_via_inverse,
     noncompactness_estimate,
     operator_norm,
-    premultiply_e,
 )
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .exactreal import (
     Exponent,
     format_rational,
     parse_rational,
+    to_float,
 )
 from .golden import run_checks
 from .matclasses import (
@@ -76,12 +77,12 @@ def _emit(text: str, out: str | None):
 def _render_value(v, mode: str) -> str:
     if isinstance(v, CertifiedReal):
         if mode == "float":
-            return repr(float(v.value))
+            return repr(to_float(v.value))
         if v.is_exact:
             return format_rational(v.value)
         return str(v)
     if isinstance(v, Fraction):
-        return repr(float(v)) if mode == "float" else format_rational(v)
+        return repr(to_float(v)) if mode == "float" else format_rational(v)
     return str(v)
 
 
@@ -290,7 +291,7 @@ def cmd_plot_data(args) -> int:
         for n in sweep:
             x = _parse_seq_spec(args.x, lam, n, p, args.precision)
             est = space_norm(x, lam, p, args.precision)
-            rows.append(f"{n},{float(est.value.value)!r}")
+            rows.append(f"{n},{to_float(est.value.value)!r}")
     elif args.quantity == "mnc":
         p = Exponent.parse(args.p)
         matrix = _parse_matrix_arg(args.matrix, lam)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .exactreal import CertifiedReal, Exponent, conjugate, power_sum
+from .exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
 from .subsetsup import RANDOM_SUBSETS, subset_sup
 from .triangles import DenseWindow
@@ -205,18 +205,19 @@ def dual_condition(
 
     if condition in ("d4", "d6", "d7", "d8") and table is None:
         table = _abar_table(a_deep, lam, deepest)
-    # Each sweep point reads a prefix of these rows or per-row quantities.
+    # Each sweep point reads a prefix of these rows or per-row sizes.
     if condition in ("d1", "d2"):
         g_rows = _g_rows(a_deep, lam)
         col_sums: list[Fraction] = []
     elif condition == "d4":
-        row_sums = [power_sum(row, q) for row in table[1:]]
+        sizes = [power_sum(row, q) for row in table]
     elif condition == "d5":
         diag = lam.kernel.grow(deepest).diag
+        sizes = [abs(diag[n] * a_deep[n]) for n in range(deepest)]
     elif condition == "d6":
-        row_max = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
+        sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
     elif condition == "d8":
-        row_l1 = [sum((abs(v) for v in row), Fraction(0)) for row in table]
+        sizes = [sum((abs(v) for v in row), Fraction(0)) for row in table]
 
     if condition == "d7":
         if support is not None:
@@ -238,7 +239,7 @@ def dual_condition(
 
         for w in [m for m in points if 2 * m < deepest]:
             dist = row_distance(w)
-            sweep.append((w, float(dist)))
+            sweep.append((w, to_float(dist)))
             payloads.append(dist)
         # Finite support saturates the inner sums; confirm at the deepest
         # stored row that the distance to the limits is exactly zero.
@@ -257,7 +258,7 @@ def dual_condition(
         # Doubling-window increments |S_2m - S_m| are the Cauchy evidence.
         for w in [m for m in points if 2 * m < deepest]:
             resid = abs(partials[2 * w] - partials[w])
-            sweep.append((w, float(resid)))
+            sweep.append((w, to_float(resid)))
             payloads.append(resid)
         # Finite support makes the series a finite sum; confirm the partial
         # sums are constant from the support onward.
@@ -272,54 +273,34 @@ def dual_condition(
         verdict = classify_to_zero(sweep, stabilized_exactly=stabilized)
         value = CertifiedReal.exact(partials[-1])
     else:
-        for w in points:
-            if condition == "d1":
-                rows = [r for r in g_rows[:w] if any(r)]
-                samples = RANDOM_SUBSETS if w == deepest else 1000
-                found = subset_sup(rows, float(q), mode=subset_mode, seed=seed, samples=samples)
-                lower_bound_only = not found.enumerated
-                quantity = power_sum(found.column_sums, q)
-                sweep.append((w, float(quantity.value)))
-                payloads.append(tuple(found.column_sums))
-                if w == deepest:
-                    value = quantity
-            elif condition == "d2":
-                for n in range(len(col_sums), w):
-                    col_sums.append(Fraction(0))
-                    for k, g in enumerate(g_rows[n]):
-                        col_sums[k] += abs(g)
-                quantity = max(col_sums) if col_sums else Fraction(0)
-                sweep.append((w, float(quantity)))
-                payloads.append(quantity)
-                if w == deepest:
-                    value = CertifiedReal.exact(quantity)
-            elif condition == "d4":
-                best = CertifiedReal.max_of(row_sums[: w - 1])
-                sweep.append((w, float(best.value)))
-                payloads.append(best.value)
-                if w == deepest:
-                    value = best
-            elif condition == "d5":
-                quantity = max(
-                    (abs(diag[n] * a_deep[n]) for n in range(w)),
-                    default=Fraction(0),
-                )
-                sweep.append((w, float(quantity)))
-                payloads.append(quantity)
-                if w == deepest:
-                    value = CertifiedReal.exact(quantity)
-            elif condition == "d6":
-                quantity = max(row_max[:w])
-                sweep.append((w, float(quantity)))
-                payloads.append(quantity)
-                if w == deepest:
-                    value = CertifiedReal.exact(quantity)
-            elif condition == "d8":
-                quantity = max(row_l1[:w])
-                sweep.append((w, float(quantity)))
-                payloads.append(quantity)
-                if w == deepest:
-                    value = CertifiedReal.exact(quantity)
+        if condition in ("d1", "d2"):
+            for w in points:
+                if condition == "d1":
+                    rows = [r for r in g_rows[:w] if any(r)]
+                    samples = RANDOM_SUBSETS if w == deepest else 1000
+                    found = subset_sup(rows, float(q), mode=subset_mode, seed=seed,
+                                       samples=samples)
+                    lower_bound_only = not found.enumerated
+                    quantity = power_sum(found.column_sums, q)
+                    payloads.append(tuple(found.column_sums))
+                else:
+                    for n in range(len(col_sums), w):
+                        col_sums.append(Fraction(0))
+                        for k, g in enumerate(g_rows[n]):
+                            col_sums[k] += abs(g)
+                    quantity = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
+                    payloads.append(quantity.value)
+                sweep.append((w, to_float(quantity.value)))
+            value = quantity
+        else:
+            # The supremum of the per-row sizes over the rows below each
+            # sweep point, as one running maximum (every size is >= 0).
+            value, done = CertifiedReal.exact(0), 0
+            for w in points:
+                value = CertifiedReal.max_of([value, *sizes[done:w]])
+                done = w
+                sweep.append((w, to_float(value.value)))
+                payloads.append(value.value)
         # Finite support makes every one of these suprema finitely
         # determined once the window clears the support plus one saturated
         # row; payloads past that point must agree exactly.

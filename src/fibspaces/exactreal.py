@@ -43,6 +43,17 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# The least magnitude that rounds past the largest float (halfway to 2 ** 1024).
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def to_float(q: RationalLike) -> float:
+    """float(q) for a rational, or +-inf when q rounds past the float range."""
+    if abs(q.numerator) >= _FLOAT_OVERFLOW * q.denominator:
+        return math.inf if q > 0 else -math.inf
+    return float(q)
+
+
 # ---------------------------------------------------------------------------
 # Exponents
 

@@ -30,13 +30,16 @@ from .errors import (
 )
 from .exactreal import (
     DEFAULT_PRECISION,
+    P_INF,
+    P_ONE,
     CertifiedReal,
     Exponent,
     conjugate,
     power_sum,
     rpow,
+    to_float,
 )
-from .sequences import LambdaSeq, from_values, fib
+from .sequences import LambdaSeq, from_values
 from .subsetsup import RANDOM_SUBSETS, subset_sup
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
@@ -77,10 +80,6 @@ class HatMatrix:
     @property
     def finite_rows(self) -> bool:
         return _row_bound(self.source) is not None
-
-    @property
-    def row_bound(self) -> int | None:
-        return _row_bound(self.source)
 
     def effective_bound(self, window: int) -> int:
         bound = _row_bound(self.source)
@@ -137,52 +136,93 @@ def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The lifted matrix for targets that are themselves triangle domains
+# Hat-matrix quantities shared by the class checks, norms and tail sweeps
 
 
-class LiftedMatrix:
-    """Row-averaged lift of a source matrix by a weight family:
+def _row_sweep(hat: HatMatrix, bound: int, per_row):
+    """A per-row certified quantity for n < bound, and its (n, value) sweep."""
+    values = [CertifiedReal.wrap(per_row(n)) for n in range(bound)]
+    return values, tuple((n, to_float(v.value)) for n, v in enumerate(values))
 
-    entry (n, k) = (1/lambda_n) sum_{i<=n} gap(i)
-                   (f_i/f_{i+1} a_ik - f_{i+1}/f_i a_{i-1,k}).
 
-    Equals the triangle product E . A, which is the standard reduction for
-    mapping INTO a triangle domain.
-    """
+def _sup_condition(hat: HatMatrix, bound: int, per_row, *, to_zero=False):
+    """The sweep of a per-row quantity and the Verdict on its sup_n (or, with
+    ``to_zero``, on its limit zero); finitely determined when the matrix
+    has finitely many nonzero rows."""
+    values, sweep = _row_sweep(hat, bound, per_row)
+    if hat.finite_rows:
+        # Rows vanish beyond the bound, so the limit is exactly zero.
+        value = CertifiedReal.exact(0) if to_zero else CertifiedReal.max_of(values)
+        return sweep, Verdict(Status.HOLDS_EXACTLY, sweep, value=value)
+    if to_zero:
+        return sweep, classify_to_zero([(n + 1, v) for n, v in sweep])
+    running, cur = [], 0.0
+    for n, v in sweep:
+        cur = max(cur, v)
+        running.append((n + 1, cur))
+    return sweep, classify_growth(running)
 
-    def __init__(self, source, lam: LambdaSeq, name: str = "lifted"):
-        self.source = source
-        self.lam = lam
-        self.name = name
-        self._memo: dict[tuple[int, int], Fraction] = {}
 
-    def entry(self, n: int, k: int) -> Fraction:
-        key = (n, k)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        lam = self.lam
-        acc = Fraction(0)
-        for i in range(n + 1):
-            prev = self.source.entry(i - 1, k) if i >= 1 else Fraction(0)
-            acc += lam.gap(i) * (
-                Fraction(fib(i), fib(i + 1)) * self.source.entry(i, k)
-                - Fraction(fib(i + 1), fib(i)) * prev
-            )
-        v = acc / lam.value(n)
-        self._memo[key] = v
-        return v
-
-    def window(self, nrows: int, ncols: int) -> tuple:
-        return tuple(
-            tuple(self.entry(n, k) for k in range(ncols)) for n in range(nrows)
+def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision: int = DEFAULT_PRECISION):
+    """Per-row size in the sup-target norm: row 1-norm for p = inf, row
+    q-norm for finite p > 1, plain entry sup for p = 1."""
+    if p.is_infinite:
+        return lambda n: CertifiedReal.exact(
+            sum((abs(v) for v in hat.row(n)), Fraction(0))
         )
+    pf = p.as_fraction()
+    if pf == 1:
+        return lambda n: CertifiedReal.exact(
+            max((abs(v) for v in hat.row(n)), default=Fraction(0))
+        )
+    q = conjugate(p).as_fraction()
+    inv_q = 1 / q
+
+    return lambda n: rpow(power_sum(hat.row(n), q, precision), inv_q, precision)
 
 
-def premultiply_e(source, lam: LambdaSeq) -> LiftedMatrix:
-    """The lift against the given weight family (a second family gives the
-    primed variant for domain-to-domain mappings)."""
-    return LiftedMatrix(source, lam)
+def _column_abs_sums(hat: HatMatrix, rows, sums: list[Fraction] | None = None) -> list[Fraction]:
+    """sum_n |hat(n, k)| over the given rows n, one entry per column k,
+    added into ``sums`` when given."""
+    sums = [] if sums is None else sums
+    for n in rows:
+        row = hat.row(n)
+        if len(row) > len(sums):
+            sums.extend([Fraction(0)] * (len(row) - len(sums)))
+        for k, v in enumerate(row):
+            sums[k] += abs(v)
+    return sums
+
+
+def _column_sum_sup(hat: HatMatrix, bound: int):
+    """The (k, column sum) sweep over rows n < bound and the Verdict on its
+    supremum over k."""
+    sums = _column_abs_sums(hat, range(bound))
+    sweep = tuple((k, to_float(s)) for k, s in enumerate(sums))
+    if hat.finite_rows:
+        best = max(sums, default=Fraction(0))
+        return sweep, Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(best))
+    return sweep, classify_growth([(k + 1, v) for k, v in sweep])
+
+
+def _columns(hat: HatMatrix, bound: int) -> list[list[Fraction]]:
+    rows = [hat.row(n) for n in range(bound)]
+    width = max((len(row) for row in rows), default=0)
+    return [[row[k] if k < len(row) else Fraction(0) for row in rows] for k in range(width)]
+
+
+def _subset_power_sum(vectors, q: Fraction, precision: int = DEFAULT_PRECISION, *,
+                      seed: int = 0, samples: int = RANDOM_SUBSETS):
+    """The subset K of the nonzero vectors that :func:`subset_sup` finds for
+    sup_K sum_k |sum_{v in K} v_k| ** q, and that power sum certified."""
+    found = subset_sup([v for v in vectors if any(v)], float(q), seed=seed, samples=samples)
+    return found, power_sum(found.column_sums, q, precision)
+
+
+def _subset_status(found, hat: HatMatrix) -> Status:
+    if found.enumerated and hat.finite_rows:
+        return Status.HOLDS_EXACTLY
+    return Status.EVIDENCE_BOUNDED
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +294,6 @@ def _normalize_kind(kind: str, p) -> tuple[str, Exponent | None]:
     raise DomainError(f"unknown space kind {kind!r}")
 
 
-def _sup_condition(hat: HatMatrix, window: int, per_row, *, to_zero=False) -> Verdict:
-    """Evaluate sup_n (or lim_n) of a per-row certified quantity; finitely
-    determined when the matrix has finitely many nonzero rows."""
-    bound = hat.effective_bound(window)
-    values = [CertifiedReal.wrap(per_row(n)) for n in range(bound)]
-    sweep = tuple((n, float(v.value)) for n, v in enumerate(values))
-    if hat.finite_rows:
-        if to_zero:
-            # Rows vanish beyond the bound, so the limit is exactly zero.
-            return Verdict(Status.HOLDS_EXACTLY, sweep, value=CertifiedReal.exact(0))
-        return Verdict(Status.HOLDS_EXACTLY, sweep, value=CertifiedReal.max_of(values))
-    points = [(n + 1, float(v.value)) for n, v in enumerate(values)]
-    if to_zero:
-        return classify_to_zero(points)
-    running = []
-    cur = 0.0
-    for x, v in points:
-        cur = max(cur, v)
-        running.append((x, cur))
-    return classify_growth(running)
-
-
 def class_check(
     source_matrix,
     lam: LambdaSeq,
@@ -326,7 +344,7 @@ def _evaluate_class_condition(
 ) -> Verdict:
     src_matrix = hat.source
 
-    if cid == "row-series-exists":
+    if cid in ("row-series-exists", "row-abs-converges"):
         # Every accepted source has finitely supported rows, so the weighted
         # row series truncates; this holds structurally for all rows.
         return Verdict(Status.HOLDS_EXACTLY,
@@ -341,54 +359,28 @@ def _evaluate_class_condition(
         return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(worst),
                        detail={"reason": "per-row finite support"})
 
-    if cid == "row-abs-converges":
-        return Verdict(Status.HOLDS_EXACTLY,
-                       detail={"reason": "rows finitely supported"})
-
     if cid == "row-qnorm-sup":
         if q_frac is None:
             raise UnsupportedPair("row q-norms need a finite conjugate exponent")
-        return _sup_condition(
-            hat, window,
-            lambda n: power_sum(hat.row(n), q_frac),
-        )
+        return _sup_condition(hat, bound, lambda n: power_sum(hat.row(n), q_frac))[1]
 
     if cid == "entry-sup":
-        return _sup_condition(
-            hat, window,
-            lambda n: max((abs(v) for v in hat.row(n)), default=Fraction(0)),
-        )
+        return _sup_condition(hat, bound, _row_quantity_fn(hat, P_ONE))[1]
 
     if cid == "column-sum-sup":
-        width = max((len(hat.row(n)) for n in range(bound)), default=0)
-        sums = [Fraction(0)] * width
-        for n in range(bound):
-            for k, v in enumerate(hat.row(n)):
-                sums[k] += abs(v)
-        best = max(sums, default=Fraction(0))
-        if hat.finite_rows:
-            return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(best))
-        return classify_growth(
-            [(k + 1, float(s)) for k, s in enumerate(sums)]
-        )
+        return _column_sum_sup(hat, bound)[1]
 
     if cid == "column-pnorm-sup":
         power = tp_norm.as_fraction()
-        rows = [hat.row(n) for n in range(bound)]
-        width = max((len(row) for row in rows), default=0)
-        totals = [
-            power_sum((row[k] for row in rows if k < len(row)), power)
-            for k in range(width)
-        ]
+        totals = [power_sum(col, power) for col in _columns(hat, bound)]
         if not totals:
             return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(0))
         if hat.finite_rows:
             return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.max_of(totals))
-        return classify_growth([(k + 1, float(t.value)) for k, t in enumerate(totals)])
+        return classify_growth([(k + 1, to_float(t.value)) for k, t in enumerate(totals)])
 
     if cid == "rows-in-beta-dual":
         per_row = []
-        exact = True
         for n in range(bound):
             support = _row_support(src_matrix, n)
             row = [src_matrix.entry(n, k) for k in range(support)]
@@ -399,7 +391,6 @@ def _evaluate_class_condition(
                 p=p_norm, window=max(8, min(window, support + 8)), seed=seed,
             )
             per_row.append(result["verdict"])
-            exact = exact and result["verdict"].is_exact
         combined = conjunction(per_row, label="rows-in-beta-dual")
         if combined.is_exact and not hat.finite_rows:
             # Unchecked rows remain, so exactness cannot be claimed globally.
@@ -422,109 +413,60 @@ def _evaluate_class_condition(
                 partial = hat.partial_row(n, m)
                 for k in range(len(row)):
                     total += abs(partial[k] - row[k])
-            points.append((m, float(total)))
+            points.append((m, to_float(total)))
             if m >= max_support and total == 0:
                 exact_zero_seen = True
         stabilized = hat.finite_rows and exact_zero_seen
         return classify_to_zero(points, stabilized_exactly=stabilized)
 
-    if cid == "column-limits":
-        return _column_limit_condition(hat, bound, window, reference="stable")
+    if cid in ("column-limits", "column-limits-zero"):
+        if hat.finite_rows:
+            # All columns are eventually zero, so the limits exist (and are 0).
+            return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(0),
+                           detail={"alpha": "zero beyond row bound"})
+        if cid == "column-limits-zero":
+            return _sup_condition(hat, bound, _row_quantity_fn(hat, P_ONE), to_zero=True)[1]
+        return _column_cauchy_condition(hat, bound)
 
-    if cid == "column-limits-zero":
-        return _column_limit_condition(hat, bound, window, reference="zero")
+    if cid in ("row-l1-to-alpha", "row-l1-limit-zero"):
+        # The column limits alpha are exactly zero when finitely many rows
+        # are nonzero, so both conditions ask for row l1 sums tending to 0.
+        if cid == "row-l1-to-alpha" and not hat.finite_rows:
+            raise AlphaLimitUndetermined("column limits need finitely supported columns")
+        return _sup_condition(hat, bound, _row_quantity_fn(hat, P_INF), to_zero=True)[1]
 
-    if cid == "row-l1-to-alpha":
-        alpha = _alpha_vector(hat, bound, window)
-        return _sup_condition(
-            hat, window,
-            lambda n: sum(
-                (abs(v - alpha.get(k, Fraction(0))) for k, v in enumerate(hat.row(n))),
-                Fraction(0),
-            ) + sum(
-                (abs(a) for k, a in alpha.items() if k >= len(hat.row(n))),
-                Fraction(0),
-            ),
-            to_zero=True,
-        )
-
-    if cid == "row-l1-limit-zero":
-        return _sup_condition(
-            hat, window,
-            lambda n: sum((abs(v) for v in hat.row(n)), Fraction(0)),
-            to_zero=True,
-        )
-
-    if cid == "row-subset-sup":
-        rows = [hat.row(n) for n in range(bound)]
-        rows = [r for r in rows if any(r)]
-        power = float(q_frac) if q_frac is not None else 1.0
-        found = subset_sup(rows, power, seed=seed)
-        val = power_sum(found.column_sums, q_frac if q_frac else Fraction(1))
-        status = Status.HOLDS_EXACTLY if (found.enumerated and hat.finite_rows) \
-            else Status.EVIDENCE_BOUNDED
-        return Verdict(status, value=val,
-                       detail={"enumerated": found.enumerated,
-                               "subset": found.subset})
-
-    if cid == "column-subset-sup":
-        power = tp_norm.as_fraction()
-        width = max((len(hat.row(n)) for n in range(bound)), default=0)
-        cols = [
-            [hat.entry(n, k) for n in range(bound)] for k in range(width)
-        ]
-        cols = [c for c in cols if any(c)]
-        found = subset_sup(cols, float(power), seed=seed)
-        val = power_sum(found.column_sums, power)
-        status = Status.HOLDS_EXACTLY if (found.enumerated and hat.finite_rows) \
-            else Status.EVIDENCE_BOUNDED
-        return Verdict(status, value=val,
+    if cid in ("row-subset-sup", "column-subset-sup"):
+        if cid == "row-subset-sup":
+            found, val = _subset_power_sum((hat.row(n) for n in range(bound)), q_frac, seed=seed)
+        else:
+            found, val = _subset_power_sum(_columns(hat, bound), tp_norm.as_fraction(), seed=seed)
+        return Verdict(_subset_status(found, hat), value=val,
                        detail={"enumerated": found.enumerated,
                                "subset": found.subset})
 
     raise DomainError(f"unknown condition {cid!r}")
 
 
-def _alpha_vector(hat: HatMatrix, bound: int, window: int) -> dict[int, Fraction]:
-    """Column limits; exactly zero for finitely supported matrices (rows
-    vanish beyond the bound), undetermined otherwise."""
-    if not hat.finite_rows:
-        raise AlphaLimitUndetermined(
-            "column limits need finitely supported columns"
-        )
-    return {}
-
-
-def _column_limit_condition(hat, bound, window, *, reference: str) -> Verdict:
-    if hat.finite_rows:
-        # All columns are eventually zero, so the limits exist (and are 0).
-        value = CertifiedReal.exact(0)
-        return Verdict(Status.HOLDS_EXACTLY, value=value,
-                       detail={"alpha": "zero beyond row bound"})
+def _column_cauchy_condition(hat: HatMatrix, bound: int) -> Verdict:
+    """Cauchy-style evidence for column limits: entrywise distance between
+    rows n and 2n."""
     points = []
-    if reference == "zero":
-        for n in range(bound):
-            row = hat.row(n)
-            dist = max((abs(v) for v in row), default=Fraction(0))
-            points.append((n + 1, float(dist)))
-    else:
-        # Cauchy-style evidence: entrywise distance between rows n and 2n.
-        for n in range(1, bound):
-            if 2 * n >= bound:
-                break
-            row, far = hat.row(n), hat.row(2 * n)
-            width = max(len(row), len(far))
-            dist = max(
-                (
-                    abs(
-                        (row[k] if k < len(row) else Fraction(0))
-                        - (far[k] if k < len(far) else Fraction(0))
-                    )
-                    for k in range(width)
-                ),
-                default=Fraction(0),
-            )
-            points.append((n + 1, float(dist)))
+    for n in range(1, bound):
+        if 2 * n >= bound:
+            break
+        row, far = hat.row(n), hat.row(2 * n)
+        width = max(len(row), len(far))
+        dist = max(
+            (
+                abs(
+                    (row[k] if k < len(row) else Fraction(0))
+                    - (far[k] if k < len(far) else Fraction(0))
+                )
+                for k in range(width)
+            ),
+            default=Fraction(0),
+        )
+        points.append((n + 1, to_float(dist)))
     return classify_to_zero(points)
 
 
@@ -553,24 +495,6 @@ class OpNormResult:
         return out
 
 
-def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision):
-    """Per-row size in the sup-target norm: row 1-norm for p = inf, row
-    q-norm for finite p > 1, plain entry sup for p = 1."""
-    if p.is_infinite:
-        return lambda n: CertifiedReal.exact(
-            sum((abs(v) for v in hat.row(n)), Fraction(0))
-        )
-    pf = p.as_fraction()
-    if pf == 1:
-        return lambda n: CertifiedReal.exact(
-            max((abs(v) for v in hat.row(n)), default=Fraction(0))
-        )
-    q = conjugate(p).as_fraction()
-    inv_q = 1 / q
-
-    return lambda n: rpow(power_sum(hat.row(n), q, precision), inv_q, precision)
-
-
 def operator_norm(
     source_matrix,
     lam: LambdaSeq,
@@ -593,57 +517,27 @@ def operator_norm(
     bound = hat.effective_bound(window)
 
     if target in ("linf", "c", "c0"):
-        per_row = _row_quantity_fn(hat, p, precision)
-        values = [per_row(n) for n in range(bound)]
-        sweep = tuple((n, float(v.value)) for n, v in enumerate(values))
-        if hat.finite_rows:
-            return OpNormResult(
-                kind="exact", value=CertifiedReal.max_of(values), sweep=sweep
-            )
-        running, cur = [], 0.0
-        for n, v in sweep:
-            cur = max(cur, v)
-            running.append((n + 1, cur))
-        return OpNormResult(
-            kind="evidence", verdict=classify_growth(running), sweep=sweep
+        sweep, verdict = _sup_condition(hat, bound, _row_quantity_fn(hat, p, precision))
+    elif target == "l1" and p == P_ONE:
+        sweep, verdict = _column_sum_sup(hat, bound)
+    elif target == "l1":
+        q_frac = conjugate(p).as_fraction()
+        found, total = _subset_power_sum(
+            (hat.row(n) for n in range(bound)), q_frac, precision, seed=seed
         )
-
-    if target == "l1":
-        if not p.is_infinite and p.as_fraction() == 1:
-            width = max((len(hat.row(n)) for n in range(bound)), default=0)
-            sums = [Fraction(0)] * width
-            for n in range(bound):
-                for k, v in enumerate(hat.row(n)):
-                    sums[k] += abs(v)
-            best = max(sums, default=Fraction(0))
-            sweep = tuple((k, float(s)) for k, s in enumerate(sums))
-            if hat.finite_rows:
-                return OpNormResult(
-                    kind="exact", value=CertifiedReal.exact(best), sweep=sweep
-                )
-            return OpNormResult(
-                kind="evidence",
-                verdict=classify_growth([(k + 1, float(s)) for k, s in enumerate(sums)]),
-                sweep=sweep,
-            )
-        q = conjugate(p)
-        q_frac = q.as_fraction()
-        rows = [hat.row(n) for n in range(bound)]
-        rows = [r for r in rows if any(r)]
-        found = subset_sup(rows, float(q_frac), seed=seed)
-        value = rpow(power_sum(found.column_sums, q_frac, precision), 1 / q_frac, precision)
+        value = rpow(total, 1 / q_frac, precision)
         return OpNormResult(
             kind="bracket",
             bracket=(value, value * Fraction(4)),
             value=value,
-            verdict=Verdict(
-                Status.HOLDS_EXACTLY if found.enumerated and hat.finite_rows
-                else Status.EVIDENCE_BOUNDED,
-                detail={"enumerated": found.enumerated},
-            ),
+            verdict=Verdict(_subset_status(found, hat),
+                            detail={"enumerated": found.enumerated}),
         )
-
-    raise UnsupportedTarget(f"no operator-norm formula for target {target!r}")
+    else:
+        raise UnsupportedTarget(f"no operator-norm formula for target {target!r}")
+    if hat.finite_rows:
+        return OpNormResult(kind="exact", value=verdict.value, sweep=sweep)
+    return OpNormResult(kind="evidence", verdict=verdict, sweep=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -694,42 +588,39 @@ class MncEstimate:
 def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int,
                 precision: int, seed: int) -> list[tuple[int, float]]:
     """The pairs (r, s(r)) for r <= r_max."""
-    sweep: list[tuple[int, float]] = []
     if target in ("c0", "c"):
         # Column limits are exactly zero in the finite case, so both targets
         # share the same tail quantity.
-        per_row = _row_quantity_fn(hat, p, precision)
-        values = [per_row(n) for n in range(bound)]
+        values, _ = _row_sweep(hat, bound, _row_quantity_fn(hat, p, precision))
         suffix: list[CertifiedReal] = [CertifiedReal.exact(0)] * (bound + 1)
         for n in range(bound - 1, -1, -1):
             suffix[n] = CertifiedReal.max_of((values[n], suffix[n + 1]))
-        for r in range(r_max + 1):
-            s_r = suffix[r] if r < bound else CertifiedReal.exact(0)
-            sweep.append((r, float(s_r.value)))
-    elif target == "l1":
-        if not p.is_infinite and p.as_fraction() == 1:
-            width = max((len(hat.row(n)) for n in range(bound)), default=0)
-            for r in range(r_max + 1):
-                sums = [Fraction(0)] * width
-                for n in range(r, bound):
-                    for k, v in enumerate(hat.row(n)):
-                        sums[k] += abs(v)
-                sweep.append((r, float(max(sums, default=Fraction(0)))))
-        else:
-            q_frac = conjugate(p).as_fraction()
-            for r in range(r_max + 1):
-                rows = [hat.row(n) for n in range(r, bound)]
-                rows = [row for row in rows if any(row)]
-                found = subset_sup(rows, float(q_frac), seed=seed,
-                                   samples=min(RANDOM_SUBSETS, 2000))
-                total = power_sum(found.column_sums, q_frac, precision)
-                sweep.append((r, float(rpow(total, 1 / q_frac, precision).value)))
-            # A subset feasible at r+1 is feasible at r, so tightening each
-            # sampled lower bound by its successors keeps it a valid lower
-            # bound and restores the monotonicity the true s(r) has.
-            for i in range(len(sweep) - 2, -1, -1):
-                r, v = sweep[i]
-                sweep[i] = (r, max(v, sweep[i + 1][1]))
+        return [(r, to_float(suffix[min(r, bound)].value)) for r in range(r_max + 1)]
+    if target != "l1":
+        return []
+    if p == P_ONE:
+        # Add the rows from the bottom up: after row r the sums are s(r)'s.
+        sums: list[Fraction] = []
+        tops = [Fraction(0)] * (r_max + 1)
+        for r in range(bound - 1, -1, -1):
+            _column_abs_sums(hat, (r,), sums)
+            if r <= r_max:
+                tops[r] = max(sums, default=Fraction(0))
+        return [(r, to_float(top)) for r, top in enumerate(tops)]
+    q_frac = conjugate(p).as_fraction()
+    sweep = []
+    for r in range(r_max + 1):
+        _, total = _subset_power_sum(
+            (hat.row(n) for n in range(r, bound)), q_frac, precision,
+            seed=seed, samples=min(RANDOM_SUBSETS, 2000),
+        )
+        sweep.append((r, to_float(rpow(total, 1 / q_frac, precision).value)))
+    # A subset feasible at r+1 is feasible at r, so tightening each
+    # sampled lower bound by its successors keeps it a valid lower
+    # bound and restores the monotonicity the true s(r) has.
+    for i in range(len(sweep) - 2, -1, -1):
+        r, v = sweep[i]
+        sweep[i] = (r, max(v, sweep[i + 1][1]))
     return sweep
 
 
@@ -784,7 +675,7 @@ def noncompactness_estimate(
     if limit is not None:
         if target == "c":
             bracket = (limit.divided_by(2) if limit.value else limit, limit)
-        elif target == "l1" and (p.is_infinite or p.as_fraction() != 1):
+        elif target == "l1" and p != P_ONE:
             bracket = (limit, limit * Fraction(4))
     return MncEstimate(
         target=target, p=str(p), sweep=tuple(sweep),

@@ -21,6 +21,7 @@ from .exactreal import (
     window_norm,
 )
 from .sequences import LambdaSeq, PrefixGenerator, SeqWindow
+from .subsetsup import _scale_shift
 from .triangles import forward_transform
 from .verdicts import Status, Verdict, classify_growth, classify_to_zero
 from .witnesses import gen_witness
@@ -68,7 +69,12 @@ def space_norm(
         best = max(range(n), key=lambda i: sups[i])
         return NormEstimate(value, n, sup_index=best)
     pf = p.as_fraction()
-    powers = [float(abs(CertifiedReal.wrap(v).value)) ** float(pf) for v in image.values]
+    sizes = [abs(CertifiedReal.wrap(v).value) for v in image.values]
+    # The fraction is scale-free; scale only when a power could overflow.
+    shift = _scale_shift([sizes], float(pf))
+    if shift:
+        sizes = [v / (1 << shift) for v in sizes]
+    powers = [float(v) ** float(pf) for v in sizes]
     total = sum(powers)
     tail = sum(powers[-max(1, n // 4):])
     frac = tail / total if total > 0 else 0.0

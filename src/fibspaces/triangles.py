@@ -357,12 +357,19 @@ class RowWindowedMatrix:
         return f"RowWindowedMatrix({self.name}, rows={len(self.rows)})"
 
 
+# Largest row index, band size and band offset magnitude accepted from
+# matrix JSON, so that a short document cannot ask for a huge window.
+MATRIX_INDEX_LIMIT = 10_000
+
+
 def matrix_from_json(obj) -> RowWindowedMatrix:
     """Build a matrix from the JSON wire format.
 
     Kinds: "dense" (list of row lists), "rows" (sparse {"n": [entries]}),
     "band" ({offset: values} diagonals with a size).  Entries are rational
-    strings; everything beyond the stored window is zero.
+    strings; everything beyond the stored window is zero.  Row indices,
+    band sizes and band offsets are integers of magnitude at most
+    ``MATRIX_INDEX_LIMIT``.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -379,41 +386,49 @@ def matrix_from_json(obj) -> RowWindowedMatrix:
             for row in entries
         ]
         return RowWindowedMatrix(rows, name="dense")
+    # The sparse kinds collect the rows they store, by row index.
+    parsed: dict[int, list[Fraction]] = {}
     if kind == "rows":
         sparse = obj.get("rows", {})
         if not isinstance(sparse, dict):
             raise ParseError("matrix JSON 'rows' must be an object")
-        parsed: dict[int, list[Fraction]] = {}
         for n_str, row in sparse.items():
             n = _json_int(n_str, "row index")
-            if n < 0:
-                raise ParseError(f"matrix JSON row index must be >= 0, got {n}")
             parsed[n] = [parse_rational(str(v)) for v in _json_list(row, "a sparse row")]
-        size = max(parsed) + 1 if parsed else 0
-        return RowWindowedMatrix([parsed.get(n, []) for n in range(size)], name="rows")
-    if kind == "band":
-        size = _json_int(obj.get("size", 0), "'size'")
-        if size < 1:
-            raise ParseError("band matrix needs a positive 'size'")
+    elif kind == "band":
+        size = _json_int(obj.get("size", 0), "'size'", low=1)
         bands = obj.get("bands", {})
         if not isinstance(bands, dict):
             raise ParseError("matrix JSON 'bands' must be an object")
-        rows = [[Fraction(0)] * size for _ in range(size)]
         for off_str, values in bands.items():
-            off = _json_int(off_str, "band offset")
+            off = _json_int(off_str, "band offset", low=-MATRIX_INDEX_LIMIT)
             for i, v in enumerate(_json_list(values, "a band")):
                 n, k = (i, i + off) if off >= 0 else (i - off, i)
                 if n < size and k < size:
-                    rows[n][k] = parse_rational(str(v))
-        return RowWindowedMatrix(rows, name="band")
-    raise ParseError(f"unknown matrix kind {kind!r}")
+                    row = parsed.setdefault(n, [])
+                    row.extend([Fraction(0)] * (k + 1 - len(row)))
+                    row[k] = parse_rational(str(v))
+    else:
+        raise ParseError(f"unknown matrix kind {kind!r}")
+    height = max(parsed) + 1 if parsed else 0
+    return RowWindowedMatrix([parsed.get(n, []) for n in range(height)], name=kind)
 
 
-def _json_int(value, what: str) -> int:
+def _json_int(value, what: str, low: int = 0) -> int:
+    """An integer field of matrix JSON (a number or a numeral string) in
+    [low, MATRIX_INDEX_LIMIT]; bools and non-integral numbers are refused."""
+    not_integer = ParseError(f"matrix JSON {what} must be an integer, got {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise not_integer
     try:
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError):
-        raise ParseError(f"matrix JSON {what} must be an integer, got {value!r}") from None
+        raise not_integer from None
+    if not low <= n <= MATRIX_INDEX_LIMIT:
+        raise ParseError(
+            f"matrix JSON {what} must lie in [{low}, {MATRIX_INDEX_LIMIT}], got {n}"
+        )
+    return n
 
 
 def _json_list(value, what: str) -> list:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fibspaces.cli import main
+from fibspaces.triangles import MATRIX_INDEX_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,28 @@ class TestExitCodes:
         assert code == 0, err
         assert json.loads(out)["result"]
 
+    @pytest.mark.parametrize("argv", [
+        ("class", "--A", "BIG", "--X", "lp:2", "--Y", "c0"),
+        ("class", "--A", "BIG", "--X", "lp:2", "--Y", "l1"),
+        ("class", "--A", "BIG", "--X", "lp:2", "--Y", "linf"),
+        ("dual", "--a", f"values:{10**200}", "--space", "lp:2", "--kind", "beta"),
+        ("dual", "--a", f"values:{10**200}", "--space", "lp:2", "--kind", "alpha"),
+        ("norm", "--x", f"values:{10**200},1", "--p", "2", "-N", "2"),
+        ("transform", "--x", f"values:{10**400},1", "-N", "2", "--mode", "float"),
+        ("plot-data", "--quantity", "norm", "--x", f"values:{10**400},1", "--sweep", "2"),
+    ])
+    def test_values_past_float_range(self, capsys, tmp_path, argv):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "dense", "entries": [[str(10**200)]]}))
+        argv = [str(path) if a == "BIG" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert err == ""
+        if argv[0] in ("transform", "plot-data"):
+            assert "inf" in out.split()[-1]
+        else:
+            assert json.loads(out)["result"]
+
     @pytest.mark.parametrize("doc", [
         {"kind": "rows", "rows": {"x": ["1"]}},
         {"kind": "band", "size": "abc"},
@@ -104,6 +127,11 @@ class TestExitCodes:
         {"kind": "rows", "rows": {"-1": ["1"]}},
         {"kind": "dense", "entries": [5]},
         {"kind": "band", "size": 3, "bands": {"one": ["1"]}},
+        {"kind": "band", "size": 2.5},
+        {"kind": "band", "size": True},
+        {"kind": "rows", "rows": {str(MATRIX_INDEX_LIMIT + 1): ["1"]}},
+        {"kind": "band", "size": MATRIX_INDEX_LIMIT + 1, "bands": {"0": ["1"]}},
+        {"kind": "band", "size": 3, "bands": {str(-MATRIX_INDEX_LIMIT - 1): ["1"]}},
     ])
     def test_malformed_matrix_json_is_parse_error(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"

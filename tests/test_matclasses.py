@@ -19,12 +19,10 @@ from fibspaces.matclasses import (
     hat_entry_via_inverse,
     noncompactness_estimate,
     operator_norm,
-    premultiply_e,
 )
 from fibspaces.sequences import LambdaSeq
 from fibspaces.triangles import (
     RowWindowedMatrix,
-    compose,
     e_matrix,
     identity_triangle,
 )
@@ -157,33 +155,53 @@ class TestClassCheck:
         assert (norm * norm).agrees_with(qsup)
 
 
-class TestLiftedMatrix:
-    def test_identity_lifts_to_e(self):
-        lifted = premultiply_e(identity_triangle(), LIN)
-        e = e_matrix(LIN)
-        for n in range(24):
-            for k in range(24):
-                assert lifted.entry(n, k) == e.entry(n, k)
+SHARED_CASES = {
+    "single": SINGLE,
+    "two": TWO,
+    "random8": _random_matrix(random.Random(21), 8, 8),
+    "E": e_matrix(LIN),
+}
 
-    def test_zero_lifts_to_zero(self):
-        lifted = premultiply_e(ZERO, LIN)
-        assert all(lifted.entry(n, k) == 0 for n in range(6) for k in range(6))
 
-    def test_factorization_law(self):
-        rng = random.Random(16)
-        raw = [[Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n + 1)]
-               for n in range(16)]
-        a = RowWindowedMatrix(raw, name="tri")
-        lifted = premultiply_e(a, LIN)
-        product = compose(e_matrix(LIN), a.as_triangle())
-        for n in range(16):
-            for k in range(n + 1):
-                assert lifted.entry(n, k) == product.entry(n, k)
+@pytest.mark.parametrize("name", SHARED_CASES)
+class TestSharedQuantities:
+    """Class conditions, operator norms and tail sweeps that read the same
+    hat-matrix quantity agree.  The window equals the mnc row bound
+    r_max + 8, so every route reads the same rows of E."""
 
-    def test_primed_variant_uses_other_family(self):
-        lifted = premultiply_e(identity_triangle(), GEO)
-        e = e_matrix(GEO)
-        assert lifted.entry(5, 3) == e.entry(5, 3)
+    WINDOW, R_MAX = 12, 4
+
+    def test_column_sum_sup(self, name):
+        m = SHARED_CASES[name]
+        cond = dict(class_check(m, LIN, "l1", "l1", window=self.WINDOW).conditions)
+        cond = cond["column-sum-sup"]
+        norm = operator_norm(m, LIN, 1, "l1", window=self.WINDOW)
+        tail = noncompactness_estimate(m, LIN, 1, "l1", r_max=self.R_MAX).sweep
+        sums = [v for _, v in norm.sweep]
+        assert tail[0] == (0, max(sums, default=0.0))
+        if norm.kind == "exact":
+            assert cond.value == norm.value and float(norm.value.value) == tail[0][1]
+            # s(r) is the column-sum norm of the rows from r on.
+            for r, s in tail:
+                rest = RowWindowedMatrix([()] * r + list(m.rows[r:]))
+                assert s == float(operator_norm(rest, LIN, 1, "l1").value.value)
+        else:
+            assert cond == norm.verdict
+            assert [v for _, v in cond.sweep] == sums
+
+    def test_row_sweeps(self, name):
+        m = SHARED_CASES[name]
+        entry = dict(class_check(m, LIN, "l1", "linf", window=self.WINDOW).conditions)
+        row_l1 = dict(class_check(m, LIN, "linf", "c0", window=self.WINDOW).conditions)
+        sup_norm = operator_norm(m, LIN, 1, "linf", window=self.WINDOW)
+        l1_norm = operator_norm(m, LIN, "inf", "linf", window=self.WINDOW)
+        entry, row_l1 = entry["entry-sup"], row_l1["row-l1-limit-zero"]
+        if sup_norm.kind == "exact":
+            assert entry.sweep == sup_norm.sweep and entry.value == sup_norm.value
+            assert row_l1.sweep == l1_norm.sweep
+        else:
+            assert entry == sup_norm.verdict
+        assert [v for _, v in row_l1.sweep] == [v for _, v in l1_norm.sweep]
 
 
 class TestOperatorNorm:
