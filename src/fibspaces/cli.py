@@ -29,7 +29,7 @@ from .matclasses import (
     noncompactness_estimate,
     operator_norm,
 )
-from .sequences import LambdaSeq, SeqWindow, parse_generator_spec
+from .sequences import LambdaSeq, SeqWindow, parse_generator_spec, parse_index
 from .spaces import space_norm
 from .triangles import (
     RowWindowedMatrix,
@@ -286,7 +286,9 @@ def cmd_plot_data(args) -> int:
     rows = []
     if args.quantity == "norm":
         p = Exponent.parse(args.p)
-        sweep = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
+        sweep = [parse_index(tok, args.sweep) for tok in args.sweep.split(",") if tok.strip()]
+        if not sweep:
+            raise ParseError(f"empty sweep {args.sweep!r}")
         header = "n,value"
         for n in sweep:
             x = _parse_seq_spec(args.x, lam, n, p, args.precision)

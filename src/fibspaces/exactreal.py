@@ -147,8 +147,10 @@ class CertifiedReal:
     err: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "err", Fraction(self.err))
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", Fraction(self.value))
+        if not isinstance(self.err, Fraction):
+            object.__setattr__(self, "err", Fraction(self.err))
         if self.err < 0:
             raise ValueError("error bound must be nonnegative")
 
@@ -199,6 +201,9 @@ class CertifiedReal:
     # -- arithmetic
 
     def __add__(self, other) -> "CertifiedReal":
+        if isinstance(other, (Fraction, int)):
+            # Equal to adding CertifiedReal.exact(other), without wrapping it.
+            return CertifiedReal(self.value + other, self.err)
         o = CertifiedReal.wrap(other)
         return CertifiedReal(self.value + o.value, self.err + o.err)
 
@@ -214,6 +219,10 @@ class CertifiedReal:
         return CertifiedReal.wrap(other) + (-self)
 
     def __mul__(self, other) -> "CertifiedReal":
+        if isinstance(other, (Fraction, int)):
+            # Equal to multiplying by CertifiedReal.exact(other), without
+            # wrapping it: the error terms with a zero factor drop out.
+            return CertifiedReal(self.value * other, abs(other) * self.err)
         o = CertifiedReal.wrap(other)
         err = abs(self.value) * o.err + abs(o.value) * self.err + self.err * o.err
         return CertifiedReal(self.value * o.value, err)

@@ -115,6 +115,13 @@ class HatMatrix:
         return row[k]
 
 
+def _check_window(window: int):
+    """A sweep window must hold at least one row: an empty one would report
+    the empty supremum 0 as an exact result."""
+    if window < 1:
+        raise DomainError(f"window must be >= 1, got {window}")
+
+
 def hat_entry(source, lam: LambdaSeq, n: int, k: int, m: int | None = None) -> Fraction:
     """The transformed entry; with ``m`` given, the partial version whose
     inner sum stops at j = m."""
@@ -319,6 +326,7 @@ def class_check(
     if tgt == "lp" and tp_norm is None:
         raise UnsupportedPair("target 'lp' needs target_p strictly between 1 and inf")
 
+    _check_window(window)
     hat = HatMatrix(source_matrix, lam)
     bound = hat.effective_bound(window)
     q = conjugate(p_norm) if p_norm is not None else Exponent.of(1)
@@ -513,6 +521,7 @@ def operator_norm(
     exactly.
     """
     p = Exponent.of(p)
+    _check_window(window)
     hat = HatMatrix(source_matrix, lam)
     bound = hat.effective_bound(window)
 

@@ -239,21 +239,18 @@ def invert_window(a: Triangle, size: int) -> DenseWindow:
 
 
 def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
-    """y_k = sum_{j<k} (1/lambda_k)[gap(j) f_j/f_{j+1} - gap(j+1) f_{j+2}/f_{j+1}] x_j
-    + (1/lambda_k) gap(k) f_k/f_{k+1} x_k.
+    """y_k = sum_{j<=k} E_{kj} x_j, with every entry of E read from the
+    per-lambda kernel.
 
     Must agree, entry for entry, with applying :func:`e_matrix`.
     """
     values = list(x)
+    kern = lam.kernel.grow(len(values))
     out = []
     for k in range(len(values)):
-        acc = _scaled(values[k], lam.gap(k) * fib(k) / (lam.value(k) * fib(k + 1)))
+        acc = _scaled(values[k], kern.e_entry(k, k))
         for j in range(k):
-            coeff = (
-                lam.gap(j) * Fraction(fib(j), fib(j + 1))
-                - lam.gap(j + 1) * Fraction(fib(j + 2), fib(j + 1))
-            ) / lam.value(k)
-            acc = acc + _scaled(values[j], coeff)
+            acc = acc + _scaled(values[j], kern.e_entry(k, j))
         out.append(acc)
     prov = dict(getattr(x, "provenance", {}) or {})
     prov["transformed-by"] = f"E[{lam.describe()}]"
@@ -262,19 +259,20 @@ def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
 
 def inverse_transform(y, lam: LambdaSeq) -> SeqWindow:
     """x_k = sum_{j=0}^{k} sum_{i=j-1}^{j} (-1)^{j-i}
-    f_{k+1}^2 lambda_i y_i / (gap(j) f_j f_{j+1}).
+    f_{k+1}^2 lambda_i y_i w_j, with w_j = 1/(gap(j) f_j f_{j+1}).
 
-    The i = -1 terms vanish under the lambda_{-1} = 0 convention.  Must
+    The i = -1 terms vanish under the lambda_{-1} = 0 convention.  The
+    coefficients lambda_i and w_j come from the per-lambda kernel.  Must
     agree exactly with the forward-substitution solve against the E window.
     """
     values = list(y)
+    kern = lam.kernel.grow(len(values))
 
     def term(i: int, j: int):
         if i < 0:
             return Fraction(0)
-        sign = 1 if (j - i) % 2 == 0 else -1
-        coeff = sign * lam.value(i) / (lam.gap(j) * fib(j) * fib(j + 1))
-        return _scaled(values[i], coeff)
+        coeff = kern.lam[i] * kern.w[j]
+        return _scaled(values[i], coeff if (j - i) % 2 == 0 else -coeff)
 
     out = []
     for k in range(len(values)):

@@ -146,6 +146,42 @@ class TestCertifiedReal:
         assert "±" in str(CertifiedReal(Fraction(1, 3), Fraction(1, 10**30)))
 
 
+certified_st = st.builds(
+    CertifiedReal,
+    fractions_st,
+    st.fractions(min_value=0, max_value=2, max_denominator=64),
+)
+rational_operand_st = st.one_of(
+    fractions_st, st.integers(min_value=-(10**6), max_value=10**6)
+)
+
+
+class TestRationalOperands:
+    """A Fraction or int operand is not wrapped, yet the result equals the
+    wrapped arithmetic exactly."""
+
+    @given(certified_st, rational_operand_st)
+    @settings(max_examples=300)
+    def test_equals_wrapped_arithmetic(self, x, q):
+        e = CertifiedReal.exact(q)
+        for got, want in ((x * q, x * e), (q * x, e * x), (x + q, x + e), (q + x, e + x)):
+            assert isinstance(got, CertifiedReal)
+            assert type(got.value) is Fraction and type(got.err) is Fraction
+            assert (got.value, got.err) == (want.value, want.err)
+
+    def test_float_operand_is_refused(self):
+        x = CertifiedReal(Fraction(1, 3), Fraction(1, 10))
+        for op in (lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5, lambda: 0.5 + x):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_int_fields_become_fractions(self):
+        x = CertifiedReal(3, 0)
+        assert type(x.value) is Fraction and type(x.err) is Fraction
+        with pytest.raises(ValueError):
+            CertifiedReal(Fraction(1), Fraction(-1))
+
+
 class TestWindowNorm:
     def test_two_unit_vector(self):
         r = window_norm([Fraction(1), Fraction(1), Fraction(0), Fraction(0)], 2)

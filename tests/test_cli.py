@@ -88,6 +88,19 @@ class TestExitCodes:
         assert "input error" in err
 
     @pytest.mark.parametrize("argv", [
+        ("opnorm", "--A", "E", "--p", "2", "--Y", "l1", "--window", "0"),
+        ("opnorm", "--A", "E", "--p", "2", "--Y", "linf", "--window", "-1"),
+        ("class", "--A", "E", "--window", "0"),
+        ("class", "--A", "E", "--X", "linf", "--Y", "l1", "--window", "-2"),
+    ])
+    def test_empty_window_is_domain_error(self, capsys, argv):
+        # E's hat matrix is the identity: an empty window would report the
+        # empty supremum 0 as its norm, or a class condition holding with 0.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == "" and "domain error" in err
+
+    @pytest.mark.parametrize("argv", [
         ("opnorm", "--p", "2", "--Y", "l1"),
         ("mnc", "--p", "2", "--Y", "l1", "--rmax", "4"),
     ])
@@ -283,10 +296,20 @@ class TestVerifySuite:
 
 
 class TestPlotDataEdges:
-    def test_empty_sweep_header_only(self, capsys):
-        code, out, _ = run_cli(
+    def test_empty_sweep_is_parse_error(self, capsys):
+        for sweep in ("", ",,", " , "):
+            code, out, err = run_cli(
+                capsys, "plot-data", "--quantity", "norm", "--x", "witness:t",
+                "--p", "2", "--sweep", sweep,
+            )
+            assert code == 2, sweep
+            assert out == "" and "input error" in err
+
+    @pytest.mark.parametrize("sweep", ["4,x", "4.5", "8,1/2"])
+    def test_non_integer_sweep_is_parse_error(self, capsys, sweep):
+        code, out, err = run_cli(
             capsys, "plot-data", "--quantity", "norm", "--x", "witness:t",
-            "--p", "2", "--sweep", "",
+            "--p", "2", "--sweep", sweep,
         )
-        assert code == 0
-        assert out.strip() == "n,value"
+        assert code == 2
+        assert out == "" and "input error" in err

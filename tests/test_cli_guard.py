@@ -1,7 +1,7 @@
 """The CLI exit-code contract over generated malformed input: every spec
-string and matrix document ends in exit 0, 2 (bad input) or 3 (domain
-error), never in a traceback.  Windows stay at 16 or below so that no
-example runs long."""
+string, plot-data sweep and matrix document ends in exit 0, 2 (bad input)
+or 3 (domain error), never in a traceback.  Windows stay at 16 or below so
+that no example runs long."""
 
 import contextlib
 import io
@@ -77,6 +77,16 @@ def test_sequence_and_lambda_specs(command, spec, lam, p, n):
         argv = ["dual", f"--a={spec}", "--space", "lp:2", "--kind", "beta",
                 "--window", str(n)]
     check(argv + [f"--lambda={lam}"])
+
+
+@GUARD
+@given(
+    sweep=st.lists(TOKENS, max_size=4).map(",".join),
+    spec=st.one_of(specs(), st.just("witness:t")),
+    p=st.one_of(TOKENS, st.just("2")),
+)
+def test_plot_data_sweeps(sweep, spec, p):
+    check(["plot-data", "--quantity", "norm", f"--x={spec}", f"--p={p}", f"--sweep={sweep}"])
 
 
 JSON_VALUES = st.one_of(

@@ -18,6 +18,7 @@ from fibspaces.duals import (
     dual_membership,
 )
 from fibspaces.errors import DomainError
+from fibspaces.exactreal import CertifiedReal
 from fibspaces import matclasses
 from fibspaces.matclasses import HatMatrix, hat_entry, noncompactness_estimate
 from fibspaces.sequences import LambdaSeq, fib, from_values, inv_fib_pow
@@ -27,6 +28,8 @@ from fibspaces.triangles import (
     e_inverse_matrix,
     e_matrix,
     fhat_matrix,
+    forward_transform,
+    inverse_transform,
     invert_window,
     lambda_matrix,
 )
@@ -104,6 +107,84 @@ class TestTrianglesAgainstOracles:
     @pytest.mark.parametrize("lam", FAMILIES, ids=lambda lam: lam.describe())
     def test_closed_form_inverse_is_the_substitution_inverse(self, lam):
         assert e_inverse_matrix(lam).window(16) == invert_window(e_matrix(lam), 16)
+
+
+def _certified_window(seed: int, n: int) -> list[CertifiedReal]:
+    """Certified entries, the even-indexed ones inexact."""
+    rng = random.Random(seed)
+    return [
+        CertifiedReal(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                      Fraction(rng.randint(0 if i % 2 else 1, 5), 10**12))
+        for i in range(n)
+    ]
+
+
+def _textbook_forward(x, lam):
+    """y_k = (1/lambda_k) [gap(k) f_k/f_{k+1} x_k
+    + sum_{j<k} (gap(j) f_j/f_{j+1} - gap(j+1) f_{j+2}/f_{j+1}) x_j]."""
+    out = []
+    for k in range(len(x)):
+        acc = CertifiedReal.exact(0)
+        for j in range(k + 1):
+            if j == k:
+                c = lam.gap(k) * Fraction(fib(k), fib(k + 1))
+            else:
+                c = (lam.gap(j) * Fraction(fib(j), fib(j + 1))
+                     - lam.gap(j + 1) * Fraction(fib(j + 2), fib(j + 1)))
+            acc = acc + CertifiedReal.wrap(x[j]) * CertifiedReal.exact(c / lam.value(k))
+        out.append(acc)
+    return out
+
+
+def _textbook_inverse(y, lam):
+    """x_k = f_{k+1}^2 sum_{j<=k} [lambda_j y_j - lambda_{j-1} y_{j-1}]
+    / (gap(j) f_j f_{j+1}), each of the two terms scaled on its own."""
+    out = []
+    for k in range(len(y)):
+        acc = CertifiedReal.exact(0)
+        for j in range(k + 1):
+            w = 1 / (lam.gap(j) * fib(j) * fib(j + 1))
+            for i, sign in ((j, 1), (j - 1, -1)):
+                if i >= 0:
+                    coeff = CertifiedReal.exact(sign * lam.value(i) * w)
+                    acc = acc + CertifiedReal.wrap(y[i]) * coeff
+        out.append(acc * CertifiedReal.exact(fib(k + 1) ** 2))
+    return out
+
+
+class TestTransformsFromKernel:
+    """The transforms read their coefficients from the kernel; on inexact
+    entries they must still give the textbook sums in value and error."""
+
+    @pytest.mark.parametrize("lam", [LIN, GEO, EXPLICIT], ids=lambda lam: lam.describe())
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_forward_equals_textbook_sum(self, lam, seed):
+        x = _certified_window(seed, 14)
+        got = forward_transform(x, lam)
+        want = _textbook_forward(x, lam)
+        assert [(v.value, v.err) for v in got] == [(v.value, v.err) for v in want]
+        assert any(v.err > 0 for v in got)
+
+    @pytest.mark.parametrize("lam", [LIN, GEO, EXPLICIT], ids=lambda lam: lam.describe())
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_inverse_equals_textbook_sum(self, lam, seed):
+        y = _certified_window(seed, 14)
+        got = inverse_transform(y, lam)
+        want = _textbook_inverse(y, lam)
+        assert [(v.value, v.err) for v in got] == [(v.value, v.err) for v in want]
+        assert any(v.err > 0 for v in got)
+
+    def test_transforms_read_each_lambda_once(self):
+        """The transforms grow the kernel once, so the family function runs
+        once per index instead of once per matrix entry."""
+        calls = []
+        lam = LambdaSeq.custom(lambda n: calls.append(n) or n * n + 1, name="counting")
+        del calls[:]  # construction validates a prefix
+        n = 64
+        x = _rational_window(5, n)
+        y = forward_transform(x, lam)
+        assert list(inverse_transform(y, lam)) == x
+        assert len(calls) <= n + 2
 
 
 class TestSharedWork:

@@ -8,6 +8,7 @@ import pytest
 from fibspaces.duals import diag_coeff
 from fibspaces.errors import (
     AlphaLimitUndetermined,
+    DomainError,
     UnsupportedPair,
     UnsupportedTarget,
 )
@@ -23,6 +24,7 @@ from fibspaces.matclasses import (
 from fibspaces.sequences import LambdaSeq
 from fibspaces.triangles import (
     RowWindowedMatrix,
+    Triangle,
     e_matrix,
     identity_triangle,
 )
@@ -153,6 +155,39 @@ class TestClassCheck:
         qsup = dict(rep.conditions)["row-qnorm-sup"].value
         norm = operator_norm(m, LIN, 2, "linf").value
         assert (norm * norm).agrees_with(qsup)
+
+
+def _shrinking_rows(lam):
+    """Row n of E scaled by 1/(n+1): E's hat matrix is the identity, so this
+    triangle's hat rows are e_n/(n+1) and every per-row size decreases."""
+    e = e_matrix(lam)
+    return Triangle(lambda n, k: e.entry(n, k) / (n + 1), name="E/(n+1)")
+
+
+class TestSupEvidence:
+    """Growth evidence for sup_n on a triangle source is the running maximum
+    of the per-row sizes, not the sizes themselves."""
+
+    def test_class_condition_sweeps_the_running_maximum(self):
+        cond = dict(class_check(_shrinking_rows(LIN), LIN, "l1", "linf", window=8).conditions)
+        entry = cond["entry-sup"]
+        assert entry.sweep == tuple((float(n + 1), 1.0) for n in range(8))
+        assert entry.status is Status.EVIDENCE_BOUNDED
+
+    def test_operator_norm_keeps_both_sweeps(self):
+        r = operator_norm(_shrinking_rows(LIN), LIN, 1, "linf", window=8)
+        assert r.kind == "evidence"
+        assert r.sweep == tuple((n, 1 / (n + 1)) for n in range(8))
+        assert r.verdict.sweep == tuple((float(n + 1), 1.0) for n in range(8))
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_empty_window_is_a_domain_error(self, window):
+        with pytest.raises(DomainError):
+            class_check(e_matrix(LIN), LIN, "lp", "c0", p=2, window=window)
+        with pytest.raises(DomainError):
+            operator_norm(e_matrix(LIN), LIN, 2, "l1", window=window)
+        with pytest.raises(DomainError):
+            operator_norm(SINGLE, LIN, 2, "linf", window=window)
 
 
 SHARED_CASES = {
