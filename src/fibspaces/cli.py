@@ -196,7 +196,7 @@ def cmd_dual(args) -> int:
     space, p = _parse_space(args.space)
     result = dual_membership(
         gen, lam, space, args.kind, p=p, window=args.window,
-        subset_mode=args.subset_mode, seed=args.seed,
+        subset_mode=args.subset_mode,
     )
     payload = {
         "space": result["space"],
@@ -216,7 +216,7 @@ def cmd_class(args) -> int:
     target, tp = _parse_space(args.target)
     report = class_check(
         matrix, lam, source, target, p=p, target_p=tp,
-        window=args.window, seed=args.seed,
+        window=args.window,
     )
     _emit(json.dumps(_report("class", vars(args), report.to_json()), indent=2), args.out)
     return 0
@@ -228,7 +228,7 @@ def cmd_opnorm(args) -> int:
     p = Exponent.parse(args.p)
     result = operator_norm(
         matrix, lam, p, args.target, window=args.window,
-        precision=args.precision, seed=args.seed,
+        precision=args.precision,
     )
     _emit(json.dumps(_report("opnorm", vars(args), result.to_json()), indent=2), args.out)
     return 0
@@ -239,8 +239,7 @@ def cmd_mnc(args) -> int:
     matrix = _parse_matrix_arg(args.matrix, lam)
     p = Exponent.parse(args.p)
     est = noncompactness_estimate(
-        matrix, lam, p, args.target, r_max=args.rmax,
-        precision=args.precision, seed=args.seed,
+        matrix, lam, p, args.target, r_max=args.rmax, precision=args.precision,
     )
     payload = est.to_json()
     payload["compactness"] = est.compactness().to_json()
@@ -298,8 +297,7 @@ def cmd_plot_data(args) -> int:
         p = Exponent.parse(args.p)
         matrix = _parse_matrix_arg(args.matrix, lam)
         est = noncompactness_estimate(
-            matrix, lam, p, args.target, r_max=args.rmax,
-            precision=args.precision, seed=args.seed,
+            matrix, lam, p, args.target, r_max=args.rmax, precision=args.precision,
         )
         header = "r,s"
         rows = [f"{int(r)},{v!r}" for r, v in est.sweep]
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, window=False, rmax=False, matrix=False, precision=True):
         p.add_argument("--lambda", dest="lam", default="linear:1,1",
                        help="weight family: linear:a,b | geometric:r,c | file:<path>")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--mode", choices=("exact", "float"), default="exact",
                        help="value rendering; computation is always exact")
@@ -376,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", default="lp:2", help="l1 | lp:<p> | linf")
     p.add_argument("--kind", choices=("alpha", "beta", "gamma"), default="beta")
     p.add_argument("--subset-mode", dest="subset_mode",
-                   choices=("auto", "exact", "sample"), default="auto")
+                   choices=("auto", "exact"), default="auto",
+                   help="exact: fail with a domain error unless the subset search settles")
     p.set_defaults(fn=cmd_dual)
 
     p = sub.add_parser("class", help="matrix mapping-class membership check")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import DomainError, ParseError
 from .exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
-from .subsetsup import RANDOM_SUBSETS, subset_sup
+from .subsetsup import subset_sup
 from .triangles import DenseWindow
 from .verdicts import (
     Verdict,
@@ -164,7 +164,6 @@ def dual_condition(
     window: int = 32,
     p=None,
     subset_mode: str = "auto",
-    seed: int = 0,
     *,
     table: list | None = None,
 ) -> DualReport:
@@ -277,9 +276,7 @@ def dual_condition(
             for w in points:
                 if condition == "d1":
                     rows = [r for r in g_rows[:w] if any(r)]
-                    samples = RANDOM_SUBSETS if w == deepest else 1000
-                    found = subset_sup(rows, float(q), mode=subset_mode, seed=seed,
-                                       samples=samples)
+                    found = subset_sup(rows, q, mode=subset_mode)
                     lower_bound_only = not found.enumerated
                     quantity = power_sum(found.column_sums, q)
                     payloads.append(tuple(found.column_sums))
@@ -325,7 +322,6 @@ def dual_condition(
             "window": window,
             "p": p,
             "subset_mode": subset_mode,
-            "seed": seed,
         },
     )
 
@@ -371,7 +367,6 @@ def dual_membership(
     p=None,
     window: int = 32,
     subset_mode: str = "auto",
-    seed: int = 0,
 ) -> dict:
     """Combined alpha/beta/gamma dual membership evidence.
 
@@ -405,7 +400,7 @@ def dual_membership(
             dual_condition(
                 a, lam, cond, window=window,
                 p=p_for_q if need_p else None,
-                subset_mode=subset_mode, seed=seed, table=table,
+                subset_mode=subset_mode, table=table,
             )
         )
     combined = conjunction([r.verdict for r in reports], label=f"{kind}-dual:{space}")

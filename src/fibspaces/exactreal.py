@@ -251,9 +251,6 @@ class CertifiedReal:
         o = CertifiedReal.wrap(other)
         return self.hi < o.lo
 
-    def certainly_ge(self, other) -> bool:
-        return CertifiedReal.wrap(other).certainly_le(self)
-
     def contains(self, q: RationalLike) -> bool:
         q = _as_fraction(q)
         return self.lo <= q <= self.hi
@@ -303,8 +300,10 @@ def integer_nth_root(n: int, b: int) -> int:
         return 0
     if b == 1:
         return n
-    if b == 2:
-        return math.isqrt(n)
+    if b % 2 == 0:
+        # floor(floor(n ** (1/2)) ** (2/b)) = floor(n ** (1/b)).
+        root = math.isqrt(n)
+        return root if b == 2 else integer_nth_root(root, b // 2)
     # Newton iteration from an over-estimate; monotone decreasing to the floor root.
     x = 1 << (-(-n.bit_length() // b))
     while True:

@@ -462,7 +462,3 @@ def run_checks(only: str | None = None, **config) -> list[CheckResult]:
             passed, detail = False, f"error: {exc!r}"
         results.append(CheckResult(check_id, description, passed, detail))
     return results
-
-
-def all_check_ids() -> list[str]:
-    return [check_id for check_id, _, _ in _REGISTRY]

@@ -40,7 +40,7 @@ from .exactreal import (
     to_float,
 )
 from .sequences import LambdaSeq, from_values
-from .subsetsup import RANDOM_SUBSETS, subset_sup
+from .subsetsup import subset_sup
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
     Status,
@@ -218,11 +218,10 @@ def _columns(hat: HatMatrix, bound: int) -> list[list[Fraction]]:
     return [[row[k] if k < len(row) else Fraction(0) for row in rows] for k in range(width)]
 
 
-def _subset_power_sum(vectors, q: Fraction, precision: int = DEFAULT_PRECISION, *,
-                      seed: int = 0, samples: int = RANDOM_SUBSETS):
+def _subset_power_sum(vectors, q: Fraction, precision: int = DEFAULT_PRECISION):
     """The subset K of the nonzero vectors that :func:`subset_sup` finds for
     sup_K sum_k |sum_{v in K} v_k| ** q, and that power sum certified."""
-    found = subset_sup([v for v in vectors if any(v)], float(q), seed=seed, samples=samples)
+    found = subset_sup([v for v in vectors if any(v)], q)
     return found, power_sum(found.column_sums, q, precision)
 
 
@@ -310,7 +309,6 @@ def class_check(
     target_p=None,
     window: int = 24,
     precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
 ) -> ClassReport:
     """Check the conditions of the governing mapping-class characterization
     for the pair (source space, target space), each with a Verdict."""
@@ -336,7 +334,7 @@ def class_check(
     for cid in _CLASS_TABLE[key]:
         conditions.append((cid, _evaluate_class_condition(
             cid, hat, lam, bound, window,
-            q_frac=q_frac, p_norm=p_norm, tp_norm=tp_norm, seed=seed,
+            q_frac=q_frac, p_norm=p_norm, tp_norm=tp_norm,
         )))
     overall = conjunction([v for _, v in conditions], label=f"{src}->{tgt}")
     return ClassReport(
@@ -348,7 +346,7 @@ def class_check(
 
 
 def _evaluate_class_condition(
-    cid, hat: HatMatrix, lam, bound, window, *, q_frac, p_norm, tp_norm, seed
+    cid, hat: HatMatrix, lam, bound, window, *, q_frac, p_norm, tp_norm
 ) -> Verdict:
     src_matrix = hat.source
 
@@ -396,7 +394,7 @@ def _evaluate_class_condition(
             space = "lp" if p_norm is not None else "linf"
             result = dual_membership(
                 gen, lam, space, "beta",
-                p=p_norm, window=max(8, min(window, support + 8)), seed=seed,
+                p=p_norm, window=max(8, min(window, support + 8)),
             )
             per_row.append(result["verdict"])
         combined = conjunction(per_row, label="rows-in-beta-dual")
@@ -445,9 +443,9 @@ def _evaluate_class_condition(
 
     if cid in ("row-subset-sup", "column-subset-sup"):
         if cid == "row-subset-sup":
-            found, val = _subset_power_sum((hat.row(n) for n in range(bound)), q_frac, seed=seed)
+            found, val = _subset_power_sum((hat.row(n) for n in range(bound)), q_frac)
         else:
-            found, val = _subset_power_sum(_columns(hat, bound), tp_norm.as_fraction(), seed=seed)
+            found, val = _subset_power_sum(_columns(hat, bound), tp_norm.as_fraction())
         return Verdict(_subset_status(found, hat), value=val,
                        detail={"enumerated": found.enumerated,
                                "subset": found.subset})
@@ -510,7 +508,6 @@ def operator_norm(
     target: str = "linf",
     window: int = 32,
     precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
 ) -> OpNormResult:
     """Operator norm of the matrix map out of the weighted space.
 
@@ -532,7 +529,7 @@ def operator_norm(
     elif target == "l1":
         q_frac = conjugate(p).as_fraction()
         found, total = _subset_power_sum(
-            (hat.row(n) for n in range(bound)), q_frac, precision, seed=seed
+            (hat.row(n) for n in range(bound)), q_frac, precision
         )
         value = rpow(total, 1 / q_frac, precision)
         return OpNormResult(
@@ -595,7 +592,7 @@ class MncEstimate:
 
 
 def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int,
-                precision: int, seed: int) -> list[tuple[int, float]]:
+                precision: int) -> list[tuple[int, float]]:
     """The pairs (r, s(r)) for r <= r_max."""
     if target in ("c0", "c"):
         # Column limits are exactly zero in the finite case, so both targets
@@ -620,13 +617,12 @@ def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int
     sweep = []
     for r in range(r_max + 1):
         _, total = _subset_power_sum(
-            (hat.row(n) for n in range(r, bound)), q_frac, precision,
-            seed=seed, samples=min(RANDOM_SUBSETS, 2000),
+            (hat.row(n) for n in range(r, bound)), q_frac, precision
         )
         sweep.append((r, to_float(rpow(total, 1 / q_frac, precision).value)))
-    # A subset feasible at r+1 is feasible at r, so tightening each
-    # sampled lower bound by its successors keeps it a valid lower
-    # bound and restores the monotonicity the true s(r) has.
+    # A subset feasible at r+1 is feasible at r, so tightening each lower
+    # bound left by a search cut short by its successors keeps it a valid
+    # lower bound and restores the monotonicity the true s(r) has.
     for i in range(len(sweep) - 2, -1, -1):
         r, v = sweep[i]
         sweep[i] = (r, max(v, sweep[i + 1][1]))
@@ -640,7 +636,6 @@ def noncompactness_estimate(
     target: str = "c0",
     r_max: int = 32,
     precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
 ) -> MncEstimate:
     """Sweep of the tail quantity s(r) whose limit is (or brackets) the
     Hausdorff measure of noncompactness of the matrix operator.
@@ -663,7 +658,7 @@ def noncompactness_estimate(
             "target 'c' needs exact column limits (finitely supported matrix)"
         )
 
-    sweep = _tail_sweep(hat, p, target, bound, r_max, precision, seed)
+    sweep = _tail_sweep(hat, p, target, bound, r_max, precision)
     # Tail suprema cannot grow as the tail shrinks.
     for (_, a), (_, b) in zip(sweep, sweep[1:]):
         if b > a + 1e-12:
@@ -699,9 +694,8 @@ def compactness_verdict(
     target: str = "c0",
     r_max: int = 32,
     precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
 ) -> Verdict:
     """The compactness verdict of :meth:`MncEstimate.compactness`."""
     return noncompactness_estimate(
-        source_matrix, lam, p, target, r_max, precision, seed
+        source_matrix, lam, p, target, r_max, precision
     ).compactness()

@@ -8,6 +8,7 @@ zero tolerance whenever the image is rational.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,12 +22,33 @@ from .exactreal import (
     window_norm,
 )
 from .sequences import LambdaSeq, PrefixGenerator, SeqWindow
-from .subsetsup import _scale_shift
 from .triangles import forward_transform
 from .verdicts import Status, Verdict, classify_growth, classify_to_zero
 from .witnesses import gen_witness
 
 DEFAULT_SWEEP = (8, 12, 16, 24, 32, 48, 64)
+# Float powers are kept below 2 ** FLOAT_SCORE_BITS (floats overflow past 2 ** 1024).
+FLOAT_SCORE_BITS = 1000
+
+
+def _scale_shift(rows, q: float) -> int:
+    """The s for which rows scaled by 2 ** -s keep every float score below
+    2 ** FLOAT_SCORE_BITS; 0 whenever the unscaled rows already do."""
+    # |v| < 2 ** top for every entry v (bit lengths of its numerator and
+    # denominator), so a column sum is below 2 ** (top + bits(m)) and a score
+    # below width * 2 ** (q * (top + bits(m))).
+    top = max(
+        (v.numerator.bit_length() - v.denominator.bit_length() + 1
+         for row in rows for v in row if v),
+        default=None,
+    )
+    if top is None:
+        return 0
+    column_bits = top + len(rows).bit_length()
+    room = FLOAT_SCORE_BITS - max(len(r) for r in rows).bit_length()
+    if q * column_bits < room:
+        return 0
+    return math.ceil(column_bits - room / q) + 1
 
 
 @dataclass

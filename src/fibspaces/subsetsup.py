@@ -1,166 +1,165 @@
-"""Supremum over finite row subsets of a column-sum norm.
+"""Supremum over finite row subsets of a column-sum power norm.
 
-Several membership criteria take a supremum over all finite subsets K of
-rows of a quantity sum_k |sum_{n in K} m_nk| ** q.  That supremum is
-combinatorial, so the policy is: full Gray-code enumeration up to
-``EXACT_ENUM_LIMIT`` rows (the scan runs in floats, the winning subset is
-re-evaluated exactly), and beyond that a greedy per-column sign-alignment
-heuristic plus seeded random subsets, reported as a lower bound.  Rows
-whose float scores could overflow are scanned scaled by a common power of
-two, which leaves the ranking of subsets unchanged.
+Several membership criteria take sup_K sum_k |sum_{n in K} m_nk| ** q over
+the finite subsets K of rows.  An exact depth-first branch and bound (Land
+& Doig, Econometrica 28 (1960)) finds it.  A node puts some rows in and
+leaves some out; with s_k the column sums of the rows put in, and P_k, N_k
+the sums of the positive and of the negative entries of column k over the
+undecided rows,
+
+    sum_k max(|s_k + P_k|, |s_k + N_k|) ** q
+
+bounds every completion of the node and is exact at a leaf.
+
+The rows are scaled to integers over one common denominator, which scales
+every score by the same positive factor.  For integer q the scores are
+exact integers.  For q = a/b each term x ** q is enclosed on a grid of
+2 ** -ENCLOSURE_BITS by the integer b-th root of x ** a, and a node is
+dropped only when those certified enclosures separate its bound from the
+best subset found.  No subset is ever ranked by a float comparison.  Equal
+rows are merged first: for q >= 1 the sum is convex along a row's
+multiple, so a maximizer may take all copies of a row or none.
+
+The search bounds at most ``NODE_LIMIT`` nodes, enough for the whole tree
+of 16 rows.  When it stops short, or two leaves cannot be told apart, the
+best subset found is returned with ``enumerated=False``: its value is then
+a lower bound.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-EXACT_ENUM_LIMIT = 16
-RANDOM_SUBSETS = 10_000
-# Float scores are kept below 2 ** FLOAT_SCORE_BITS (floats overflow past 2 ** 1024).
-FLOAT_SCORE_BITS = 1000
+from .errors import DomainError
+from .exactreal import integer_nth_root
+
+NODE_LIMIT = 2**17
+# Fractional bits of the certified scores for non-integer q.
+ENCLOSURE_BITS = 64
 
 
 @dataclass
 class SubsetSup:
     """Best subset found, its exact column sums, and whether the search
-    enumerated the whole subset lattice (value exact) or not (lower bound)."""
+    settled the supremum (value exact) or not (lower bound)."""
 
     subset: tuple[int, ...]
     column_sums: tuple[Fraction, ...]
     enumerated: bool
 
-    def score(self, q: float) -> float:
-        return sum(abs(float(c)) ** q for c in self.column_sums)
-
 
 def _column_sums(rows: Sequence[Sequence[Fraction]], subset) -> tuple[Fraction, ...]:
-    if not rows:
-        return ()
     width = max(len(r) for r in rows)
     sums = [Fraction(0)] * width
     for n in subset:
-        row = rows[n]
-        for k, v in enumerate(row):
+        for k, v in enumerate(rows[n]):
             sums[k] += v
     return tuple(sums)
 
 
-def _score_float(sums, q: float) -> float:
-    return sum(abs(s) ** q for s in sums)
-
-
-def _scale_shift(rows, q: float) -> int:
-    """The s for which rows scaled by 2 ** -s keep every float score below
-    2 ** FLOAT_SCORE_BITS; 0 whenever the unscaled rows already do."""
-    # |v| < 2 ** top for every entry v (bit lengths of its numerator and
-    # denominator), so a column sum is below 2 ** (top + bits(m)) and a score
-    # below width * 2 ** (q * (top + bits(m))).
-    top = max(
-        (v.numerator.bit_length() - v.denominator.bit_length() + 1
-         for row in rows for v in row if v),
-        default=None,
-    )
-    if top is None:
-        return 0
-    column_bits = top + len(rows).bit_length()
-    room = FLOAT_SCORE_BITS - max(len(r) for r in rows).bit_length()
-    if q * column_bits < room:
-        return 0
-    return math.ceil(column_bits - room / q) + 1
+def _merged_rows(rows, width) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(vector, row indices) per distinct nonzero row: the rows times their
+    common denominator as integers, a row repeated c times counted c times,
+    columns that are zero in every row left out; largest l1 norm first."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for n, row in enumerate(rows):
+        scaled = tuple(v.numerator * (den // v.denominator) for v in row)
+        scaled += (0,) * (width - len(row))
+        if any(scaled):
+            groups.setdefault(scaled, []).append(n)
+    live = [k for k in range(width) if any(row[k] for row in groups)]
+    merged = [(tuple(len(idx) * row[k] for k in live), idx) for row, idx in groups.items()]
+    merged.sort(key=lambda item: -sum(map(abs, item[0])))
+    return merged
 
 
 def subset_sup(
     rows: Sequence[Sequence[Fraction]],
-    q: float,
+    q,
     *,
     mode: str = "auto",
-    seed: int = 0,
-    samples: int = RANDOM_SUBSETS,
 ) -> SubsetSup:
-    """Search for the subset maximizing sum_k |sum_{n in K} rows[n][k]| ** q.
+    """The subset maximizing sum_k |sum_{n in K} rows[n][k]| ** q (q >= 1).
 
-    ``mode``: "auto" enumerates exactly when it can, "exact" forces
-    enumeration (raises if too many rows), "sample" forces the heuristic.
+    ``mode``: "auto" returns the best subset found, a lower bound when the
+    search did not settle; "exact" raises :class:`DomainError` instead.
     """
-    m = len(rows)
-    if m == 0:
+    if mode not in ("auto", "exact"):
+        raise DomainError(f"unknown subset mode {mode!r}")
+    q = Fraction(q)
+    if q < 1:
+        raise DomainError(f"subset suprema need q >= 1, got {q}")
+    if not rows:
         return SubsetSup((), (), True)
     width = max(len(r) for r in rows)
-    shift = _scale_shift(rows, q)
-    scaled = rows
-    if shift:
-        factor = Fraction(1, 1 << shift)
-        scaled = [[v * factor for v in row] for row in rows]
-    floats = [[float(v) for v in row] + [0.0] * (width - len(row)) for row in scaled]
+    merged = _merged_rows(rows, width)
+    vectors = [v for v, _ in merged]
+    m = len(vectors)
+    cols = len(vectors[0]) if vectors else 0
+    # pos[i][k], neg[i][k]: sums of the positive / negative entries of
+    # column k over the rows i.. that are still undecided at depth i.
+    pos = [(0,) * cols] * (m + 1)
+    neg = [(0,) * cols] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        pos[i] = tuple(t + max(v, 0) for t, v in zip(pos[i + 1], vectors[i]))
+        neg[i] = tuple(t + min(v, 0) for t, v in zip(neg[i + 1], vectors[i]))
 
-    if mode == "exact" and m > EXACT_ENUM_LIMIT:
-        raise ValueError(f"exact enumeration limited to {EXACT_ENUM_LIMIT} rows")
-    enumerate_all = mode == "exact" or (mode == "auto" and m <= EXACT_ENUM_LIMIT)
+    power, root = q.numerator, q.denominator
+    if root == 1:
+        def bound(i, s):
+            v = sum(max(x + p, -x - n) ** power for x, p, n in zip(s, pos[i], neg[i]))
+            return v, v
+    else:
+        shift = root * ENCLOSURE_BITS
+        nth_root = math.isqrt if root == 2 else lambda t: integer_nth_root(t, root)
 
-    if enumerate_all:
-        # The Gray-code scan ranks subsets in floats; near-ties are kept and
-        # settled by an exact re-evaluation so float noise cannot demote the
-        # true maximizer.
-        best_score = 0.0
-        candidates: list[tuple[float, int]] = [(0.0, 0)]
-        sums = [0.0] * width
-        mask = 0
-        for i in range(1, 1 << m):
-            flip = (i & -i).bit_length() - 1
-            mask ^= 1 << flip
-            row = floats[flip]
-            sign = 1.0 if mask & (1 << flip) else -1.0
-            for k in range(width):
-                sums[k] += sign * row[k]
-            score = _score_float(sums, q)
-            is_new_best = score > best_score
-            if is_new_best:
-                best_score = score
-                cutoff = best_score - 1e-9 * (1.0 + best_score)
-                candidates = [c for c in candidates if c[0] >= cutoff]
-            if is_new_best or (
-                score >= best_score - 1e-9 * (1.0 + best_score)
-                and len(candidates) < 64
-            ):
-                candidates.append((score, mask))
-        qi = int(q) if float(q).is_integer() else None
-        best_subset, best_key = (), None
-        for _, cand in candidates:
-            subset = tuple(n for n in range(m) if cand & (1 << n))
-            col = _column_sums(scaled, subset)
-            if qi is not None:
-                key = sum((abs(s) ** qi for s in col), Fraction(0))
-            else:
-                key = _score_float(col, q)
-            if best_key is None or key > best_key:
-                best_key, best_subset = key, subset
-        return SubsetSup(best_subset, _column_sums(rows, best_subset), True)
+        def bound(i, s):
+            # In units of 2 ** -ENCLOSURE_BITS, t ** q lies in [r, r + 1]
+            # for r the integer root of t ** power * 2 ** shift.
+            lo = hi = 0
+            for x, p, n in zip(s, pos[i], neg[i]):
+                t = max(x + p, -x - n) ** power << shift
+                r = nth_root(t)
+                lo += r
+                hi += r if r ** root == t else r + 1
+            return lo, hi
 
-    # Heuristic: per-column sign alignment, the full set, plus random subsets.
-    candidates: set[tuple[int, ...]] = {tuple(range(m))}
-    for k in range(width):
-        pos = tuple(n for n in range(m) if floats[n][k] > 0)
-        neg = tuple(n for n in range(m) if floats[n][k] < 0)
-        if pos:
-            candidates.add(pos)
-        if neg:
-            candidates.add(neg)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        mask = rng.getrandbits(m)
-        candidates.add(tuple(n for n in range(m) if mask & (1 << n)))
-    best_subset, best_score = (), 0.0
-    for subset in candidates:
-        sums = [0.0] * width
-        for n in subset:
-            row = floats[n]
-            for k in range(width):
-                sums[k] += row[k]
-        score = _score_float(sums, q)
-        if score > best_score:
-            best_score, best_subset = score, subset
-    return SubsetSup(tuple(best_subset), _column_sums(rows, best_subset), False)
+    # The incumbent starts as the empty subset, whose score is exactly 0;
+    # open_hi is the largest bound dropped without being separated from it.
+    best_lo = best_hi = open_hi = 0
+    best_sums, best_mask = (0,) * cols, 0
+    stack = [(bound(0, best_sums)[1], 0, best_sums, 0)]
+    nodes = 1
+    while stack and nodes + 2 <= NODE_LIMIT:
+        hi, i, s, mask = stack.pop()
+        if hi <= best_lo:
+            continue
+        kids = []
+        for sums, kid_mask in ((s, mask), (tuple(map(int.__add__, s, vectors[i])), mask | 1 << i)):
+            lo_k, hi_k = bound(i + 1, sums)
+            nodes += 1
+            if hi_k <= best_lo:
+                continue
+            if i + 1 < m:
+                kids.append((hi_k, i + 1, sums, kid_mask))
+            elif lo_k > best_hi:
+                best_lo, best_hi, best_sums, best_mask = lo_k, hi_k, sums, kid_mask
+            elif sorted(map(abs, sums)) != sorted(map(abs, best_sums)):
+                # Overlapping enclosures of two leaves whose scores are not
+                # provably equal.
+                open_hi = max(open_hi, hi_k)
+        kids.sort(key=lambda kid: kid[0])
+        stack += kids
+    open_hi = max([open_hi] + [hi for hi, *_ in stack])
+    settled = open_hi <= best_lo
+    if not settled and mode == "exact":
+        raise DomainError(
+            f"subset supremum over {len(rows)} rows not settled within {NODE_LIMIT} nodes"
+        )
+    subset = tuple(sorted(n for i, (_, idx) in enumerate(merged) if best_mask >> i & 1
+                          for n in idx))
+    return SubsetSup(subset, _column_sums(rows, subset), settled)

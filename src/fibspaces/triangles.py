@@ -340,9 +340,6 @@ class RowWindowedMatrix:
             return 0
         return len(self.rows[n])
 
-    def column_bound(self) -> int:
-        return max((len(r) for r in self.rows), default=0)
-
     def is_triangular(self) -> bool:
         return all(len(row) <= n + 1 for n, row in enumerate(self.rows))
 

@@ -51,10 +51,6 @@ class Verdict:
     def is_exact(self) -> bool:
         return self.status is Status.HOLDS_EXACTLY
 
-    @property
-    def supports_condition(self) -> bool:
-        return self.status in (Status.HOLDS_EXACTLY, Status.EVIDENCE_BOUNDED)
-
     def to_json(self) -> dict:
         out = {
             "status": self.status.value,

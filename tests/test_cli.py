@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fibspaces import subsetsup
 from fibspaces.cli import main
 from fibspaces.triangles import MATRIX_INDEX_LIMIT
 
@@ -154,6 +155,34 @@ class TestExitCodes:
         assert "input error" in err
 
 
+class TestSubsetMode:
+    DUAL = ("dual", "--a", "inv-fib-pow:3", "--kind", "alpha", "--window", "40",
+            "--subset-mode", "exact")
+
+    @pytest.mark.parametrize("space", ["lp:2", "linf", "lp:3"])
+    def test_exact_dual_settles_past_sixteen_rows(self, capsys, space):
+        code, out, _ = run_cli(capsys, *self.DUAL, "--space", space)
+        assert code == 0
+        (d1,) = json.loads(out)["result"]["conditions"]
+        assert d1["condition"] == "d1" and d1["lower_bound_only"] is False
+
+    def test_exact_dual_past_the_budget_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(subsetsup, "NODE_LIMIT", 64)
+        code, out, err = run_cli(capsys, *self.DUAL, "--space", "lp:2")
+        assert code == 3
+        assert out == "" and "domain error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("dual", "--a", "unit:0", "--subset-mode", "sample"),
+        ("dual", "--a", "unit:0", "--seed", "3"),
+        ("mnc", "--A", "E", "--seed", "3"),
+    ])
+    def test_sampler_options_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+
 class TestCommands:
     @pytest.fixture
     def single_row(self, tmp_path):
@@ -289,7 +318,7 @@ class TestVerifySuite:
     def test_mnc_determinism(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"kind": "dense", "entries": [["1", "-1/2"], ["1/3", "2"]]}))
-        args = ("mnc", "--A", str(path), "--p", "2", "--Y", "l1", "--rmax", "5", "--seed", "3")
+        args = ("mnc", "--A", str(path), "--p", "2", "--Y", "l1", "--rmax", "5")
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second

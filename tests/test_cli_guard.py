@@ -65,8 +65,10 @@ def check(argv):
     lam=st.one_of(specs(), st.just("linear:1,1")),
     p=st.one_of(TOKENS, st.just("2")),
     n=st.integers(-1, 16),
+    kind=st.sampled_from(["alpha", "beta"]),
+    subset_mode=st.sampled_from(["auto", "exact"]),
 )
-def test_sequence_and_lambda_specs(command, spec, lam, p, n):
+def test_sequence_and_lambda_specs(command, spec, lam, p, n, kind, subset_mode):
     if command == "transform":
         argv = ["transform", f"--x={spec}", "-N", str(n), f"--p={p}"]
     elif command == "inverse":
@@ -74,8 +76,8 @@ def test_sequence_and_lambda_specs(command, spec, lam, p, n):
     elif command == "norm":
         argv = ["norm", f"--x={spec}", f"--p={p}", "-N", str(n)]
     else:
-        argv = ["dual", f"--a={spec}", "--space", "lp:2", "--kind", "beta",
-                "--window", str(n)]
+        argv = ["dual", f"--a={spec}", "--space", "lp:2", "--kind", kind,
+                "--window", str(n), "--subset-mode", subset_mode]
     check(argv + [f"--lambda={lam}"])
 
 

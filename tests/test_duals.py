@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibspaces import subsetsup
 from fibspaces.duals import (
     abar,
     abar_limit,
@@ -161,14 +162,17 @@ class TestDualConditions:
         with pytest.raises(DomainError):
             dual_condition(unit_seq(0), LIN, "d5", window=3)
 
-    def test_d1_exact_enumeration_beats_sampling(self):
-        # the sampled lower bound can never exceed the enumerated supremum
+    def test_d1_budget_cut_is_a_lower_bound(self, monkeypatch):
+        # a search cut short by its node budget never exceeds the settled one
         gen = from_values([1, Fraction(-1, 2), Fraction(1, 3), 2, -1, Fraction(3, 4)])
         exact = dual_condition(gen, LIN, "d1", window=10, p=2, subset_mode="exact")
-        sampled = dual_condition(gen, LIN, "d1", window=10, p=2, subset_mode="sample")
-        assert sampled.lower_bound_only
+        monkeypatch.setattr(subsetsup, "NODE_LIMIT", 4)
+        cut = dual_condition(gen, LIN, "d1", window=10, p=2)
+        assert cut.lower_bound_only
         assert not exact.lower_bound_only
-        assert sampled.value.value <= exact.value.value + exact.value.err
+        assert cut.value.value <= exact.value.value
+        with pytest.raises(DomainError):
+            dual_condition(gen, LIN, "d1", window=10, p=2, subset_mode="exact")
 
     def test_d7_finite_support_exact_zero(self):
         rep = dual_condition(from_values([1, 2]), LIN, "d7", window=32)

@@ -9,6 +9,7 @@ from fibspaces.errors import DivergentTail
 from fibspaces.exactreal import Exponent, rpow
 from fibspaces.sequences import LambdaSeq, SeqWindow
 from fibspaces.spaces import (
+    _scale_shift,
     inclusion_bounds_check,
     membership_evidence,
     parallelogram_check,
@@ -61,6 +62,13 @@ class TestSpaceNorm:
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             scaled = SeqWindow(tuple(c * v for v in x.values), {})
             assert space_norm(scaled, LIN, 2).value.agrees_with(nx * abs(c))
+
+    def test_small_entries_are_not_rescaled(self):
+        rows = [[Fraction(1), Fraction(-2)], [Fraction(-1), Fraction(3)], [Fraction(2), Fraction(1)]]
+        assert _scale_shift(rows, 2.0) == 0
+        assert _scale_shift([[Fraction(2**400)]], 2.0) == 0
+        assert _scale_shift([[Fraction(2**600)]], 2.0) > 0
+        assert _scale_shift([[Fraction(0)]], 2.0) == 0
 
     def test_non_absoluteness(self):
         # The image mixes signs, so |x| has a strictly different norm.

@@ -255,7 +255,6 @@ class TestMatrixJson:
         m = RowWindowedMatrix([[1, 0], [0, 0]])
         assert m.row_bound == 1
         assert m.row_support(0) == 1
-        assert m.column_bound() == 1
 
 
 def test_dense_window_shape_enforced():

@@ -3,6 +3,13 @@
 import math
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibspaces import subsetsup
+from fibspaces.errors import DomainError
+from fibspaces.exactreal import power_sum
 from fibspaces.subsetsup import subset_sup
 from fibspaces.verdicts import (
     Status,
@@ -103,69 +110,73 @@ class TestSubsetSup:
         [Fraction(2), Fraction(1)],
     ]
 
-    def _brute_force(self, rows, q):
-        best = 0.0
-        m = len(rows)
-        for mask in range(1 << m):
-            sums = [Fraction(0), Fraction(0)]
-            for n in range(m):
-                if mask & (1 << n):
-                    for k in range(2):
-                        sums[k] += rows[n][k]
-            best = max(best, sum(abs(float(s)) ** q for s in sums))
-        return best
-
     def test_enumeration_matches_brute_force(self):
-        for q in (1.0, 2.0, 1.5):
+        for q in (1, 2, Fraction(3, 2)):
             found = subset_sup(self.ROWS, q, mode="exact")
             assert found.enumerated
-            assert abs(found.score(q) - self._brute_force(self.ROWS, q)) < 1e-12
+            best = max(power_sum(sums, q).lo for sums in _all_column_sums(self.ROWS))
+            assert power_sum(found.column_sums, q).hi >= best
 
-    def test_sampling_never_exceeds_exact(self):
-        import random
+    def test_budget_cut_search_is_a_lower_bound(self, monkeypatch):
+        rows = [[Fraction(n % 5 - 2, 1 + n % 3), Fraction(3 - n % 7, 2)] for n in range(12)]
+        best = max(sum(s * s for s in sums) for sums in _all_column_sums(rows))
+        assert sum(s * s for s in subset_sup(rows, 2).column_sums) == best
+        monkeypatch.setattr(subsetsup, "NODE_LIMIT", 8)
+        found = subset_sup(rows, 2)
+        assert not found.enumerated
+        assert found.column_sums == _column_sums_of(rows, found.subset)
+        assert sum(s * s for s in found.column_sums) <= best
+        with pytest.raises(DomainError):
+            subset_sup(rows, 2, mode="exact")
 
-        rng = random.Random(0)
-        for trial in range(10):
-            rows = [
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
-                for _ in range(rng.randint(1, 12))
-            ]
-            exact = subset_sup(rows, 2.0, mode="exact")
-            sampled = subset_sup(rows, 2.0, mode="sample", seed=trial, samples=500)
-            assert not sampled.enumerated
-            assert sampled.score(2.0) <= exact.score(2.0) + 1e-12
+    def test_near_tie_is_settled_exactly(self):
+        # {0} scores 2 and {1} scores 1 + (1 + 2**-60) ** 1.5: equal in
+        # floats, but {1} is larger.
+        rows = [[Fraction(1), Fraction(-1)], [Fraction(-1), 1 + Fraction(1, 2**60)]]
+        found = subset_sup(rows, Fraction(3, 2))
+        assert found.subset == (1,)
+        assert found.enumerated
+        assert power_sum(found.column_sums, Fraction(3, 2)).lo > 2
+
+    def test_tie_with_equal_column_sizes_is_settled(self):
+        # {0} and {1} both score 2 * 2 ** 1.5 with the same |column sums|.
+        found = subset_sup([[2, -2], [-2, 2]], Fraction(3, 2), mode="exact")
+        assert found.enumerated and found.subset == (0,)
+
+    def test_tie_that_enclosures_cannot_split_is_not_settled(self):
+        # {0} and {1} both score 16 * 2 ** 0.5 + 27 (8 ** 1.5 = 8 * 2 ** 1.5),
+        # from different |column sums|, so no enclosure separates them.
+        rows = [[Fraction(8)] + [Fraction(0)] * 8 + [Fraction(9)],
+                [Fraction(0)] + [Fraction(2)] * 8 + [Fraction(-9)]]
+        found = subset_sup(rows, Fraction(3, 2))
+        assert found.subset in ((0,), (1,))
+        assert not found.enumerated
+        with pytest.raises(DomainError):
+            subset_sup(rows, Fraction(3, 2), mode="exact")
 
     def test_entries_past_float_range(self):
-        # Float scores of these rows would overflow; the scan runs on rows
-        # scaled by a power of two and the column sums stay exact.
         huge = Fraction(10**200)
-        assert subset_sup([[huge]], 2.0).column_sums == (huge,)
+        assert subset_sup([[huge]], 2).column_sums == (huge,)
         rows = [[Fraction(10**400), Fraction(-3)], [Fraction(5), -Fraction(10**401)]]
-        for q in (2.0, 1.5):
-            for mode in ("exact", "sample"):
-                found = subset_sup(rows, q, mode=mode, samples=50)
-                assert found.subset == (0, 1)
-                assert found.column_sums == (10**400 + 5, -(10**401) - 3)
+        for q in (2, Fraction(3, 2)):
+            found = subset_sup(rows, q)
+            assert found.enumerated
+            assert found.subset == (0, 1)
+            assert found.column_sums == (10**400 + 5, -(10**401) - 3)
 
-    def test_small_entries_are_not_rescaled(self):
-        from fibspaces.subsetsup import _scale_shift
-
-        assert _scale_shift(self.ROWS, 2.0) == 0
-        assert _scale_shift([[Fraction(2**400)]], 2.0) == 0
-        assert _scale_shift([[Fraction(2**600)]], 2.0) > 0
-        assert _scale_shift([[Fraction(0)]], 2.0) == 0
+    def test_equal_rows_are_taken_together(self):
+        rows = [[Fraction(1), Fraction(-1)]] * 20 + [[Fraction(-1), Fraction(3)]]
+        found = subset_sup(rows, 2, mode="exact")
+        assert found.subset == tuple(range(20))
+        assert found.column_sums == (20, -20)
 
     def test_empty(self):
-        found = subset_sup([], 2.0)
+        found = subset_sup([], 2)
         assert found.subset == () and found.enumerated
 
     def test_column_sums_exact_for_best_subset(self):
-        found = subset_sup(self.ROWS, 2.0, mode="exact")
-        manual = [Fraction(0), Fraction(0)]
-        for n in found.subset:
-            for k in range(2):
-                manual[k] += self.ROWS[n][k]
-        assert list(found.column_sums) == manual
+        found = subset_sup(self.ROWS, 2, mode="exact")
+        assert found.column_sums == _column_sums_of(self.ROWS, found.subset)
 
 
 def test_enumerator_matches_brute_force_randomized():
@@ -191,3 +202,41 @@ def test_enumerator_matches_brute_force_randomized():
                             sums[k] += v
                 best = max(best, sum(abs(s) ** q for s in sums))
             assert got == best
+
+
+def _column_sums_of(rows, subset):
+    sums = [Fraction(0)] * max(len(r) for r in rows)
+    for n in subset:
+        for k, v in enumerate(rows[n]):
+            sums[k] += v
+    return tuple(sums)
+
+
+def _all_column_sums(rows):
+    for mask in range(1 << len(rows)):
+        yield _column_sums_of(rows, [n for n in range(len(rows)) if mask >> n & 1])
+
+
+ENTRIES = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.sampled_from([Fraction(10**400), Fraction(-(10**400) - 1), Fraction(10**400, 3)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.lists(ENTRIES, min_size=w, max_size=w), min_size=1, max_size=10)
+    ),
+    q=st.sampled_from([1, 2, 3, Fraction(3, 2), Fraction(5, 4)]),
+)
+def test_search_matches_brute_force(rows, q):
+    found = subset_sup(rows, q)
+    assert found.column_sums == _column_sums_of(rows, found.subset)
+    if Fraction(q).denominator == 1:
+        assert found.enumerated
+        best = max(sum(abs(s) ** q for s in sums) for sums in _all_column_sums(rows))
+        assert sum(abs(s) ** q for s in found.column_sums) == best
+    elif found.enumerated:
+        got = power_sum(found.column_sums, q)
+        assert not any(got.certainly_lt(power_sum(sums, q)) for sums in _all_column_sums(rows))
