@@ -52,26 +52,30 @@ SCHEMA_VERSION = 1
 _CONFIG_SKIP = ("fn", "out", "command")
 
 
-def _report(command: str, config: dict, result) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": "fibspaces",
-        "command": command,
-        "config": {
-            k: str(v)
-            for k, v in config.items()
-            if v is not None and k not in _CONFIG_SKIP
-        },
-        "result": result,
-    }
-
-
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ParseError(f"cannot write {out!r}: {exc}") from None
+
+
+def _emit_report(args, result):
+    """Emit the JSON report of a command: the options it ran with and its result."""
+    config = {
+        k: str(v) for k, v in vars(args).items() if v is not None and k not in _CONFIG_SKIP
+    }
+    report = {
+        "schema": SCHEMA_VERSION,
+        "tool": "fibspaces",
+        "command": args.command,
+        "config": config,
+        "result": result,
+    }
+    _emit(json.dumps(report, indent=2), args.out)
 
 
 def _render_value(v, mode: str) -> str:
@@ -94,10 +98,7 @@ def _parse_seq_spec(spec: str, lam: LambdaSeq, n: int, p, precision: int) -> Seq
     spec = spec.strip()
     if spec.startswith("witness:"):
         return gen_witness(spec.split(":", 1)[1], lam, n, p=p, precision=precision)
-    if spec.startswith("unit:"):
-        return gen_witness(spec, lam, n)
-    gen = parse_generator_spec(spec)
-    return gen.prefix(n)
+    return parse_generator_spec(spec).prefix(n)
 
 
 def _parse_matrix_arg(spec: str, lam: LambdaSeq):
@@ -116,21 +117,11 @@ def _parse_matrix_arg(spec: str, lam: LambdaSeq):
     return load_matrix(spec)
 
 
-def _parse_space(spec: str) -> tuple[str, Exponent | None]:
-    spec = spec.strip()
-    if spec in ("l1", "linf", "c", "c0"):
-        return spec, None
-    if spec.startswith("lp:"):
-        return "lp", Exponent.parse(spec.split(":", 1)[1])
-    raise ParseError(f"bad space spec {spec!r}")
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands; each but verify-paper gets its --lambda parsed by main.
 
 
-def cmd_transform(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_transform(args, lam: LambdaSeq) -> int:
     p = Exponent.parse(args.p) if args.p else None
     if args.inverse:
         if not args.y:
@@ -143,99 +134,80 @@ def cmd_transform(args) -> int:
         x = _parse_seq_spec(args.x, lam, args.n, p, args.precision)
         window = forward_transform(x, lam)
     if args.json:
-        result = {
+        _emit_report(args, {
             "window": [_render_value(v, args.mode) for v in window],
             "n": args.n,
             "direction": "inverse" if args.inverse else "forward",
-        }
-        _emit(json.dumps(_report("transform", vars(args), result), indent=2), args.out)
+        })
     else:
         _emit(_window_csv(window, args.mode), args.out)
     return 0
 
 
-def cmd_invert(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_invert(args, lam: LambdaSeq) -> int:
     matrix = _parse_matrix_arg(args.matrix, lam)
     if isinstance(matrix, RowWindowedMatrix):
         matrix = matrix.as_triangle()
     window = invert_window(matrix, args.n)
-    result = {
+    _emit_report(args, {
         "size": args.n,
         "rows": [[_render_value(v, args.mode) for v in row] for row in window.rows],
-    }
-    _emit(json.dumps(_report("invert", vars(args), result), indent=2), args.out)
+    })
     return 0
 
 
-def cmd_norm(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_norm(args, lam: LambdaSeq) -> int:
     p = Exponent.parse(args.p)
     x = _parse_seq_spec(args.x, lam, args.n, p, args.precision)
     est = space_norm(x, lam, p, args.precision)
     result = est.to_json()
     result["value"] = _render_value(est.value, args.mode)
-    _emit(json.dumps(_report("norm", vars(args), result), indent=2), args.out)
+    _emit_report(args, result)
     return 0
 
 
-def cmd_basis(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_basis(args, lam: LambdaSeq) -> int:
     window = basis_vector(args.k, lam, args.n)
     if args.json:
-        result = {"k": args.k, "window": [_render_value(v, args.mode) for v in window]}
-        _emit(json.dumps(_report("basis", vars(args), result), indent=2), args.out)
+        _emit_report(args, {"k": args.k, "window": [_render_value(v, args.mode) for v in window]})
     else:
         _emit(_window_csv(window, args.mode), args.out)
     return 0
 
 
-def cmd_dual(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_dual(args, lam: LambdaSeq) -> int:
     gen = parse_generator_spec(args.a)
-    space, p = _parse_space(args.space)
     result = dual_membership(
-        gen, lam, space, args.kind, p=p, window=args.window,
-        subset_mode=args.subset_mode,
+        gen, lam, args.space, args.kind, window=args.window, subset_mode=args.subset_mode,
     )
-    payload = {
+    _emit_report(args, {
         "space": result["space"],
         "kind": result["kind"],
         "p": result["p"],
         "verdict": result["verdict"].to_json(),
         "conditions": [r.to_json() for r in result["conditions"]],
-    }
-    _emit(json.dumps(_report("dual", vars(args), payload), indent=2), args.out)
+    })
     return 0
 
 
-def cmd_class(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_class(args, lam: LambdaSeq) -> int:
     matrix = _parse_matrix_arg(args.matrix, lam)
-    source, p = _parse_space(args.source)
-    target, tp = _parse_space(args.target)
-    report = class_check(
-        matrix, lam, source, target, p=p, target_p=tp,
-        window=args.window,
-    )
-    _emit(json.dumps(_report("class", vars(args), report.to_json()), indent=2), args.out)
+    report = class_check(matrix, lam, args.source, args.target, window=args.window)
+    _emit_report(args, report.to_json())
     return 0
 
 
-def cmd_opnorm(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_opnorm(args, lam: LambdaSeq) -> int:
     matrix = _parse_matrix_arg(args.matrix, lam)
     p = Exponent.parse(args.p)
     result = operator_norm(
-        matrix, lam, p, args.target, window=args.window,
-        precision=args.precision,
+        matrix, lam, p, args.target, window=args.window, precision=args.precision,
     )
-    _emit(json.dumps(_report("opnorm", vars(args), result.to_json()), indent=2), args.out)
+    _emit_report(args, result.to_json())
     return 0
 
 
-def cmd_mnc(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_mnc(args, lam: LambdaSeq) -> int:
     matrix = _parse_matrix_arg(args.matrix, lam)
     p = Exponent.parse(args.p)
     est = noncompactness_estimate(
@@ -243,22 +215,24 @@ def cmd_mnc(args) -> int:
     )
     payload = est.to_json()
     payload["compactness"] = est.compactness().to_json()
-    _emit(json.dumps(_report("mnc", vars(args), payload), indent=2), args.out)
+    _emit_report(args, payload)
     return 0
 
 
 def cmd_verify_paper(args) -> int:
     config = {"seed": args.seed}
-    if args.n:
+    if args.n is not None:
+        if args.n < 1:
+            raise DomainError(f"window size -N must be >= 1, got {args.n}")
         config["n"] = args.n
     if args.p:
-        config["p"] = parse_rational(args.p)
+        config["p"] = Exponent(parse_rational(args.p)).value
     results = run_checks(only=args.only, **config)
     if not results:
         raise ParseError(f"no checks match {args.only!r}")
     failed = [r for r in results if not r.passed]
     if args.json:
-        payload = [
+        _emit_report(args, [
             {
                 "id": r.check_id,
                 "description": r.description,
@@ -266,8 +240,7 @@ def cmd_verify_paper(args) -> int:
                 "detail": r.detail,
             }
             for r in results
-        ]
-        _emit(json.dumps(_report("verify-paper", vars(args), payload), indent=2), args.out)
+        ])
     else:
         lines = []
         for r in results:
@@ -280,8 +253,7 @@ def cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_plot_data(args) -> int:
-    lam = LambdaSeq.from_spec(args.lam)
+def cmd_plot_data(args, lam: LambdaSeq) -> int:
     rows = []
     if args.quantity == "norm":
         p = Exponent.parse(args.p)
@@ -319,12 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, window=False, rmax=False, matrix=False, precision=True):
+    def common(p, *, mode=False, precision=False, window=False, rmax=False, matrix=False):
         p.add_argument("--lambda", dest="lam", default="linear:1,1",
                        help="weight family: linear:a,b | geometric:r,c | file:<path>")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact",
-                       help="value rendering; computation is always exact")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "float"), default="exact",
+                           help="value rendering; computation is always exact")
         if precision:
             p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
         if window:
@@ -337,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "lambda-matrix | identity | E-inverse")
 
     p = sub.add_parser("transform", help="apply the composed triangle (or its inverse)")
-    common(p)
+    common(p, mode=True, precision=True)
     p.add_argument("--x", help="sequence spec: witness:<id> | unit:<k> | zero | e | "
                    "values:a,b,... | file:<path>")
     p.add_argument("--y", help="image spec for --inverse")
@@ -348,20 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("invert", help="forward-substitution inverse of a triangle window")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--A", dest="matrix", default="E")
     p.add_argument("-N", dest="n", type=int, default=16)
     p.set_defaults(fn=cmd_invert)
 
     p = sub.add_parser("norm", help="norm of a window in the weighted space")
-    common(p)
+    common(p, mode=True, precision=True)
     p.add_argument("--x", required=True)
     p.add_argument("--p", default="2")
     p.add_argument("-N", dest="n", type=int, default=32)
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("basis", help="basis column of the weighted space")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("-N", dest="n", type=int, default=16)
     p.add_argument("--json", action="store_true")
@@ -385,13 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_class)
 
     p = sub.add_parser("opnorm", help="operator norm (exact, bracket, or evidence)")
-    common(p, window=True, matrix=True)
+    common(p, precision=True, window=True, matrix=True)
     p.add_argument("--p", default="2")
     p.add_argument("--Y", dest="target", default="linf", help="linf | c | c0 | l1")
     p.set_defaults(fn=cmd_opnorm)
 
     p = sub.add_parser("mnc", help="Hausdorff noncompactness sweep and compactness verdict")
-    common(p, rmax=True, matrix=True)
+    common(p, precision=True, rmax=True, matrix=True)
     p.add_argument("--p", default="2")
     p.add_argument("--Y", dest="target", default="c0", help="c0 | c | l1")
     p.set_defaults(fn=cmd_mnc)
@@ -409,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_paper)
 
     p = sub.add_parser("plot-data", help="CSV sweep columns for external plotting")
-    common(p, rmax=True)
+    common(p, precision=True, rmax=True)
     p.add_argument("--quantity", choices=("norm", "mnc"), required=True)
     p.add_argument("--x", default="witness:t")
     p.add_argument("--p", default="2")
@@ -422,14 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "lam" in args:
+            return args.fn(args, LambdaSeq.from_spec(args.lam))
         return args.fn(args)
     except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

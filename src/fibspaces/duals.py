@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import DomainError, ParseError
 from .exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
+from .spaces import normalize_space
 from .subsetsup import subset_sup
 from .triangles import DenseWindow
 from .verdicts import (
@@ -342,23 +343,6 @@ _GAMMA_TABLE = {
 }
 
 
-def _normalize_space(space: str, p) -> tuple[str, Exponent | None]:
-    if space == "lp":
-        if p is None:
-            raise DomainError("space 'lp' needs an exponent")
-        p = Exponent.of(p)
-        if p.is_infinite:
-            return "linf", None
-        if p.as_fraction() == 1:
-            return "l1", None
-        return "lp", p
-    if space == "l1":
-        return "l1", None
-    if space == "linf":
-        return "linf", None
-    raise ParseError(f"unknown space {space!r}")
-
-
 def dual_membership(
     a: PrefixGenerator,
     lam: LambdaSeq,
@@ -372,9 +356,12 @@ def dual_membership(
 
     The condition set is the classical characterization for the given
     space and dual kind; the result carries the per-condition reports
-    and their conjunction.
+    and their conjunction.  ``space`` and ``p`` are read by
+    ``normalize_space``; the space must be l1, lp or linf.
     """
-    space, p_norm = _normalize_space(space, p)
+    space, p_norm = normalize_space(space, p)
+    if space not in _BETA_TABLE:
+        raise ParseError(f"unknown space {space!r}")
     if kind == "alpha":
         conditions = ("d2",) if space == "l1" else ("d1",)
     elif kind == "beta":

@@ -61,7 +61,3 @@ class AlphaLimitUndetermined(DomainError):
 
 class NegativeBaseError(DomainError):
     """x ** p with x < 0 and non-integer p."""
-
-
-class PrecisionExhausted(FibspacesError, ArithmeticError):
-    """A certified error bound cannot meet the requested tolerance."""

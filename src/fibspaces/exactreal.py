@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import (
-    NegativeBaseError,
-    ParseError,
-    PrecisionExhausted,
-)
+from .errors import NegativeBaseError, ParseError
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
@@ -114,7 +110,6 @@ class Exponent:
 
 
 P_ONE = Exponent(Fraction(1))
-P_TWO = Exponent(Fraction(2))
 P_INF = Exponent.infinity()
 
 
@@ -418,7 +413,6 @@ def window_norm(
     x: Sequence,
     p: Exponent | RationalLike | str,
     precision: int = DEFAULT_PRECISION,
-    tol: Fraction | None = None,
 ) -> CertifiedReal:
     """The p-norm of a finite window.
 
@@ -437,14 +431,7 @@ def window_norm(
         entries = [abs(CertifiedReal.wrap(v)) for v in x]
         lo = max(e.lo for e in entries)
         hi = max(e.hi for e in entries)
-        result = CertifiedReal.from_interval(lo, hi)
-    else:
-        pf = p.as_fraction()
-        term_precision = precision + max(8, len(x).bit_length() + 2)
-        result = rpow(power_sum(x, pf, term_precision), 1 / pf, precision)
-
-    if tol is not None and result.err > tol:
-        raise PrecisionExhausted(
-            f"certified bound {float(result.err):.3e} exceeds tolerance {float(tol):.3e}"
-        )
-    return result
+        return CertifiedReal.from_interval(lo, hi)
+    pf = p.as_fraction()
+    term_precision = precision + max(8, len(x).bit_length() + 2)
+    return rpow(power_sum(x, pf, term_precision), 1 / pf, precision)

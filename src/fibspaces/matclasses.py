@@ -40,6 +40,7 @@ from .exactreal import (
     to_float,
 )
 from .sequences import LambdaSeq, from_values
+from .spaces import normalize_space
 from .subsetsup import subset_sup
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
@@ -285,21 +286,6 @@ _CLASS_TABLE = {
 }
 
 
-def _normalize_kind(kind: str, p) -> tuple[str, Exponent | None]:
-    if kind == "lp":
-        if p is None:
-            raise DomainError("kind 'lp' needs an exponent")
-        p = Exponent.of(p)
-        if p.is_infinite:
-            return "linf", None
-        if p.as_fraction() == 1:
-            return "l1", None
-        return "lp", p
-    if kind in ("l1", "linf", "c", "c0"):
-        return kind, None
-    raise DomainError(f"unknown space kind {kind!r}")
-
-
 def class_check(
     source_matrix,
     lam: LambdaSeq,
@@ -308,21 +294,19 @@ def class_check(
     p=None,
     target_p=None,
     window: int = 24,
-    precision: int = DEFAULT_PRECISION,
 ) -> ClassReport:
     """Check the conditions of the governing mapping-class characterization
-    for the pair (source space, target space), each with a Verdict."""
-    src, p_norm = _normalize_kind(source, p)
+    for the pair (source space, target space), each with a Verdict.  Each
+    space is read with its exponent by ``normalize_space``."""
+    src, p_norm = normalize_space(source, p)
+    tgt, tp_norm = normalize_space(target, target_p)
     if src not in SOURCES:
         raise UnsupportedPair(f"unsupported source {source!r}")
-    tgt, tp_norm = _normalize_kind(target, target_p)
     if tgt not in TARGETS:
         raise UnsupportedPair(f"unsupported target {target!r}")
     key = (src, tgt)
     if key not in _CLASS_TABLE:
         raise UnsupportedPair(f"no characterization for {src} -> {tgt}")
-    if tgt == "lp" and tp_norm is None:
-        raise UnsupportedPair("target 'lp' needs target_p strictly between 1 and inf")
 
     _check_window(window)
     hat = HatMatrix(source_matrix, lam)

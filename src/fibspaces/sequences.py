@@ -177,10 +177,7 @@ class LambdaSeq:
         kind, _, rest = spec.partition(":")
         if kind == "file":
             return cls.explicit(read_rationals(rest))
-        try:
-            params = [parse_rational(tok) for tok in rest.split(",")]
-        except ParseError:
-            raise
+        params = [parse_rational(tok) for tok in rest.split(",")]
         if kind == "linear" and len(params) == 2:
             return cls.linear(*params)
         if kind == "geometric" and len(params) == 2:
@@ -301,12 +298,6 @@ class SeqWindow:
         return iter(self.values)
 
     def __getitem__(self, i):
-        return self.values[i]
-
-    def at(self, i: int):
-        """Entry accessor honouring the zero-for-negative-index convention."""
-        if i < 0:
-            return Fraction(0)
         return self.values[i]
 
     def is_exact(self) -> bool:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivergentTail, DomainError
+from .errors import DivergentTail, DomainError, ParseError
 from .exactreal import (
     DEFAULT_PRECISION,
     CertifiedReal,
@@ -27,6 +27,7 @@ from .verdicts import Status, Verdict, classify_growth, classify_to_zero
 from .witnesses import gen_witness
 
 DEFAULT_SWEEP = (8, 12, 16, 24, 32, 48, 64)
+SPACE_KINDS = ("l1", "lp", "linf", "c", "c0")
 # Float powers are kept below 2 ** FLOAT_SCORE_BITS (floats overflow past 2 ** 1024).
 FLOAT_SCORE_BITS = 1000
 
@@ -49,6 +50,31 @@ def _scale_shift(rows, q: float) -> int:
     if q * column_bits < room:
         return 0
     return math.ceil(column_bits - room / q) + 1
+
+
+def normalize_space(space: str, p=None) -> tuple[str, Exponent | None]:
+    """The canonical (kind, exponent) of a space given as a kind of
+    ``SPACE_KINDS`` with the exponent p for "lp", or as "lp:<p>".
+
+    lp with p = 1 is l1 and with p = inf is linf, so the exponent is None
+    for every kind but "lp"; callers check the kinds they support.
+    """
+    space = space.strip()
+    kind, colon, text = space.partition(":")
+    if colon and kind == "lp" and p is None:
+        p = Exponent.parse(text)
+    elif colon or kind not in SPACE_KINDS:
+        raise ParseError(f"bad space spec {space!r}")
+    if kind != "lp":
+        return kind, None
+    if p is None:
+        raise ParseError("space 'lp' needs an exponent")
+    p = Exponent.of(p)
+    if p.is_infinite:
+        return "linf", None
+    if p.as_fraction() == 1:
+        return "l1", None
+    return "lp", p
 
 
 @dataclass

@@ -367,7 +367,10 @@ def matrix_from_json(obj) -> RowWindowedMatrix:
     ``MATRIX_INDEX_LIMIT``.
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
+            raise ParseError(f"malformed matrix JSON: {exc}") from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("matrix JSON must be an object with a 'kind'")
     tail = obj.get("tail", "zero")
@@ -433,4 +436,4 @@ def _json_list(value, what: str) -> list:
 
 
 def load_matrix(path: str) -> RowWindowedMatrix:
-    return matrix_from_json(json.loads(read_input(path)))
+    return matrix_from_json(read_input(path))

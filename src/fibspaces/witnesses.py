@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import MissingExponent, UnknownWitness
 from .exactreal import DEFAULT_PRECISION, Exponent, rpow
-from .sequences import LambdaSeq, PrefixGenerator, SeqWindow, parse_index
+from .sequences import LambdaSeq, PrefixGenerator, SeqWindow
 from .triangles import inverse_transform
 
 WITNESS_IDS = ("u", "v-hilbert", "t", "v-e0", "power-law", "alternating")
@@ -52,18 +52,12 @@ def gen_witness(
     p: Exponent | None = None,
     precision: int = DEFAULT_PRECISION,
 ) -> SeqWindow:
-    """Window of the named witness sequence.
-
-    ``unit:<k>`` yields a coordinate vector directly; every other witness is
-    the exact inverse image of its target under the composed triangle.  The
-    power-law witness is the one certified-real (inexact) case.
+    """Window of the named witness sequence: the exact inverse image of its
+    target under the composed triangle.  The power-law witness is the one
+    certified-real (inexact) case.
     """
     if n < 1:
         raise UnknownWitness("witness window length must be >= 1")
-    if name.startswith("unit:"):
-        k = parse_index(name.split(":", 1)[1], name)
-        values = tuple(Fraction(1 if i == k else 0) for i in range(n))
-        return SeqWindow(values, {"witness": name})
     if p is not None:
         p = Exponent.of(p)
     target = _target_image(name, p, n, precision)

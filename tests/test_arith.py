@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibspaces.errors import NegativeBaseError, ParseError, PrecisionExhausted
+from fibspaces.errors import NegativeBaseError, ParseError
 from fibspaces.exactreal import (
     MIN_PRECISION,
     CertifiedReal,
@@ -199,11 +199,6 @@ class TestWindowNorm:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             window_norm([], 2)
-
-    def test_precision_exhausted(self):
-        fuzzy = CertifiedReal(Fraction(1), Fraction(1, 4))
-        with pytest.raises(PrecisionExhausted):
-            window_norm([fuzzy], 2, tol=Fraction(1, 10**6))
 
     @given(fractions_st, st.lists(fractions_st, min_size=1, max_size=8))
     @settings(max_examples=50)

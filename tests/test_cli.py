@@ -1,11 +1,12 @@
 """CLI behaviour: output formats, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
 from fibspaces import subsetsup
-from fibspaces.cli import main
+from fibspaces.cli import build_parser, main
 from fibspaces.triangles import MATRIX_INDEX_LIMIT
 
 
@@ -87,6 +88,36 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--x", "unit:-1", "-N", "4"),
+        ("norm", "--x", "unit:-1", "-N", "4"),
+        ("dual", "--a", "unit:-1"),
+    ])
+    def test_negative_unit_index_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == "" and "unit index must be >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--x", "e", "-N", "3"),
+        ("opnorm", "--A", "identity", "--window", "4"),
+        ("verify-paper", "--only", "fib-cassini"),
+    ])
+    @pytest.mark.parametrize("target", ["/", "missing-dir/report.json"])
+    def test_unwritable_out_is_parse_error(self, capsys, tmp_path, argv, target):
+        out_path = target if target == "/" else str(tmp_path / target)
+        code, out, err = run_cli(capsys, *argv, "--out", out_path)
+        assert code == 2
+        assert out == "" and err.startswith("input error: cannot write")
+
+    @pytest.mark.parametrize("text", ["{not json", "[" * 100_000])
+    def test_malformed_matrix_file_is_parse_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "opnorm", "--A", str(path))
+        assert code == 2
+        assert "malformed matrix JSON" in err
 
     @pytest.mark.parametrize("argv", [
         ("opnorm", "--A", "E", "--p", "2", "--Y", "l1", "--window", "0"),
@@ -178,6 +209,43 @@ class TestSubsetMode:
         ("mnc", "--A", "E", "--seed", "3"),
     ])
     def test_sampler_options_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+
+class TestOptions:
+    # Every option a command accepts is one it reads.
+    OPTIONS = {
+        "transform": {"--lambda", "--out", "--mode", "--precision", "--x", "--y",
+                      "--inverse", "-N", "--p", "--json"},
+        "invert": {"--lambda", "--out", "--mode", "--A", "-N"},
+        "norm": {"--lambda", "--out", "--mode", "--precision", "--x", "--p", "-N"},
+        "basis": {"--lambda", "--out", "--mode", "--k", "-N", "--json"},
+        "dual": {"--lambda", "--out", "--window", "--a", "--space", "--kind", "--subset-mode"},
+        "class": {"--lambda", "--out", "--window", "--A", "--X", "--Y"},
+        "opnorm": {"--lambda", "--out", "--precision", "--window", "--A", "--p", "--Y"},
+        "mnc": {"--lambda", "--out", "--precision", "--rmax", "--A", "--p", "--Y"},
+        "verify-paper": {"--only", "-N", "--p", "--seed", "--json", "--out"},
+        "plot-data": {"--lambda", "--out", "--precision", "--rmax", "--quantity", "--x",
+                      "--p", "--sweep", "--A", "--Y"},
+    }
+
+    def test_option_sets(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, parser in sub.choices.items()
+        }
+        assert found == self.OPTIONS
+        assert sum(map(len, found.values())) == 71
+
+    @pytest.mark.parametrize("argv", [
+        ("class", "--A", "E", "--mode", "float"),
+        ("dual", "--a", "unit:0", "--precision", "64"),
+        ("invert", "--precision", "64"),
+    ])
+    def test_unread_options_are_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
@@ -303,6 +371,16 @@ class TestVerifySuite:
     def test_unknown_filter(self, capsys):
         code, _, _ = run_cli(capsys, "verify-paper", "--only", "bogus-check")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("-N", "0"), 3),
+        (("-N", "-2"), 3),
+        (("--p", "0"), 2),
+    ])
+    def test_bad_window_and_exponent_are_input_errors(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "verify-paper", "--only", "inverse-identity", *argv)
+        assert code == expected
+        assert out == "" and err
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify-paper", "--only", "fib-cassini", "--json")

@@ -16,7 +16,7 @@ from fibspaces.duals import (
     dual_condition,
     dual_membership,
 )
-from fibspaces.errors import DomainError
+from fibspaces.errors import DomainError, ParseError
 from fibspaces.sequences import (
     LambdaSeq,
     SeqWindow,
@@ -220,3 +220,13 @@ class TestDualMembership:
         res = dual_membership(unit_seq(0), LIN, "lp", "beta", p=1, window=12)
         assert res["space"] == "l1"
         assert [r.condition for r in res["conditions"]] == ["d3", "d5", "d6"]
+
+    def test_space_spec_matches_kind_and_exponent(self):
+        spec = dual_membership(unit_seq(0), LIN, "lp:3", "gamma", window=12)
+        kind = dual_membership(unit_seq(0), LIN, "lp", "gamma", p=3, window=12)
+        assert (spec["space"], spec["p"]) == (kind["space"], kind["p"]) == ("lp", "3")
+
+    @pytest.mark.parametrize("space", ["c", "c0"])
+    def test_no_dual_table_for_convergent_spaces(self, space):
+        with pytest.raises(ParseError):
+            dual_membership(unit_seq(0), LIN, space, "beta", window=12)

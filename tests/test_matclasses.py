@@ -127,6 +127,17 @@ class TestClassCheck:
         with pytest.raises(UnsupportedPair):
             class_check(SINGLE, LIN, "lp", "lp", p=2, target_p=3)
 
+    @pytest.mark.parametrize("source", ["c", "c0"])
+    def test_convergent_source_is_unsupported(self, source):
+        with pytest.raises(UnsupportedPair):
+            class_check(SINGLE, LIN, source, "c0", window=8)
+
+    def test_space_spec_matches_kind_and_exponent(self):
+        spec = class_check(SINGLE, LIN, "lp:2", "lp:inf", window=8)
+        kind = class_check(SINGLE, LIN, "lp", "lp", p=2, target_p="inf", window=8)
+        assert spec.to_json() == kind.to_json()
+        assert (spec.source, spec.target, spec.p) == ("lp", "linf", "2")
+
     def test_condition_lists_match_registry(self):
         rep = class_check(SINGLE, LIN, "linf", "l1", window=8)
         assert [c for c, _ in rep.conditions] == [

@@ -150,9 +150,10 @@ class TestWitnesses:
         assert list(v.values) == [1, 2, Fraction(9, 2)]
 
     def test_unit(self):
-        lam = LambdaSeq.linear(1, 1)
-        w = gen_witness("unit:0", lam, 4)
-        assert list(w.values) == [1, 0, 0, 0]
+        # Coordinate vectors are generators, not witnesses.
+        assert list(unit_seq(0).prefix(4).values) == [1, 0, 0, 0]
+        with pytest.raises(UnknownWitness):
+            gen_witness("unit:0", LambdaSeq.linear(1, 1), 4)
 
     def test_unknown(self):
         with pytest.raises(UnknownWitness):

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from fibspaces.errors import DivergentTail
+from fibspaces.errors import DivergentTail, ParseError
 from fibspaces.exactreal import Exponent, rpow
 from fibspaces.sequences import LambdaSeq, SeqWindow
 from fibspaces.spaces import (
     _scale_shift,
     inclusion_bounds_check,
     membership_evidence,
+    normalize_space,
     parallelogram_check,
     space_norm,
     tail_constant,
@@ -27,6 +28,32 @@ def _random_window(rng, n, scale=100):
     return SeqWindow(
         tuple(Fraction(rng.randint(-scale, scale), scale) for _ in range(n)), {}
     )
+
+
+class TestNormalizeSpace:
+    @pytest.mark.parametrize("space, p, expected", [
+        ("lp:2", None, ("lp", Exponent.of(2))),
+        (" lp:3/2 ", None, ("lp", Exponent.of(Fraction(3, 2)))),
+        ("lp", 3, ("lp", Exponent.of(3))),
+        ("lp:1", None, ("l1", None)),
+        ("lp", 1, ("l1", None)),
+        ("lp:inf", None, ("linf", None)),
+        ("lp", "inf", ("linf", None)),
+        ("l1", None, ("l1", None)),
+        ("linf", None, ("linf", None)),
+        ("c", None, ("c", None)),
+        ("c0", None, ("c0", None)),
+    ])
+    def test_canonical_form(self, space, p, expected):
+        assert normalize_space(space, p) == expected
+
+    @pytest.mark.parametrize("space, p", [
+        ("lp", None), ("lp:", None), ("lp:0", None), ("lp:x", None), ("lp:2", 3),
+        ("l1:2", None), ("foo", None), ("", None),
+    ])
+    def test_malformed_is_parse_error(self, space, p):
+        with pytest.raises(ParseError):
+            normalize_space(space, p)
 
 
 class TestSpaceNorm:
