@@ -225,7 +225,7 @@ def cmd_verify_paper(args) -> int:
         if args.n < 1:
             raise DomainError(f"window size -N must be >= 1, got {args.n}")
         config["n"] = args.n
-    if args.p:
+    if args.p is not None:
         config["p"] = Exponent(parse_rational(args.p)).value
     results = run_checks(only=args.only, **config)
     if not results:

@@ -27,6 +27,7 @@ from .verdicts import (
     classify_growth,
     classify_to_zero,
     conjunction,
+    sweep_points,
 )
 
 CONDITION_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
@@ -133,15 +134,6 @@ class DualReport:
         }
 
 
-def _sweep_points(window: int) -> list[int]:
-    pts, w = [], 4
-    while w < window:
-        pts.append(w)
-        w = max(w + 2, int(w * 1.5))
-    pts.append(window)
-    return sorted(set(pts))
-
-
 def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     """abar_k(n) for all k < n < w, in O(w^2) operations.
 
@@ -194,7 +186,7 @@ def dual_condition(
             raise DomainError(f"{condition} with q = inf is not a sum condition")
 
     support = a.support
-    points = _sweep_points(window)
+    points = sweep_points(window)
     deepest = points[-1]
     a_deep = [Fraction(v) for v in a.prefix(deepest)]
 

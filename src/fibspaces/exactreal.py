@@ -428,10 +428,7 @@ def window_norm(
     p = Exponent.of(p)
 
     if p.is_infinite:
-        entries = [abs(CertifiedReal.wrap(v)) for v in x]
-        lo = max(e.lo for e in entries)
-        hi = max(e.hi for e in entries)
-        return CertifiedReal.from_interval(lo, hi)
+        return CertifiedReal.max_of([abs(CertifiedReal.wrap(v)) for v in x])
     pf = p.as_fraction()
     term_precision = precision + max(8, len(x).bit_length() + 2)
     return rpow(power_sum(x, pf, term_precision), 1 / pf, precision)

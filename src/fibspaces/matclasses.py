@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .duals import _sweep_points, diag_coeff, dual_membership
 from .errors import (
     AlphaLimitUndetermined,
     DomainError,
@@ -39,7 +38,7 @@ from .exactreal import (
     rpow,
     to_float,
 )
-from .sequences import LambdaSeq, from_values
+from .sequences import LambdaSeq
 from .spaces import normalize_space
 from .subsetsup import subset_sup
 from .triangles import RowWindowedMatrix, Triangle
@@ -49,23 +48,11 @@ from .verdicts import (
     classify_growth,
     classify_to_zero,
     conjunction,
+    sweep_points,
 )
 
 SOURCES = ("l1", "lp", "linf")
 TARGETS = ("linf", "c", "c0", "l1", "lp")
-
-
-def _row_support(a, n: int) -> int:
-    if isinstance(a, Triangle):
-        return n + 1
-    return a.row_support(n)
-
-
-def _row_bound(a) -> int | None:
-    """Index past the last nonzero row, or None for a genuine triangle."""
-    if isinstance(a, Triangle):
-        return None
-    return a.row_bound
 
 
 class HatMatrix:
@@ -80,10 +67,10 @@ class HatMatrix:
 
     @property
     def finite_rows(self) -> bool:
-        return _row_bound(self.source) is not None
+        return self.source.row_bound is not None
 
     def effective_bound(self, window: int) -> int:
-        bound = _row_bound(self.source)
+        bound = self.source.row_bound
         return bound if bound is not None else window
 
     def row(self, n: int) -> tuple[Fraction, ...]:
@@ -99,7 +86,7 @@ class HatMatrix:
         return row
 
     def _source_row(self, n: int) -> list[Fraction]:
-        return [self.source.entry(n, j) for j in range(_row_support(self.source, n))]
+        return [self.source.entry(n, j) for j in range(self.source.row_support(n))]
 
     def partial_row(self, n: int, m: int) -> list[Fraction]:
         """Row n with every inner sum stopped at j = m."""
@@ -136,7 +123,7 @@ def hat_entry(source, lam: LambdaSeq, n: int, k: int, m: int | None = None) -> F
 def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
     """Independent route: pair row n against column k of the closed-form
     inverse triangle (transpose pairing).  Must equal :func:`hat_entry`."""
-    support = _row_support(source, n)
+    support = source.row_support(n)
     return sum(
         (source.entry(n, j) * lam.kernel.inverse_entry(j, k) for j in range(k, support)),
         Fraction(0),
@@ -318,7 +305,7 @@ def class_check(
     for cid in _CLASS_TABLE[key]:
         conditions.append((cid, _evaluate_class_condition(
             cid, hat, lam, bound, window,
-            q_frac=q_frac, p_norm=p_norm, tp_norm=tp_norm,
+            q_frac=q_frac, tp_norm=tp_norm,
         )))
     overall = conjunction([v for _, v in conditions], label=f"{src}->{tgt}")
     return ClassReport(
@@ -330,22 +317,27 @@ def class_check(
 
 
 def _evaluate_class_condition(
-    cid, hat: HatMatrix, lam, bound, window, *, q_frac, p_norm, tp_norm
+    cid, hat: HatMatrix, lam, bound, window, *, q_frac, tp_norm
 ) -> Verdict:
     src_matrix = hat.source
 
-    if cid in ("row-series-exists", "row-abs-converges"):
-        # Every accepted source has finitely supported rows, so the weighted
-        # row series truncates; this holds structurally for all rows.
+    if cid in ("row-series-exists", "row-abs-converges", "rows-in-beta-dual"):
+        # Every accepted source has finitely supported rows.  A finitely
+        # supported row pairs with every x in a finite sum, so its weighted
+        # series truncates and it lies in the beta-dual of every sequence
+        # space; this holds structurally for all rows.
         return Verdict(Status.HOLDS_EXACTLY,
                        detail={"reason": "rows finitely supported"})
 
+    supports = [src_matrix.row_support(n) for n in range(bound)]
+
     if cid == "row-diag-scaled-bounded":
-        worst = Fraction(0)
-        for n in range(bound):
-            support = _row_support(src_matrix, n)
-            for k in range(support):
-                worst = max(worst, abs(diag_coeff(lam, k) * src_matrix.entry(n, k)))
+        diag = lam.kernel.grow(max(supports, default=0)).diag
+        worst = max(
+            (abs(diag[k] * src_matrix.entry(n, k))
+             for n, support in enumerate(supports) for k in range(support)),
+            default=Fraction(0),
+        )
         return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(worst),
                        detail={"reason": "per-row finite support"})
 
@@ -369,34 +361,13 @@ def _evaluate_class_condition(
             return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.max_of(totals))
         return classify_growth([(k + 1, to_float(t.value)) for k, t in enumerate(totals)])
 
-    if cid == "rows-in-beta-dual":
-        per_row = []
-        for n in range(bound):
-            support = _row_support(src_matrix, n)
-            row = [src_matrix.entry(n, k) for k in range(support)]
-            gen = from_values(row, name=f"row:{n}")
-            space = "lp" if p_norm is not None else "linf"
-            result = dual_membership(
-                gen, lam, space, "beta",
-                p=p_norm, window=max(8, min(window, support + 8)),
-            )
-            per_row.append(result["verdict"])
-        combined = conjunction(per_row, label="rows-in-beta-dual")
-        if combined.is_exact and not hat.finite_rows:
-            # Unchecked rows remain, so exactness cannot be claimed globally.
-            combined = Verdict(Status.EVIDENCE_BOUNDED, combined.sweep,
-                               label=combined.label, detail=combined.detail)
-        return combined
-
     if cid == "partial-uniform":
         # D(m) = max_k sum_n |hat(n,k; m) - hat(n,k)|, which vanishes once m
         # clears every row support.
-        max_support = max(
-            (_row_support(src_matrix, n) for n in range(bound)), default=0
-        )
+        max_support = max(supports, default=0)
         points = []
         exact_zero_seen = False
-        for m in _sweep_points(max(window, max_support + 2)):
+        for m in sweep_points(max(window, max_support + 2)):
             total = Fraction(0)
             for n in range(bound):
                 row = hat.row(n)

@@ -20,7 +20,7 @@ from .errors import (
     NotStrictlyIncreasing,
     ParseError,
 )
-from .exactreal import CertifiedReal, parse_rational
+from .exactreal import parse_rational
 
 _VALIDATION_WINDOW = 64
 
@@ -299,9 +299,6 @@ class SeqWindow:
 
     def __getitem__(self, i):
         return self.values[i]
-
-    def is_exact(self) -> bool:
-        return all(not isinstance(v, CertifiedReal) or v.is_exact for v in self.values)
 
 
 @dataclass(frozen=True)

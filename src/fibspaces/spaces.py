@@ -15,10 +15,13 @@ from fractions import Fraction
 from .errors import DivergentTail, DomainError, ParseError
 from .exactreal import (
     DEFAULT_PRECISION,
+    P_INF,
+    P_ONE,
     CertifiedReal,
     Exponent,
     power_sum,
     rpow,
+    to_float,
     window_norm,
 )
 from .sequences import LambdaSeq, PrefixGenerator, SeqWindow
@@ -254,17 +257,15 @@ def membership_evidence(
 ) -> Verdict:
     """Finite evidence that the generated sequence lies in the named space.
 
-    ``space`` is "lp" (p-norm of the image must stay bounded), "linf"
-    (image sup bounded) or "c0" (image entries tend to zero).  When the
-    generator's image is known to be finitely supported the quantity is
-    finitely determined and the verdict is exact.
+    ``space`` and ``p`` are read by ``normalize_space``: "l1" or "lp" (the
+    p-norm of the image must stay bounded), "linf" (image sup bounded) or
+    "c0" (image entries tend to zero).  When the generator's image is known
+    to be finitely supported the quantity is finitely determined and the
+    verdict is exact.
     """
-    if space == "lp":
-        if p is None:
-            raise DomainError("space 'lp' needs an exponent")
-        p = Exponent.of(p)
-    elif space not in ("linf", "c0"):
-        raise DomainError(f"unknown space {space!r}")
+    space, p = normalize_space(space, p)
+    if space not in ("l1", "lp", "linf", "c0"):
+        raise ParseError(f"unknown space {space!r}")
 
     deepest = max(sweep)
     image_support = gen.image_support
@@ -272,7 +273,7 @@ def membership_evidence(
     if space == "c0":
         image = forward_transform(gen.prefix(deepest), lam)
         points = [
-            (n + 1, abs(float(CertifiedReal.wrap(v).value)))
+            (n + 1, abs(to_float(CertifiedReal.wrap(v).value)))
             for n, v in enumerate(image.values)
         ]
         # Claimed finite image support is verified on the window, not assumed.
@@ -282,15 +283,12 @@ def membership_evidence(
         )
         return classify_to_zero(points, stabilized_exactly=exact)
 
+    norm_p = {"l1": P_ONE, "linf": P_INF}.get(space, p)
     points = []
     exact_values = []
     for n in sorted(sweep):
-        w = gen.prefix(n)
-        if space == "lp":
-            est = space_norm(w, lam, p, precision)
-        else:
-            est = space_norm(w, lam, Exponent.infinity(), precision)
-        points.append((n, float(est.value.value)))
+        est = space_norm(gen.prefix(n), lam, norm_p, precision)
+        points.append((n, to_float(est.value.value)))
         exact_values.append(est.value.value)
     stabilized = False
     if image_support is not None and min(sweep) >= image_support:

@@ -36,6 +36,9 @@ Entry = Callable[[int, int], Fraction]
 class Triangle:
     """Infinite lower-triangular matrix backed by an entry oracle."""
 
+    # Every row may be nonzero: there is no index past the last nonzero row.
+    row_bound = None
+
     def __init__(self, fn: Entry, name: str = "triangle"):
         self._fn = fn
         self._memo: dict[tuple[int, int], Fraction] = {}
@@ -52,6 +55,10 @@ class Triangle:
             v = Fraction(self._fn(n, k))
             self._memo[key] = v
         return v
+
+    def row_support(self, n: int) -> int:
+        """Index past the last (possibly) nonzero entry of row n."""
+        return n + 1
 
     def row(self, n: int) -> list[Fraction]:
         return [self.entry(n, k) for k in range(n + 1)]
@@ -88,18 +95,6 @@ class DenseWindow:
         if n >= self.size:
             raise DomainError(f"row {n} outside the stored {self.size}-window")
         return self.rows[n][k]
-
-    def as_triangle(self, name: str = "dense") -> Triangle:
-        """Triangle whose rows beyond the stored window are zero."""
-        size = self.size
-        rows = self.rows
-
-        def fn(n, k):
-            if n < size:
-                return rows[n][k]
-            return Fraction(0)
-
-        return Triangle(fn, name=name)
 
     def __eq__(self, other):
         return isinstance(other, DenseWindow) and self.rows == other.rows

@@ -67,6 +67,17 @@ class Verdict:
         return out
 
 
+def sweep_points(window: int) -> list[int]:
+    """The deepening depths at which an evidence sweep evaluates its
+    quantity: 4, then steps of about 1.5x, ending at ``window``."""
+    pts, w = [], 4
+    while w < window:
+        pts.append(w)
+        w = max(w + 2, int(w * 1.5))
+    pts.append(window)
+    return sorted(set(pts))
+
+
 def _fit_slope(points: list[tuple[float, float]]) -> float | None:
     """Least-squares slope of log(value) against log(index)."""
     pts = [(x, v) for x, v in points if x > 0 and v > 0]

@@ -297,6 +297,15 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["result"]["verdict"]["status"] == "holds-exactly"
 
+    def test_class_e_into_linf_is_not_diverging(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "class", "--A", "E", "--X", "lp:2", "--Y", "linf", "--window", "32",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["verdict"]["status"] == "evidence-bounded"
+        assert dict(result["conditions"])["rows-in-beta-dual"]["status"] == "holds-exactly"
+
     def test_opnorm_report(self, capsys, single_row):
         code, out, _ = run_cli(
             capsys, "opnorm", "--A", single_row, "--p", "2", "--Y", "linf"
@@ -376,6 +385,7 @@ class TestVerifySuite:
         (("-N", "0"), 3),
         (("-N", "-2"), 3),
         (("--p", "0"), 2),
+        (("--p", ""), 2),
     ])
     def test_bad_window_and_exponent_are_input_errors(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, "verify-paper", "--only", "inverse-identity", *argv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibspaces import duals
 from fibspaces.duals import diag_coeff
 from fibspaces.errors import (
     AlphaLimitUndetermined,
@@ -122,6 +123,24 @@ class TestClassCheck:
         rep = class_check(identity_triangle(), LIN, "lp", "linf", p=2, window=24)
         assert rep.verdict.status is Status.EVIDENCE_DIVERGING
         assert dict(rep.conditions)["row-qnorm-sup"].status is Status.EVIDENCE_DIVERGING
+
+    def test_rows_in_beta_dual_holds_for_triangle_rows(self):
+        # Rows 30 and 31 reach the window; finite support decides them too.
+        rep = class_check(e_matrix(LIN), LIN, "lp", "linf", p=2, window=32)
+        cond = dict(rep.conditions)["rows-in-beta-dual"]
+        assert cond.status is Status.HOLDS_EXACTLY
+        assert cond.detail == {"reason": "rows finitely supported"}
+        assert rep.verdict.status is Status.EVIDENCE_BOUNDED
+
+    @pytest.mark.parametrize("source", [SINGLE, identity_triangle()])
+    def test_row_conditions_run_no_dual_search(self, monkeypatch, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("class_check ran a dual membership search")
+
+        monkeypatch.setattr(duals, "dual_membership", refuse)
+        monkeypatch.setattr(duals, "_abar_table", refuse)
+        rep = class_check(source, LIN, "lp", "l1", p=2, window=8)
+        assert dict(rep.conditions)["rows-in-beta-dual"].is_exact
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPair):

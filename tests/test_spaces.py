@@ -1,5 +1,6 @@
 """Space norms, parallelogram failure, tail constant, inclusion evidence."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from fibspaces.errors import DivergentTail, ParseError
 from fibspaces.exactreal import Exponent, rpow
-from fibspaces.sequences import LambdaSeq, SeqWindow
+from fibspaces.sequences import LambdaSeq, SeqWindow, from_values, unit_seq
 from fibspaces.spaces import (
     _scale_shift,
     inclusion_bounds_check,
@@ -225,3 +226,30 @@ class TestMembershipEvidence:
     def test_finite_image_witness_exact(self):
         v = membership_evidence(witness_generator("u", LIN), LIN, "lp", p=2)
         assert v.status is Status.HOLDS_EXACTLY
+
+    @pytest.mark.parametrize("space, p", [("l1", None), ("lp:1", None), ("lp", 1)])
+    def test_l1_spellings_agree(self, space, p):
+        v = membership_evidence(unit_seq(0), LIN, space, p=p)
+        assert v.to_json() == membership_evidence(unit_seq(0), LIN, "l1").to_json()
+        # E's column 0 is of order 1/lambda_n: not summable for linear weights.
+        assert v.status is Status.EVIDENCE_DIVERGING
+
+    def test_lp_spec_matches_kind_and_exponent(self):
+        gen = witness_generator("power-law", LIN, p=Exponent.of(2))
+        spec = membership_evidence(gen, LIN, "lp:3")
+        kind = membership_evidence(gen, LIN, "lp", p=3)
+        assert spec.to_json() == kind.to_json()
+
+    @pytest.mark.parametrize("space", ["c", "foo", "lp:x"])
+    def test_unknown_space_is_a_parse_error(self, space):
+        with pytest.raises(ParseError):
+            membership_evidence(unit_seq(0), LIN, space)
+
+    def test_missing_exponent_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            membership_evidence(unit_seq(0), LIN, "lp")
+
+    @pytest.mark.parametrize("space", ["l1", "lp:2", "linf", "c0"])
+    def test_values_past_the_float_range_do_not_overflow(self, space):
+        v = membership_evidence(from_values([10**400]), LIN, space)
+        assert v.sweep and all(y == math.inf for _, y in v.sweep)

@@ -256,6 +256,11 @@ class TestMatrixJson:
         assert m.row_bound == 1
         assert m.row_support(0) == 1
 
+    def test_triangle_declares_its_rows(self):
+        t = identity_triangle()
+        assert t.row_bound is None
+        assert [t.row_support(n) for n in range(4)] == [1, 2, 3, 4]
+
 
 def test_dense_window_shape_enforced():
     with pytest.raises(DomainError):
