@@ -70,10 +70,8 @@ from .spaces import (
 from .duals import (
     DualReport,
     abar,
-    abar_limit,
     alpha_matrix,
     beta_matrix,
-    diag_coeff,
     dual_condition,
     dual_membership,
 )

@@ -177,9 +177,7 @@ def cmd_basis(args, lam: LambdaSeq) -> int:
 
 def cmd_dual(args, lam: LambdaSeq) -> int:
     gen = parse_generator_spec(args.a)
-    result = dual_membership(
-        gen, lam, args.space, args.kind, window=args.window, subset_mode=args.subset_mode,
-    )
+    result = dual_membership(gen, lam, args.space, args.kind, window=args.window)
     _emit_report(args, {
         "space": result["space"],
         "kind": result["kind"],
@@ -345,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="candidate sequence spec")
     p.add_argument("--space", default="lp:2", help="l1 | lp:<p> | linf")
     p.add_argument("--kind", choices=("alpha", "beta", "gamma"), default="beta")
-    p.add_argument("--subset-mode", dest="subset_mode",
-                   choices=("auto", "exact"), default="auto",
-                   help="exact: fail with a domain error unless the subset search settles")
     p.set_defaults(fn=cmd_dual)
 
     p = sub.add_parser("class", help="matrix mapping-class membership check")

@@ -23,6 +23,7 @@ from .spaces import normalize_space
 from .subsetsup import subset_sup
 from .triangles import DenseWindow
 from .verdicts import (
+    Status,
     Verdict,
     classify_growth,
     classify_to_zero,
@@ -31,11 +32,6 @@ from .verdicts import (
 )
 
 CONDITION_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
-
-
-def diag_coeff(lam: LambdaSeq, n: int) -> Fraction:
-    """The diagonal weight lambda_n f_{n+1}^2 / (gap(n) f_n f_{n+1})."""
-    return lam.kernel.grow(n + 1).diag[n]
 
 
 def _g_rows(a_vals, lam: LambdaSeq) -> list[list[Fraction]]:
@@ -73,20 +69,6 @@ def abar(a, lam: LambdaSeq, k: int, n: int) -> Fraction:
                Fraction(0))
     head = Fraction(values[k]) * fib_sq(k + 1) * kern.w[k]
     return kern.lam[k] * (head + kern.b[k] * tail)
-
-
-def abar_limit(a: PrefixGenerator, lam: LambdaSeq, k: int) -> Fraction:
-    """abar_k(n) stabilizes exactly once n clears the support of a; that
-    stable value is the limit.  Only defined for finitely supported a."""
-    return _abar_limits(a, lam, k + 1)[k]
-
-
-def _abar_limits(a: PrefixGenerator, lam: LambdaSeq, count: int) -> list[Fraction]:
-    """abar_limit for k < count, from one set of partial sums."""
-    if a.support is None:
-        raise DomainError("limit of abar needs a finitely supported sequence")
-    window = [Fraction(v) for v in a.prefix(max(a.support, count))]
-    return lam.kernel.limit_row(window)[:count]
 
 
 def beta_matrix(a, lam: LambdaSeq) -> DenseWindow:
@@ -150,13 +132,19 @@ def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     return [[base[k] + col[k] * sums[n] for k in range(n)] for n in range(w)]
 
 
+def _depth(a: PrefixGenerator, window: int) -> int:
+    """How deep a candidate is read: the window, and for a finitely
+    supported candidate at least two rows past its support, where every
+    condition below is decided by the finite computation."""
+    return window if a.support is None else max(window, a.support + 2)
+
+
 def dual_condition(
     a: PrefixGenerator,
     lam: LambdaSeq,
     condition: str,
     window: int = 32,
     p=None,
-    subset_mode: str = "auto",
     *,
     table: list | None = None,
 ) -> DualReport:
@@ -172,6 +160,10 @@ def dual_condition(
     d5: sup of the scaled diagonal;   d6: sup of |abar| over all (n, k);
     d7: l1-distance of abar rows from their limits tends to zero;
     d8: sup over n of absolute abar row sums.
+
+    A finitely supported candidate is read past its support, where its
+    rows, partial sums and column sums no longer change: every condition
+    then holds exactly, except a d1 whose subset search did not settle.
     """
     if condition not in CONDITION_IDS:
         raise DomainError(f"unknown condition {condition!r}")
@@ -185,137 +177,88 @@ def dual_condition(
         if q is None:
             raise DomainError(f"{condition} with q = inf is not a sum condition")
 
-    support = a.support
-    points = sweep_points(window)
-    deepest = points[-1]
+    finite = a.support is not None
+    deepest = _depth(a, window)
+    points = sweep_points(deepest)
     a_deep = [Fraction(v) for v in a.prefix(deepest)]
-
-    sweep: list[tuple[int, float]] = []
-    payloads: list = []
-    value: CertifiedReal | None = None
-    lower_bound_only = False
-
     if condition in ("d4", "d6", "d7", "d8") and table is None:
         table = _abar_table(a_deep, lam, deepest)
-    # Each sweep point reads a prefix of these rows or per-row sizes.
-    if condition in ("d1", "d2"):
-        g_rows = _g_rows(a_deep, lam)
-        col_sums: list[Fraction] = []
-    elif condition == "d4":
-        sizes = [power_sum(row, q) for row in table]
-    elif condition == "d5":
-        diag = lam.kernel.grow(deepest).diag
-        sizes = [abs(diag[n] * a_deep[n]) for n in range(deepest)]
-    elif condition == "d6":
-        sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
-    elif condition == "d8":
-        sizes = [sum((abs(v) for v in row), Fraction(0)) for row in table]
 
-    if condition == "d7":
-        if support is not None:
-            limits = _abar_limits(a, lam, deepest - 1)
+    sweep: list[tuple[int, float]] = []
+    lower_bound_only = False
+    if condition in ("d3", "d7"):
+        # Cauchy evidence: the distance between depths m and 2m, which is
+        # exactly 0 once m clears a finite support.
+        if condition == "d3":
+            partials = [Fraction(0)]
+            for j in range(1, deepest):
+                partials.append(partials[-1] + a_deep[j] * fib_sq(j + 1))
 
-            def row_distance(m: int) -> Fraction:
-                return sum(
-                    (abs(table[m][k] - limits[k]) for k in range(m)), Fraction(0)
-                )
+            def distance(m: int) -> Fraction:
+                return abs(partials[2 * m] - partials[m])
 
         else:
-            # Cauchy-style evidence: compare the row at m against the row
-            # at 2m (a trivially shrinking reference would never diverge).
-            def row_distance(m: int) -> Fraction:
+            def distance(m: int) -> Fraction:
                 return sum(
                     (abs(table[m][k] - table[2 * m][k]) for k in range(m)),
                     Fraction(0),
                 )
 
-        for w in [m for m in points if 2 * m < deepest]:
-            dist = row_distance(w)
-            sweep.append((w, to_float(dist)))
-            payloads.append(dist)
-        # Finite support saturates the inner sums; confirm at the deepest
-        # stored row that the distance to the limits is exactly zero.
-        stabilized = False
-        if support is not None and deepest - 1 > support:
-            far = deepest - 1
-            stabilized = all(
-                table[far][k] == limits[k] for k in range(far)
-            ) and all(d == 0 for (x, _), d in zip(sweep, payloads) if x > support)
-        verdict = classify_to_zero(sweep, stabilized_exactly=stabilized)
-        value = CertifiedReal.exact(payloads[-1]) if payloads else None
-    elif condition == "d3":
-        partials = [Fraction(0)]
-        for j in range(1, deepest):
-            partials.append(partials[-1] + a_deep[j] * fib_sq(j + 1))
-        # Doubling-window increments |S_2m - S_m| are the Cauchy evidence.
-        for w in [m for m in points if 2 * m < deepest]:
-            resid = abs(partials[2 * w] - partials[w])
-            sweep.append((w, to_float(resid)))
-            payloads.append(resid)
-        # Finite support makes the series a finite sum; confirm the partial
-        # sums are constant from the support onward.
-        stabilized = (
-            support is not None
-            and deepest - 1 >= support
-            and all(
-                partials[m] == partials[-1]
-                for m in range(max(0, support - 1), deepest)
-            )
-        )
-        verdict = classify_to_zero(sweep, stabilized_exactly=stabilized)
-        value = CertifiedReal.exact(partials[-1])
-    else:
-        if condition in ("d1", "d2"):
-            for w in points:
-                if condition == "d1":
-                    rows = [r for r in g_rows[:w] if any(r)]
-                    found = subset_sup(rows, q, mode=subset_mode)
-                    lower_bound_only = not found.enumerated
-                    quantity = power_sum(found.column_sums, q)
-                    payloads.append(tuple(found.column_sums))
-                else:
-                    for n in range(len(col_sums), w):
-                        col_sums.append(Fraction(0))
-                        for k, g in enumerate(g_rows[n]):
-                            col_sums[k] += abs(g)
-                    quantity = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
-                    payloads.append(quantity.value)
-                sweep.append((w, to_float(quantity.value)))
-            value = quantity
+        dist = None
+        for m in [m for m in points if 2 * m < deepest]:
+            dist = distance(m)
+            sweep.append((m, to_float(dist)))
+        if condition == "d3":
+            value = CertifiedReal.exact(partials[-1])
+        elif finite:
+            value = CertifiedReal.exact(0)
         else:
-            # The supremum of the per-row sizes over the rows below each
-            # sweep point, as one running maximum (every size is >= 0).
-            value, done = CertifiedReal.exact(0), 0
-            for w in points:
+            value = CertifiedReal.exact(dist) if dist is not None else None
+        classify = classify_to_zero
+    else:
+        # Each sweep point reads a prefix of these rows or per-row sizes;
+        # d4..d8 take the supremum of the sizes as one running maximum.
+        if condition in ("d1", "d2"):
+            g_rows = _g_rows(a_deep, lam)
+            col_sums: list[Fraction] = []
+        elif condition == "d4":
+            sizes = [power_sum(row, q) for row in table]
+        elif condition == "d5":
+            diag = lam.kernel.grow(deepest).diag
+            sizes = [abs(diag[n] * a_deep[n]) for n in range(deepest)]
+        elif condition == "d6":
+            sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
+        elif condition == "d8":
+            sizes = [sum((abs(v) for v in row), Fraction(0)) for row in table]
+        value, done = CertifiedReal.exact(0), 0
+        for w in points:
+            if condition == "d1":
+                found = subset_sup([r for r in g_rows[:w] if any(r)], q)
+                lower_bound_only = not found.enumerated
+                value = power_sum(found.column_sums, q)
+            elif condition == "d2":
+                for n in range(len(col_sums), w):
+                    col_sums.append(Fraction(0))
+                    for k, g in enumerate(g_rows[n]):
+                        col_sums[k] += abs(g)
+                value = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
+            else:
                 value = CertifiedReal.max_of([value, *sizes[done:w]])
                 done = w
-                sweep.append((w, to_float(value.value)))
-                payloads.append(value.value)
-        # Finite support makes every one of these suprema finitely
-        # determined once the window clears the support plus one saturated
-        # row; payloads past that point must agree exactly.
-        settled = [
-            pay for (x, _), pay in zip(sweep, payloads) if x >= support + 2
-        ] if support is not None else []
-        stabilized = (
-            support is not None
-            and points[-1] >= support + 2
-            and all(pay == settled[-1] for pay in settled)
-        )
-        verdict = classify_growth(sweep, stabilized_exactly=stabilized)
+            sweep.append((w, to_float(value.value)))
+        classify = classify_growth
 
+    if finite and lower_bound_only:
+        verdict = Verdict(Status.EVIDENCE_BOUNDED, tuple(sweep))
+    else:
+        verdict = classify(sweep, stabilized_exactly=finite)
     return DualReport(
         condition=condition,
         verdict=verdict,
         sweep=tuple(sweep),
         value=value,
         lower_bound_only=lower_bound_only,
-        params={
-            "lambda": lam.describe(),
-            "window": window,
-            "p": p,
-            "subset_mode": subset_mode,
-        },
+        params={"lambda": lam.describe(), "window": window, "p": p},
     )
 
 
@@ -342,7 +285,6 @@ def dual_membership(
     kind: str,
     p=None,
     window: int = 32,
-    subset_mode: str = "auto",
 ) -> dict:
     """Combined alpha/beta/gamma dual membership evidence.
 
@@ -367,19 +309,19 @@ def dual_membership(
     p_for_q = p_norm if p_norm is not None else (
         Exponent.infinity() if space == "linf" else Exponent.of(1)
     )
-    # The abar conditions share one table; the deepest sweep point is the
-    # window itself (a window below 4 is refused by dual_condition).
+    # The abar conditions share one table at the depth dual_condition reads
+    # (a window below 4 is refused there).
     table = None
     if window >= 4 and any(c in ("d4", "d6", "d7", "d8") for c in conditions):
-        table = _abar_table([Fraction(v) for v in a.prefix(window)], lam, window)
+        depth = _depth(a, window)
+        table = _abar_table([Fraction(v) for v in a.prefix(depth)], lam, depth)
     reports = []
     for cond in conditions:
         need_p = cond in ("d1", "d4")
         reports.append(
             dual_condition(
                 a, lam, cond, window=window,
-                p=p_for_q if need_p else None,
-                subset_mode=subset_mode, table=table,
+                p=p_for_q if need_p else None, table=table,
             )
         )
     combined = conjunction([r.verdict for r in reports], label=f"{kind}-dual:{space}")

@@ -242,10 +242,6 @@ class CertifiedReal:
         o = CertifiedReal.wrap(other)
         return self.hi <= o.lo
 
-    def certainly_lt(self, other) -> bool:
-        o = CertifiedReal.wrap(other)
-        return self.hi < o.lo
-
     def contains(self, q: RationalLike) -> bool:
         q = _as_fraction(q)
         return self.lo <= q <= self.hi

@@ -77,19 +77,8 @@ def _merged_rows(rows, width) -> list[tuple[tuple[int, ...], list[int]]]:
     return merged
 
 
-def subset_sup(
-    rows: Sequence[Sequence[Fraction]],
-    q,
-    *,
-    mode: str = "auto",
-) -> SubsetSup:
-    """The subset maximizing sum_k |sum_{n in K} rows[n][k]| ** q (q >= 1).
-
-    ``mode``: "auto" returns the best subset found, a lower bound when the
-    search did not settle; "exact" raises :class:`DomainError` instead.
-    """
-    if mode not in ("auto", "exact"):
-        raise DomainError(f"unknown subset mode {mode!r}")
+def subset_sup(rows: Sequence[Sequence[Fraction]], q) -> SubsetSup:
+    """The subset maximizing sum_k |sum_{n in K} rows[n][k]| ** q (q >= 1)."""
     q = Fraction(q)
     if q < 1:
         raise DomainError(f"subset suprema need q >= 1, got {q}")
@@ -156,10 +145,6 @@ def subset_sup(
         stack += kids
     open_hi = max([open_hi] + [hi for hi, *_ in stack])
     settled = open_hi <= best_lo
-    if not settled and mode == "exact":
-        raise DomainError(
-            f"subset supremum over {len(rows)} rows not settled within {NODE_LIMIT} nodes"
-        )
     subset = tuple(sorted(n for i, (_, idx) in enumerate(merged) if best_mask >> i & 1
                           for n in idx))
     return SubsetSup(subset, _column_sums(rows, subset), settled)

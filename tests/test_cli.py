@@ -2,12 +2,15 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from fibspaces import subsetsup
 from fibspaces.cli import build_parser, main
 from fibspaces.triangles import MATRIX_INDEX_LIMIT
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -187,8 +190,7 @@ class TestExitCodes:
 
 
 class TestSubsetMode:
-    DUAL = ("dual", "--a", "inv-fib-pow:3", "--kind", "alpha", "--window", "40",
-            "--subset-mode", "exact")
+    DUAL = ("dual", "--a", "inv-fib-pow:3", "--kind", "alpha", "--window", "40")
 
     @pytest.mark.parametrize("space", ["lp:2", "linf", "lp:3"])
     def test_exact_dual_settles_past_sixteen_rows(self, capsys, space):
@@ -197,16 +199,18 @@ class TestSubsetMode:
         (d1,) = json.loads(out)["result"]["conditions"]
         assert d1["condition"] == "d1" and d1["lower_bound_only"] is False
 
-    def test_exact_dual_past_the_budget_is_domain_error(self, capsys, monkeypatch):
+    def test_dual_past_the_budget_is_a_lower_bound(self, capsys, monkeypatch):
         monkeypatch.setattr(subsetsup, "NODE_LIMIT", 64)
-        code, out, err = run_cli(capsys, *self.DUAL, "--space", "lp:2")
-        assert code == 3
-        assert out == "" and "domain error" in err
+        code, out, _ = run_cli(capsys, *self.DUAL, "--space", "lp:2")
+        assert code == 0
+        (d1,) = json.loads(out)["result"]["conditions"]
+        assert d1["condition"] == "d1" and d1["lower_bound_only"] is True
 
     @pytest.mark.parametrize("argv", [
         ("dual", "--a", "unit:0", "--subset-mode", "sample"),
         ("dual", "--a", "unit:0", "--seed", "3"),
         ("mnc", "--A", "E", "--seed", "3"),
+        ("dual", "--a", "unit:0", "--subset-mode", "exact"),
     ])
     def test_sampler_options_are_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -222,7 +226,7 @@ class TestOptions:
         "invert": {"--lambda", "--out", "--mode", "--A", "-N"},
         "norm": {"--lambda", "--out", "--mode", "--precision", "--x", "--p", "-N"},
         "basis": {"--lambda", "--out", "--mode", "--k", "-N", "--json"},
-        "dual": {"--lambda", "--out", "--window", "--a", "--space", "--kind", "--subset-mode"},
+        "dual": {"--lambda", "--out", "--window", "--a", "--space", "--kind"},
         "class": {"--lambda", "--out", "--window", "--A", "--X", "--Y"},
         "opnorm": {"--lambda", "--out", "--precision", "--window", "--A", "--p", "--Y"},
         "mnc": {"--lambda", "--out", "--precision", "--rmax", "--A", "--p", "--Y"},
@@ -238,7 +242,7 @@ class TestOptions:
             for name, parser in sub.choices.items()
         }
         assert found == self.OPTIONS
-        assert sum(map(len, found.values())) == 71
+        assert sum(map(len, found.values())) == 70
 
     @pytest.mark.parametrize("argv", [
         ("class", "--A", "E", "--mode", "float"),
@@ -397,6 +401,13 @@ class TestVerifySuite:
         assert code == 0
         doc = json.loads(out)
         assert doc["result"][0]["passed"] is True
+
+    def test_full_json_report_is_pinned(self, capsys):
+        # All 26 checks at the default seed, byte for byte; the snapshot was
+        # written by `python -m fibspaces.cli verify-paper --json`.
+        code, out, _ = run_cli(capsys, "verify-paper", "--json")
+        assert code == 0
+        assert out.encode() == (DATA / "verify_paper.json").read_bytes()
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify-paper", "--only", "inverse-oracle", "--seed", "7")

@@ -66,9 +66,8 @@ def check(argv):
     p=st.one_of(TOKENS, st.just("2")),
     n=st.integers(-1, 16),
     kind=st.sampled_from(["alpha", "beta"]),
-    subset_mode=st.sampled_from(["auto", "exact"]),
 )
-def test_sequence_and_lambda_specs(command, spec, lam, p, n, kind, subset_mode):
+def test_sequence_and_lambda_specs(command, spec, lam, p, n, kind):
     if command == "transform":
         argv = ["transform", f"--x={spec}", "-N", str(n), f"--p={p}"]
     elif command == "inverse":
@@ -77,7 +76,7 @@ def test_sequence_and_lambda_specs(command, spec, lam, p, n, kind, subset_mode):
         argv = ["norm", f"--x={spec}", f"--p={p}", "-N", str(n)]
     else:
         argv = ["dual", f"--a={spec}", "--space", "lp:2", "--kind", kind,
-                "--window", str(n), "--subset-mode", subset_mode]
+                "--window", str(n)]
     check(argv + [f"--lambda={lam}"])
 
 

@@ -8,11 +8,9 @@ import pytest
 from fibspaces import subsetsup
 from fibspaces.duals import (
     abar,
-    abar_limit,
     alpha_matrix,
     apply_dense_row,
     beta_matrix,
-    diag_coeff,
     dual_condition,
     dual_membership,
 )
@@ -92,18 +90,18 @@ class TestAbar:
 
     def test_limit_stabilizes_for_finite_support(self):
         gen = from_values([2, -1, Fraction(1, 3)])
+        window = list(gen.prefix(12))
+        limits = LIN.kernel.limit_row(window[:5])
         for k in (0, 1, 2, 4):
-            limit = abar_limit(gen, LIN, k)
-            window = gen.prefix(12)
             for n in range(max(k + 1, 3), 11):
-                assert abar(list(window.values), LIN, k, n) == limit
+                assert abar(window, LIN, k, n) == limits[k]
 
 
 class TestBetaMatrix:
     def test_diagonal_scaling(self):
         a = SeqWindow((Fraction(1), Fraction(0)), {})
         t = beta_matrix(a, LIN)
-        assert t.entry(0, 0) == diag_coeff(LIN, 0) * 1
+        assert t.entry(0, 0) == LIN.kernel.grow(1).diag[0] * 1
         assert t.entry(1, 1) == 0
 
     def test_zero(self):
@@ -163,16 +161,29 @@ class TestDualConditions:
             dual_condition(unit_seq(0), LIN, "d5", window=3)
 
     def test_d1_budget_cut_is_a_lower_bound(self, monkeypatch):
-        # a search cut short by its node budget never exceeds the settled one
+        # a search cut short by its node budget never exceeds the settled
+        # one, and a finite candidate is exact only when the search settled
         gen = from_values([1, Fraction(-1, 2), Fraction(1, 3), 2, -1, Fraction(3, 4)])
-        exact = dual_condition(gen, LIN, "d1", window=10, p=2, subset_mode="exact")
-        monkeypatch.setattr(subsetsup, "NODE_LIMIT", 4)
-        cut = dual_condition(gen, LIN, "d1", window=10, p=2)
-        assert cut.lower_bound_only
-        assert not exact.lower_bound_only
-        assert cut.value.value <= exact.value.value
-        with pytest.raises(DomainError):
-            dual_condition(gen, LIN, "d1", window=10, p=2, subset_mode="exact")
+        for window in (10, 16, 32):
+            exact = dual_condition(gen, LIN, "d1", window=window, p=2)
+            with monkeypatch.context() as patch:
+                patch.setattr(subsetsup, "NODE_LIMIT", 4)
+                cut = dual_condition(gen, LIN, "d1", window=window, p=2)
+            assert not exact.lower_bound_only
+            assert exact.verdict.status is Status.HOLDS_EXACTLY
+            assert cut.lower_bound_only
+            assert cut.verdict.status is Status.EVIDENCE_BOUNDED
+            assert cut.value.value <= exact.value.value
+
+    @pytest.mark.parametrize("condition", ["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8"])
+    def test_finite_candidate_is_read_past_its_support(self, condition):
+        # twelve entries, so a window of 4 stops inside the support
+        gen = from_values([Fraction(v, 1 + v % 4) for v in range(-6, 6)])
+        short = dual_condition(gen, GEO, condition, window=4, p=2)
+        deep = dual_condition(gen, GEO, condition, window=64, p=2)
+        assert short.verdict.status is deep.verdict.status is Status.HOLDS_EXACTLY
+        assert str(short.value) == str(deep.value)
+        assert not short.lower_bound_only
 
     def test_d7_finite_support_exact_zero(self):
         rep = dual_condition(from_values([1, 2]), LIN, "d7", window=32)

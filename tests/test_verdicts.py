@@ -3,12 +3,10 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibspaces import subsetsup
-from fibspaces.errors import DomainError
 from fibspaces.exactreal import power_sum
 from fibspaces.subsetsup import subset_sup
 from fibspaces.verdicts import (
@@ -112,7 +110,7 @@ class TestSubsetSup:
 
     def test_enumeration_matches_brute_force(self):
         for q in (1, 2, Fraction(3, 2)):
-            found = subset_sup(self.ROWS, q, mode="exact")
+            found = subset_sup(self.ROWS, q)
             assert found.enumerated
             best = max(power_sum(sums, q).lo for sums in _all_column_sums(self.ROWS))
             assert power_sum(found.column_sums, q).hi >= best
@@ -126,8 +124,6 @@ class TestSubsetSup:
         assert not found.enumerated
         assert found.column_sums == _column_sums_of(rows, found.subset)
         assert sum(s * s for s in found.column_sums) <= best
-        with pytest.raises(DomainError):
-            subset_sup(rows, 2, mode="exact")
 
     def test_near_tie_is_settled_exactly(self):
         # {0} scores 2 and {1} scores 1 + (1 + 2**-60) ** 1.5: equal in
@@ -140,7 +136,7 @@ class TestSubsetSup:
 
     def test_tie_with_equal_column_sizes_is_settled(self):
         # {0} and {1} both score 2 * 2 ** 1.5 with the same |column sums|.
-        found = subset_sup([[2, -2], [-2, 2]], Fraction(3, 2), mode="exact")
+        found = subset_sup([[2, -2], [-2, 2]], Fraction(3, 2))
         assert found.enumerated and found.subset == (0,)
 
     def test_tie_that_enclosures_cannot_split_is_not_settled(self):
@@ -151,8 +147,6 @@ class TestSubsetSup:
         found = subset_sup(rows, Fraction(3, 2))
         assert found.subset in ((0,), (1,))
         assert not found.enumerated
-        with pytest.raises(DomainError):
-            subset_sup(rows, Fraction(3, 2), mode="exact")
 
     def test_entries_past_float_range(self):
         huge = Fraction(10**200)
@@ -166,7 +160,8 @@ class TestSubsetSup:
 
     def test_equal_rows_are_taken_together(self):
         rows = [[Fraction(1), Fraction(-1)]] * 20 + [[Fraction(-1), Fraction(3)]]
-        found = subset_sup(rows, 2, mode="exact")
+        found = subset_sup(rows, 2)
+        assert found.enumerated
         assert found.subset == tuple(range(20))
         assert found.column_sums == (20, -20)
 
@@ -175,7 +170,8 @@ class TestSubsetSup:
         assert found.subset == () and found.enumerated
 
     def test_column_sums_exact_for_best_subset(self):
-        found = subset_sup(self.ROWS, 2, mode="exact")
+        found = subset_sup(self.ROWS, 2)
+        assert found.enumerated
         assert found.column_sums == _column_sums_of(self.ROWS, found.subset)
 
 
@@ -191,7 +187,8 @@ def test_enumerator_matches_brute_force_randomized():
             for _ in range(m)
         ]
         for q in (1, 2):
-            found = subset_sup(rows, float(q), mode="exact")
+            found = subset_sup(rows, float(q))
+            assert found.enumerated
             got = sum(abs(s) ** q for s in found.column_sums)
             best = Fraction(0)
             for mask in range(1 << m):
@@ -239,4 +236,4 @@ def test_search_matches_brute_force(rows, q):
         assert sum(abs(s) ** q for s in found.column_sums) == best
     elif found.enumerated:
         got = power_sum(found.column_sums, q)
-        assert not any(got.certainly_lt(power_sum(sums, q)) for sums in _all_column_sums(rows))
+        assert not any(got.hi < power_sum(sums, q).lo for sums in _all_column_sums(rows))
