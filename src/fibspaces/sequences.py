@@ -193,19 +193,20 @@ class Kernel:
 
     * the inverse has f_{n+1}^2 lambda_k b_k below the diagonal (``col``)
       and diag_n = lambda_n f_{n+1}^2 w_n on it (``diag``);
-    * E has (gap(k) f_k - gap(k+1) f_{k+2}) / (f_{k+1} lambda_n) below the
-      diagonal and 1/diag_n on it;
+    * E has num_k / lambda_n below the diagonal, with the row-independent
+      numerator num_k = (gap(k) f_k - gap(k+1) f_{k+2}) / f_{k+1} (``num``),
+      and 1/diag_n on it;
     * pairing a sequence a against column k of the inverse up to row n gives
       abar_k(n) = a_k diag_k + lambda_k b_k (T_n - T_k), with the prefix
       sums T_n = sum_{j<=n} f_{j+1}^2 a_j.
 
     Index k of each array holds the k-th coefficient; ``lam``, ``gap`` and
-    ``w`` run one index further than ``b``, ``col`` and ``diag``.  The
-    kernel reads lambda_k as ``value(k)`` and holds no reference to its
+    ``w`` run one index further than ``b``, ``col``, ``diag`` and ``num``.
+    The kernel reads lambda_k as ``value(k)`` and holds no reference to its
     sequence, so the two form no reference cycle.
     """
 
-    __slots__ = ("_value", "lam", "gap", "w", "b", "col", "diag")
+    __slots__ = ("_value", "lam", "gap", "w", "b", "col", "diag", "num")
 
     def __init__(self, value: Callable[[int], Fraction]):
         self._value = value
@@ -215,6 +216,7 @@ class Kernel:
         self.b: list[Fraction] = []
         self.col: list[Fraction] = []
         self.diag: list[Fraction] = []
+        self.num: list[Fraction] = []
 
     def grow(self, n: int) -> "Kernel":
         """Make the coefficients of indices 0..n-1 available."""
@@ -231,6 +233,7 @@ class Kernel:
             self.b.append(w[k] - w[k + 1])
             self.col.append(lam[k] * self.b[k])
             self.diag.append(lam[k] * fib_sq(k + 1) * w[k])
+            self.num.append((gap[k] * fib(k) - gap[k + 1] * fib(k + 2)) / fib(k + 1))
         return self
 
     def e_entry(self, n: int, k: int) -> Fraction:
@@ -240,8 +243,7 @@ class Kernel:
         self.grow(n + 1)
         if k == n:
             return 1 / self.diag[n]
-        gap = self.gap
-        return (gap[k] * fib(k) - gap[k + 1] * fib(k + 2)) / (fib(k + 1) * self.lam[n])
+        return self.num[k] / self.lam[n]
 
     def inverse_entry(self, n: int, k: int) -> Fraction:
         """Entry (n, k) of the inverse of E; needs the coefficients up to
@@ -380,6 +382,11 @@ def read_rationals(path: str) -> list[Fraction]:
     return [parse_rational(line) for line in read_input(path).split("\n") if line.strip()]
 
 
+# Largest index accepted from matrix JSON (row, band size, band offset) and
+# from a "unit:<k>" spec, so that a short input cannot ask for a huge window.
+MATRIX_INDEX_LIMIT = 10_000
+
+
 def parse_index(text: str, spec: str) -> int:
     """The integer parameter of a spec such as "unit:<k>"; ParseError otherwise."""
     try:
@@ -397,7 +404,10 @@ def parse_generator_spec(spec: str) -> PrefixGenerator:
         return ones_seq()
     kind, _, rest = spec.partition(":")
     if kind == "unit" and rest:
-        return unit_seq(parse_index(rest, spec))
+        k = parse_index(rest, spec)
+        if k > MATRIX_INDEX_LIMIT:
+            raise ParseError(f"unit index in {spec!r} exceeds {MATRIX_INDEX_LIMIT}")
+        return unit_seq(k)
     if kind == "inv-fib-pow" and rest:
         return inv_fib_pow(parse_index(rest, spec))
     if kind == "values" and rest:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError, SingularDiagonal, WindowMismatch
 from .exactreal import CertifiedReal, parse_rational
-from .sequences import LambdaSeq, SeqWindow, fib, fib_sq, read_input
+from .sequences import MATRIX_INDEX_LIMIT, LambdaSeq, SeqWindow, fib, fib_sq, read_input
 
 Entry = Callable[[int, int], Fraction]
 
@@ -134,9 +134,10 @@ def fhat_matrix() -> Triangle:
 def e_matrix(lam: LambdaSeq) -> Triangle:
     """The composed triangle in closed form.
 
-    Below the diagonal the entry is
-    (1/lambda_n) [ gap(k) f_k/f_{k+1} - gap(k+1) f_{k+2}/f_{k+1} ];
-    on the diagonal it is gap(n) f_n / (lambda_n f_{n+1}).
+    Below the diagonal the entry is num_k / lambda_n, a column factor
+    num_k = gap(k) f_k/f_{k+1} - gap(k+1) f_{k+2}/f_{k+1} over a row factor,
+    which is what lets :func:`forward_transform` run in one pass; on the
+    diagonal it is gap(n) f_n / (lambda_n f_{n+1}).
     """
     return Triangle(lam.kernel.e_entry, name=f"E[{lam.describe()}]")
 
@@ -234,19 +235,21 @@ def invert_window(a: Triangle, size: int) -> DenseWindow:
 
 
 def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
-    """y_k = sum_{j<=k} E_{kj} x_j, with every entry of E read from the
-    per-lambda kernel.
+    """y_n = E_{nn} x_n + S_n / lambda_n, where the running column sum
+    S_n = sum_{k<n} num_k x_k is carried from row to row, so each index
+    costs a fixed number of scaled terms (row n of E below the diagonal is
+    num_k / lambda_n).  The coefficients come from the per-lambda kernel.
 
-    Must agree, entry for entry, with applying :func:`e_matrix`.
+    Must agree, entry for entry, with applying :func:`e_matrix`; on
+    certified entries the error bound is the same rational too, because
+    lambda_n > 0 factors out of sum_k |num_k / lambda_n| err_k.
     """
     values = list(x)
     kern = lam.kernel.grow(len(values))
-    out = []
-    for k in range(len(values)):
-        acc = _scaled(values[k], kern.e_entry(k, k))
-        for j in range(k):
-            acc = acc + _scaled(values[j], kern.e_entry(k, j))
-        out.append(acc)
+    out, acc = [], Fraction(0)
+    for n, v in enumerate(values):
+        out.append(_scaled(v, kern.e_entry(n, n)) + _scaled(acc, 1 / kern.lam[n]))
+        acc = acc + _scaled(v, kern.num[n])
     prov = dict(getattr(x, "provenance", {}) or {})
     prov["transformed-by"] = f"E[{lam.describe()}]"
     return SeqWindow(tuple(out), prov)
@@ -345,11 +348,6 @@ class RowWindowedMatrix:
 
     def __repr__(self):
         return f"RowWindowedMatrix({self.name}, rows={len(self.rows)})"
-
-
-# Largest row index, band size and band offset magnitude accepted from
-# matrix JSON, so that a short document cannot ask for a huge window.
-MATRIX_INDEX_LIMIT = 10_000
 
 
 def matrix_from_json(obj) -> RowWindowedMatrix:

@@ -79,8 +79,9 @@ def sweep_points(window: int) -> list[int]:
 
 
 def _fit_slope(points: list[tuple[float, float]]) -> float | None:
-    """Least-squares slope of log(value) against log(index)."""
-    pts = [(x, v) for x, v in points if x > 0 and v > 0]
+    """Least-squares slope of log(value) against log(index), over the
+    points whose index and value are finite and positive."""
+    pts = [(x, v) for x, v in points if 0 < x < math.inf and 0 < v < math.inf]
     if len(pts) < 2:
         return None
     xs = [math.log(x) for x, _ in pts]

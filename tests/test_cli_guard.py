@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fibspaces.cli import main
+from fibspaces.sequences import MATRIX_INDEX_LIMIT, parse_generator_spec
 
 ALLOWED = {0, 2, 3}
 GUARD = settings(
@@ -122,3 +123,16 @@ def test_matrix_documents(tmp_path, doc, command):
         "mnc": ["--p", "2", "--Y", "c0", "--rmax", "8"],
     }[command]
     check([command, "--A", str(path)] + extra)
+
+
+def test_unit_index_past_the_limit_is_a_parse_error():
+    """unit:<k> is bounded as a matrix JSON row index is, so a short spec
+    cannot ask for a dual candidate read to depth k + 3."""
+    assert parse_generator_spec(f"unit:{MATRIX_INDEX_LIMIT}").support == MATRIX_INDEX_LIMIT + 1
+    for k in (MATRIX_INDEX_LIMIT + 1, 10**30):
+        for argv in (
+            ["dual", f"--a=unit:{k}", "--space", "linf", "--kind", "beta", "--window", "8"],
+            ["transform", f"--x=unit:{k}", "-N", "4"],
+        ):
+            code, err = run(argv)
+            assert code == 2 and "Traceback" not in err, (argv, code, err)

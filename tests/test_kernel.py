@@ -19,9 +19,10 @@ from fibspaces.errors import DomainError
 from fibspaces.exactreal import CertifiedReal
 from fibspaces import matclasses
 from fibspaces.matclasses import HatMatrix, hat_entry, noncompactness_estimate
-from fibspaces.sequences import LambdaSeq, fib, from_values, inv_fib_pow
+from fibspaces.sequences import Kernel, LambdaSeq, fib, from_values, inv_fib_pow
 from fibspaces.triangles import (
     RowWindowedMatrix,
+    apply_triangle,
     compose,
     e_inverse_matrix,
     e_matrix,
@@ -80,6 +81,15 @@ class TestKernelArrays:
                 assert kern.b[k] == kern.w[k] - kern.w[k + 1]
                 assert kern.diag[k] == lam.value(k) * fib(k + 1) ** 2 * kern.w[k]
 
+    def test_numerator_is_the_closed_form(self):
+        for lam in FAMILIES:
+            kern = lam.kernel.grow(12)
+            for n in range(12):
+                for k in range(n):
+                    num = (lam.gap(k) * fib(k) - lam.gap(k + 1) * fib(k + 2)) / fib(k + 1)
+                    assert kern.num[k] / kern.lam[n] == num / lam.value(n)
+                    assert kern.e_entry(n, k) == num / lam.value(n)
+
     def test_growth_in_steps_matches_one_step(self):
         stepped = LambdaSeq.geometric(3, 2)
         for n in (1, 2, 5, 9):
@@ -87,6 +97,7 @@ class TestKernelArrays:
         fresh = LambdaSeq.geometric(3, 2).kernel.grow(9)
         assert stepped.kernel.diag == fresh.diag
         assert stepped.kernel.col == fresh.col
+        assert stepped.kernel.num == fresh.num
 
     def test_kernel_lives_on_the_instance(self):
         assert TWIN_A.describe() == TWIN_B.describe()
@@ -114,6 +125,13 @@ def _certified_window(seed: int, n: int) -> list[CertifiedReal]:
         CertifiedReal(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                       Fraction(rng.randint(0 if i % 2 else 1, 5), 10**12))
         for i in range(n)
+    ]
+
+
+def _typed_pairs(window):
+    return [
+        (type(v), CertifiedReal.wrap(v).value, CertifiedReal.wrap(v).err)
+        for v in window
     ]
 
 
@@ -171,6 +189,35 @@ class TestTransformsFromKernel:
         want = _textbook_inverse(y, lam)
         assert [(v.value, v.err) for v in got] == [(v.value, v.err) for v in want]
         assert any(v.err > 0 for v in got)
+
+    @pytest.mark.parametrize("lam", [LIN, GEO, EXPLICIT, TWIN_A], ids=lambda lam: lam.describe())
+    @pytest.mark.parametrize("mixed", [False, True], ids=["certified", "mixed"])
+    def test_forward_equals_the_e_window(self, lam, mixed):
+        """The running-sum forward transform against the O(N^2) product with
+        the E triangle, in type, value and error, at N = 72."""
+        x = _certified_window(7, 72)
+        if mixed:  # every third entry a plain Fraction, the first one included
+            x = [v.value if i % 3 == 0 else v for i, v in enumerate(x)]
+        got = forward_transform(x, lam)
+        want = apply_triangle(e_matrix(lam), x)
+        assert _typed_pairs(got) == _typed_pairs(want)
+        assert any(isinstance(v, CertifiedReal) and v.err > 0 for v in got)
+
+    def test_forward_reads_only_the_diagonal_entries(self, monkeypatch):
+        """Below the diagonal the forward transform scales one running sum,
+        so it asks the kernel for at most the N diagonal entries of E."""
+        calls = []
+        entry = Kernel.e_entry
+
+        def counting(self, n, k):
+            calls.append((n, k))
+            return entry(self, n, k)
+
+        monkeypatch.setattr(Kernel, "e_entry", counting)
+        n = 64
+        forward_transform(_rational_window(9, n), LambdaSeq.linear(3, 2))
+        assert len(calls) <= n
+        assert all(i == j for i, j in calls)
 
     def test_transforms_read_each_lambda_once(self):
         """The transforms grow the kernel once, so the family function runs

@@ -1,5 +1,6 @@
 """Sweep classification thresholds and the subset-supremum search."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 
 from fibspaces import subsetsup
 from fibspaces.exactreal import power_sum
+from fibspaces.sequences import LambdaSeq, from_values
+from fibspaces.spaces import membership_evidence
 from fibspaces.subsetsup import subset_sup
 from fibspaces.verdicts import (
     Status,
     Verdict,
+    _fit_slope,
     classify_growth,
     classify_to_zero,
     conjunction,
@@ -21,6 +25,22 @@ SWEEP = (8, 12, 16, 24, 32, 48, 64)
 
 
 class TestClassifyGrowth:
+    def test_sweep_past_the_float_range_has_no_nan_growth(self):
+        """A membership sweep whose values overflow floats reads inf at every
+        depth; the slope fit drops those points instead of returning NaN."""
+        v = membership_evidence(from_values([10**400]), LambdaSeq.linear(1, 1), "linf")
+        assert v.status is Status.INCONCLUSIVE
+        assert all(y == math.inf for _, y in v.sweep)
+        assert v.growth is None or math.isfinite(v.growth)
+        assert "NaN" not in json.dumps(v.to_json())
+
+    def test_slope_ignores_non_finite_points(self):
+        finite = [(n, n**0.5) for n in SWEEP[:5]]
+        assert _fit_slope(finite + [(48, math.inf), (64, math.inf)]) == _fit_slope(finite)
+        for classify in (classify_growth, classify_to_zero):
+            v = classify([(n, math.inf) for n in SWEEP])
+            assert v.status is Status.INCONCLUSIVE and v.growth is None
+
     def test_exact_stabilization_wins(self):
         v = classify_growth([(8, 5.0), (16, 5.0)], stabilized_exactly=True)
         assert v.status is Status.HOLDS_EXACTLY
