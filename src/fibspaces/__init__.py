@@ -83,7 +83,6 @@ from .matclasses import (
     class_check,
     compactness_verdict,
     hat_entry,
-    hat_entry_via_inverse,
     noncompactness_estimate,
     operator_norm,
 )

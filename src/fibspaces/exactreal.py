@@ -20,6 +20,7 @@ from .errors import NegativeBaseError, ParseError
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
+DECIMAL_DIGITS = 24
 
 RationalLike = Union[int, Fraction]
 
@@ -32,11 +33,24 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational: {text!r}") from exc
 
 
+def _digits(n: int) -> str:
+    """str(n) at any size: past the interpreter's int-to-str digit limit the
+    halves of n are converted apart, and the limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _digits(-n)
+        half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        high, low = divmod(n, 10**half)
+        return _digits(high) + _digits(low).zfill(half)
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 # The least magnitude that rounds past the largest float (halfway to 2 ** 1024).
@@ -259,14 +273,15 @@ class CertifiedReal:
 
     # -- rendering
 
-    def decimal(self, digits: int = 24) -> str:
-        scale = 10**digits
+    def decimal(self) -> str:
+        """The value rounded to DECIMAL_DIGITS places after the point."""
+        scale = 10**DECIMAL_DIGITS
         num = self.value * scale
         rounded = Fraction(round(num), scale)
         sign = "-" if rounded < 0 else ""
         rounded = abs(rounded)
         whole, frac = divmod(rounded.numerator * scale // rounded.denominator, scale)
-        return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        return f"{sign}{_digits(whole)}.{str(frac).zfill(DECIMAL_DIGITS)}"
 
     def __str__(self) -> str:
         if self.is_exact:

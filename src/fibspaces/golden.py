@@ -70,7 +70,7 @@ def _random_window(rng: random.Random, n: int) -> SeqWindow:
     values = tuple(
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)
     )
-    return SeqWindow(values, {"generator": "random"})
+    return SeqWindow(values)
 
 
 # -- Fibonacci layer --------------------------------------------------------
@@ -163,7 +163,7 @@ def _check_witness_e0(cfg):
     # Row zero is the diagonal rule (value 1); below it the closed form
     # (3 lambda_0 - 2 lambda_1) / lambda_n applies.
     for lam in LAMBDA_FAMILIES:
-        e0 = SeqWindow((Fraction(1),) + (Fraction(0),) * 64, {})
+        e0 = SeqWindow((Fraction(1),) + (Fraction(0),) * 64)
         y = forward_transform(e0, lam)
         if y.values[0] != lam.gap(0) * fib(0) / (lam.value(0) * fib(1)):
             return False, "head entry mismatch"
@@ -282,9 +282,7 @@ def _check_sup_inequality(cfg):
     rng = random.Random(cfg.get("seed", 1234) + 2)
     lam = LambdaSeq.linear(1, 1)
     for _ in range(cfg.get("trials", 100)):
-        x = SeqWindow(
-            tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)), {}
-        )
+        x = SeqWindow(tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)))
         lhs = space_norm(x, lam, Exponent.infinity()).value
         rhs = window_norm(x.values, Exponent.infinity()) * 4
         if lhs.value > rhs.value:
@@ -302,9 +300,7 @@ def _check_tail_inequality(cfg):
         return False, f"tail constant {m_val} not within 1e-20 of 2"
     factor = rpow(m_val, Fraction(1, 2), 256) * 4
     for _ in range(cfg.get("trials", 100)):
-        x = SeqWindow(
-            tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)), {}
-        )
+        x = SeqWindow(tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)))
         lhs = space_norm(x, lam, 2).value
         rhs = factor * window_norm(x.values, 2)
         if lhs.value - lhs.err > rhs.value + rhs.err:

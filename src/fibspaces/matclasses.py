@@ -120,16 +120,6 @@ def hat_entry(source, lam: LambdaSeq, n: int, k: int, m: int | None = None) -> F
     return row[k] if k < len(row) else Fraction(0)
 
 
-def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
-    """Independent route: pair row n against column k of the closed-form
-    inverse triangle (transpose pairing).  Must equal :func:`hat_entry`."""
-    support = source.row_support(n)
-    return sum(
-        (source.entry(n, j) * lam.kernel.inverse_entry(j, k) for j in range(k, support)),
-        Fraction(0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hat-matrix quantities shared by the class checks, norms and tail sweeps
 
@@ -362,8 +352,8 @@ def _evaluate_class_condition(
         return classify_growth([(k + 1, to_float(t.value)) for k, t in enumerate(totals)])
 
     if cid == "partial-uniform":
-        # D(m) = max_k sum_n |hat(n,k; m) - hat(n,k)|, which vanishes once m
-        # clears every row support.
+        # D(m) = sum_n sum_k |hat(n,k; m) - hat(n,k)| over every row n < bound
+        # and every column k; it vanishes once m clears every row support.
         max_support = max(supports, default=0)
         points = []
         exact_zero_seen = False
@@ -532,7 +522,7 @@ class MncEstimate:
         """Compactness of the matrix operator: exactly compact when the
         noncompactness measure is exactly zero, otherwise classified from
         the tail sweep."""
-        if self.exact and self.limit is not None and self.limit.value == 0:
+        if self.exact:  # the limit is then exactly zero
             return Verdict(Status.HOLDS_EXACTLY, self.sweep, label="compact",
                            value=self.limit)
         inner = classify_to_zero(self.sweep)
@@ -557,8 +547,6 @@ def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int
         for n in range(bound - 1, -1, -1):
             suffix[n] = CertifiedReal.max_of((values[n], suffix[n + 1]))
         return [(r, to_float(suffix[min(r, bound)].value)) for r in range(r_max + 1)]
-    if target != "l1":
-        return []
     if p == P_ONE:
         # Add the rows from the bottom up: after row r the sums are s(r)'s.
         sums: list[Fraction] = []
@@ -633,7 +621,7 @@ def noncompactness_estimate(
     bracket = None
     if limit is not None:
         if target == "c":
-            bracket = (limit.divided_by(2) if limit.value else limit, limit)
+            bracket = (limit, limit)  # [limit / 2, limit] with limit = 0
         elif target == "l1" and p != P_ONE:
             bracket = (limit, limit * Fraction(4))
     return MncEstimate(

@@ -9,9 +9,9 @@ row of a triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DivergentTail,
@@ -57,9 +57,8 @@ def fib_sq(n: int) -> Fraction:
 class LambdaSeq:
     """Oracle for a strictly increasing positive sequence tending to infinity.
 
-    Instances carry their provenance (family name plus parameters) so any
-    prefix can be regenerated and reports stay reproducible.  Index -1 is
-    always 0.
+    Instances carry their family name and parameters so any prefix can be
+    regenerated and reports stay reproducible.  Index -1 is always 0.
     """
 
     def __init__(
@@ -148,13 +147,11 @@ class LambdaSeq:
         )
 
     @classmethod
-    def explicit(cls, values: Sequence, tail: str = "arithmetic") -> "LambdaSeq":
-        """Explicit prefix; past the prefix the last gap repeats (tail rule)."""
+    def explicit(cls, values: Sequence) -> "LambdaSeq":
+        """Explicit prefix; past the prefix the last gap repeats."""
         vals = tuple(Fraction(v) for v in values)
         if len(vals) < 2:
             raise ParseError("explicit lambda needs at least two values")
-        if tail != "arithmetic":
-            raise ParseError(f"unknown tail rule {tail!r}")
         last_gap = vals[-1] - vals[-2]
 
         def fn(n: int) -> Fraction:
@@ -283,10 +280,9 @@ class Kernel:
 
 @dataclass(frozen=True)
 class SeqWindow:
-    """A finite prefix (x_0, ..., x_{N-1}) plus generator provenance."""
+    """A finite prefix (x_0, ..., x_{N-1})."""
 
     values: tuple
-    provenance: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
@@ -322,7 +318,7 @@ class PrefixGenerator:
         values = tuple(self.fn(n))
         if len(values) != n:
             raise DomainError(f"generator {self.name!r} returned wrong length")
-        return SeqWindow(values, {"generator": self.name})
+        return SeqWindow(values)
 
 
 def zero_seq() -> PrefixGenerator:

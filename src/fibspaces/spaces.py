@@ -33,26 +33,26 @@ DEFAULT_SWEEP = (8, 12, 16, 24, 32, 48, 64)
 SPACE_KINDS = ("l1", "lp", "linf", "c", "c0")
 # Float powers are kept below 2 ** FLOAT_SCORE_BITS (floats overflow past 2 ** 1024).
 FLOAT_SCORE_BITS = 1000
+# tail_constant stops each inner sum once its certified tail is below this.
+TAIL_TOL = Fraction(1, 10**30)
 
 
-def _scale_shift(rows, q: float) -> int:
-    """The s for which rows scaled by 2 ** -s keep every float score below
-    2 ** FLOAT_SCORE_BITS; 0 whenever the unscaled rows already do."""
+def _scale_shift(values, q: float) -> int:
+    """The s for which values scaled by 2 ** -s keep the sum of their float
+    q-th powers below 2 ** FLOAT_SCORE_BITS; 0 whenever unscaled ones do."""
     # |v| < 2 ** top for every entry v (bit lengths of its numerator and
-    # denominator), so a column sum is below 2 ** (top + bits(m)) and a score
-    # below width * 2 ** (q * (top + bits(m))).
+    # denominator), so the sum is below len(values) * 2 ** (q * (top + 1)).
     top = max(
         (v.numerator.bit_length() - v.denominator.bit_length() + 1
-         for row in rows for v in row if v),
+         for v in values if v),
         default=None,
     )
     if top is None:
         return 0
-    column_bits = top + len(rows).bit_length()
-    room = FLOAT_SCORE_BITS - max(len(r) for r in rows).bit_length()
-    if q * column_bits < room:
+    room = FLOAT_SCORE_BITS - len(values).bit_length()
+    if q * (top + 1) < room:
         return 0
-    return math.ceil(column_bits - room / q) + 1
+    return math.ceil(top + 1 - room / q) + 1
 
 
 def normalize_space(space: str, p=None) -> tuple[str, Exponent | None]:
@@ -122,7 +122,7 @@ def space_norm(
     pf = p.as_fraction()
     sizes = [abs(CertifiedReal.wrap(v).value) for v in image.values]
     # The fraction is scale-free; scale only when a power could overflow.
-    shift = _scale_shift([sizes], float(pf))
+    shift = _scale_shift(sizes, float(pf))
     if shift:
         sizes = [v / (1 << shift) for v in sizes]
     powers = [float(v) ** float(pf) for v in sizes]
@@ -145,8 +145,8 @@ def parallelogram_check(
     n = 8
     u = gen_witness("u", lam, n)
     v = gen_witness("v-hilbert", lam, n)
-    plus = SeqWindow(tuple(a + b for a, b in zip(u.values, v.values)), {})
-    minus = SeqWindow(tuple(a - b for a, b in zip(u.values, v.values)), {})
+    plus = SeqWindow(tuple(a + b for a, b in zip(u.values, v.values)))
+    minus = SeqWindow(tuple(a - b for a, b in zip(u.values, v.values)))
 
     def sq_norm(w) -> CertifiedReal:
         # (sum |y_k|^p) ** (2/p) keeps rational cases exact (p = 2 above all),
@@ -170,16 +170,12 @@ def parallelogram_check(
     }
 
 
-def tail_constant(
-    lam: LambdaSeq,
-    k_max: int = 32,
-    tol: Fraction = Fraction(1, 10**30),
-) -> Verdict:
+def tail_constant(lam: LambdaSeq, k_max: int = 32) -> Verdict:
     """The supremum over k of gap(k) * sum_{n >= k} 1/lambda_n.
 
     Each inner sum is truncated once the certified tail bound drops below
-    ``tol``; the returned value is an enclosure of the sup over k <= k_max.
-    Only reciprocal-summable weight families are accepted.
+    ``TAIL_TOL``; the returned value is an enclosure of the sup over
+    k <= k_max.  Only reciprocal-summable weight families are accepted.
     """
     if k_max < 2:
         raise DomainError("sweep depth must be >= 2")
@@ -196,7 +192,7 @@ def tail_constant(
         while True:
             partial += 1 / lam.value(n)
             tail = lam.reciprocal_tail_bound(n)
-            if gap * tail < tol:
+            if gap * tail < TAIL_TOL:
                 break
             n += 1
         low = gap * partial
@@ -208,7 +204,7 @@ def tail_constant(
         Status.EVIDENCE_BOUNDED,
         tuple(sweep),
         value=best,
-        detail={"k_max": k_max, "tol": str(tol)},
+        detail={"k_max": k_max, "tol": str(TAIL_TOL)},
     )
 
 

@@ -96,9 +96,6 @@ class DenseWindow:
             raise DomainError(f"row {n} outside the stored {self.size}-window")
         return self.rows[n][k]
 
-    def __eq__(self, other):
-        return isinstance(other, DenseWindow) and self.rows == other.rows
-
 
 def identity_triangle() -> Triangle:
     return Triangle(lambda n, k: Fraction(1 if n == k else 0), name="identity")
@@ -176,9 +173,7 @@ def apply_triangle(a: Triangle, x) -> SeqWindow:
         for k in range(1, n + 1):
             acc = acc + _scaled(values[k], a.entry(n, k))
         out.append(acc)
-    prov = dict(getattr(x, "provenance", {}) or {})
-    prov["transformed-by"] = a.name
-    return SeqWindow(tuple(out), prov)
+    return SeqWindow(tuple(out))
 
 
 def _scaled(v, c: Fraction):
@@ -203,9 +198,7 @@ def solve_triangle(a: Triangle, y) -> SeqWindow:
             out.append(acc.divided_by(diag))
         else:
             out.append(acc / diag)
-    prov = dict(getattr(y, "provenance", {}) or {})
-    prov["solved-against"] = a.name
-    return SeqWindow(tuple(out), prov)
+    return SeqWindow(tuple(out))
 
 
 def invert_window(a: Triangle, size: int) -> DenseWindow:
@@ -250,9 +243,7 @@ def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
     for n, v in enumerate(values):
         out.append(_scaled(v, kern.e_entry(n, n)) + _scaled(acc, 1 / kern.lam[n]))
         acc = acc + _scaled(v, kern.num[n])
-    prov = dict(getattr(x, "provenance", {}) or {})
-    prov["transformed-by"] = f"E[{lam.describe()}]"
-    return SeqWindow(tuple(out), prov)
+    return SeqWindow(tuple(out))
 
 
 def inverse_transform(y, lam: LambdaSeq) -> SeqWindow:
@@ -278,9 +269,7 @@ def inverse_transform(y, lam: LambdaSeq) -> SeqWindow:
         for j in range(k + 1):
             acc = term(j - 1, j) + term(j, j) + acc
         out.append(_scaled(acc, fib_sq(k + 1)))
-    prov = dict(getattr(y, "provenance", {}) or {})
-    prov["inverse-transformed-by"] = f"E[{lam.describe()}]"
-    return SeqWindow(tuple(out), prov)
+    return SeqWindow(tuple(out))
 
 
 def basis_vector(k: int, lam: LambdaSeq, size: int) -> SeqWindow:
@@ -289,7 +278,7 @@ def basis_vector(k: int, lam: LambdaSeq, size: int) -> SeqWindow:
     if not 0 <= k < size:
         raise DomainError(f"basis index {k} outside window of length {size}")
     out = [lam.kernel.inverse_entry(n, k) for n in range(size)]
-    return SeqWindow(tuple(out), {"basis": k, "lambda": lam.describe()})
+    return SeqWindow(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +351,7 @@ def matrix_from_json(obj) -> RowWindowedMatrix:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
+        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
             raise ParseError(f"malformed matrix JSON: {exc}") from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("matrix JSON must be an object with a 'kind'")

@@ -143,9 +143,7 @@ def classify_growth(points, *, stabilized_exactly: bool = False) -> Verdict:
     return Verdict(Status.INCONCLUSIVE, sweep, growth=slope)
 
 
-def classify_to_zero(
-    points, *, stabilized_exactly: bool = False, tol: float = ZERO_TOL
-) -> Verdict:
+def classify_to_zero(points, *, stabilized_exactly: bool = False) -> Verdict:
     """Classify evidence that a nonnegative quantity tends to zero."""
     pts = [(float(x), float(v)) for x, v in points]
     sweep = tuple(pts)
@@ -154,12 +152,12 @@ def classify_to_zero(
     if len(pts) < 2:
         return Verdict(Status.INCONCLUSIVE, sweep)
     tail = _tail(pts, 0.25)
-    if all(v <= tol for _, v in tail):
+    if all(v <= ZERO_TOL for _, v in tail):
         return Verdict(Status.EVIDENCE_BOUNDED, sweep, growth=None)
     slope = _fit_slope(_tail(pts, 0.5))
     if slope is not None and slope < DECAY_SLOPE:
         return Verdict(Status.EVIDENCE_BOUNDED, sweep, growth=slope)
-    if slope is not None and slope > -1e-12 and tail[-1][1] > tol:
+    if slope is not None and slope > -1e-12 and tail[-1][1] > ZERO_TOL:
         return Verdict(Status.EVIDENCE_DIVERGING, sweep, growth=slope)
     return Verdict(Status.INCONCLUSIVE, sweep, growth=slope)
 

@@ -61,16 +61,7 @@ def gen_witness(
     if p is not None:
         p = Exponent.of(p)
     target = _target_image(name, p, n, precision)
-    window = inverse_transform(SeqWindow(tuple(target), {}), lam)
-    prov = {
-        "witness": name,
-        "lambda": lam.describe(),
-        "n": n,
-        "image-support": image_support(name),
-    }
-    if p is not None:
-        prov["p"] = str(p)
-    return SeqWindow(window.values, prov)
+    return inverse_transform(SeqWindow(tuple(target)), lam)
 
 
 def witness_generator(

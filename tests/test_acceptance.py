@@ -42,7 +42,7 @@ LIN = LambdaSeq.linear(1, 1)
 
 def _random_window(rng, n):
     return SeqWindow(
-        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)), {}
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
     )
 
 
@@ -77,7 +77,7 @@ def test_criterion_03_golden_witnesses(acceptance):
     t_img = forward_transform(gen_witness("t", lam, 65), lam)
     ok = ok and all(v == 1 for v in t_img.values)
 
-    e0 = SeqWindow((Fraction(1),) + (Fraction(0),) * 64, {})
+    e0 = SeqWindow((Fraction(1),) + (Fraction(0),) * 64)
     e0_img = forward_transform(e0, lam)
     top = 3 * lam.value(0) - 2 * lam.value(1)
     ok = ok and e0_img.values[0] == lam.gap(0) * fib(0) / (lam.value(0) * fib(1))
@@ -148,7 +148,7 @@ def test_criterion_07_norm_inequalities(acceptance):
     ok = True
     for _ in range(100):
         x = SeqWindow(
-            tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)), {}
+            tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24))
         )
         lhs = space_norm(x, LIN, Exponent.infinity()).value
         rhs = window_norm(x.values, Exponent.infinity()) * 4
@@ -160,7 +160,7 @@ def test_criterion_07_norm_inequalities(acceptance):
     factor = rpow(m_val, Fraction(1, 2)) * 4
     for _ in range(100):
         x = SeqWindow(
-            tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)), {}
+            tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24))
         )
         lhs = space_norm(x, geo, 2).value
         rhs = factor * window_norm(x.values, 2)

@@ -1,5 +1,6 @@
 """Exact scalar layer: exponents, certified reals, rational powers, norms."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,26 @@ class TestCertifiedReal:
     def test_rendering(self):
         assert "exact" in str(CertifiedReal.exact(Fraction(1, 2)))
         assert "±" in str(CertifiedReal(Fraction(1, 3), Fraction(1, 10**30)))
+
+    def test_rendering_past_the_digit_limit(self):
+        """Values past CPython's int-to-str limit print in full, digit for
+        digit as with the limit lifted, and the limit stays as it was."""
+        limit = sys.get_int_max_str_digits()
+        values = [10**4300, 10**4301 - 1, -(10**9000 + 1), 7 * 10**5000 + 3]
+        rendered = [
+            (format_rational(Fraction(n)), format_rational(Fraction(n, 3)),
+             CertifiedReal(Fraction(n), Fraction(1, 3)).decimal())
+            for n in values
+        ]
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            for n, (whole, third, decimal) in zip(values, rendered):
+                assert whole == str(n)
+                assert third == str(Fraction(n, 3))
+                assert decimal == f"{n}.{'0' * 24}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 certified_st = st.builds(

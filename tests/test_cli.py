@@ -114,7 +114,11 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("input error: cannot write")
 
-    @pytest.mark.parametrize("text", ["{not json", "[" * 100_000])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[" * 100_000,
+        # An integer literal past CPython's 4,300-digit int-to-str limit.
+        pytest.param('{"kind": "dense", "entries": [[%s]]}' % ("9" * 5000), id="huge-int"),
+    ])
     def test_malformed_matrix_file_is_parse_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -6,8 +6,11 @@ that no example runs long."""
 import contextlib
 import io
 import json
+import re
+import sys
 import traceback
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +23,29 @@ GUARD = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+# CPython refuses int <-> str conversions past 4,300 digits by default.
+DIGIT_LIMIT = 4300
+BIG_TEXT = "9" * 5000
+BIG = 10**5000 - 1
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int <-> str digit limit for the duration."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
 
 TOKENS = st.one_of(
     st.integers(-3, 16).map(str),
     st.sampled_from([
         "", " ", "x", "0", "1/2", "-1/3", "1/0", "1.5", "2e0", "abc", "nan",
         "inf", "/", ".", ":", ",", "\x00", "t", "u", "power-law", "alternating",
+        BIG_TEXT,
     ]),
 )
 KINDS = st.sampled_from([
@@ -41,7 +61,7 @@ def specs(draw):
     return kind + sep + ",".join(draw(st.lists(TOKENS, max_size=4)))
 
 
-def run(argv) -> tuple[int, str]:
+def run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -51,11 +71,11 @@ def run(argv) -> tuple[int, str]:
         except Exception:
             traceback.print_exc()
             code = "raised"
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def check(argv):
-    code, err = run(argv)
+    code, _, err = run(argv)
     assert code in ALLOWED and "Traceback" not in err, (argv, code, err)
 
 
@@ -94,6 +114,7 @@ def test_plot_data_sweeps(sweep, spec, p):
 JSON_VALUES = st.one_of(
     st.integers(-3, 16),
     st.sampled_from(["1", "1/2", "-2/3", "x", "", "1/0", None, True, 1.5, 2.0, [], {}]),
+    st.just(BIG),
 )
 JSON_ROWS = st.one_of(JSON_VALUES, st.lists(JSON_VALUES, max_size=4))
 INDICES = st.sampled_from(["0", "1", "3", "16", "-1", "-16", "x", "1.5", " 2", ""])
@@ -116,7 +137,8 @@ DOCUMENTS = st.one_of(
 @given(doc=DOCUMENTS, command=st.sampled_from(["opnorm", "class", "mnc"]))
 def test_matrix_documents(tmp_path, doc, command):
     path = tmp_path / "matrix.json"
-    path.write_text(json.dumps(doc))
+    with unlimited_int_digits():  # the document may hold BIG
+        path.write_text(json.dumps(doc))
     extra = {
         "opnorm": ["--p", "2", "--Y", "l1", "--window", "16"],
         "class": ["--X", "lp:2", "--Y", "c0", "--window", "16"],
@@ -134,5 +156,20 @@ def test_unit_index_past_the_limit_is_a_parse_error():
             ["dual", f"--a=unit:{k}", "--space", "linf", "--kind", "beta", "--window", "8"],
             ["transform", f"--x=unit:{k}", "-N", "4"],
         ):
-            code, err = run(argv)
+            code, _, err = run(argv)
             assert code == 2 and "Traceback" not in err, (argv, code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--x", "e", "--lambda", "geometric:2,1", "-N", "300"],
+    ["dual", "--a", "inv-fib-pow:1000", "--space", "linf", "--kind", "beta",
+     "--window", "16"],
+])
+def test_exact_values_past_the_digit_limit_print_in_full(argv):
+    """Exact values with more digits than the interpreter converts at once
+    print in full, as they do with the limit lifted."""
+    code, out, err = run(argv)
+    assert code == 0 and not err, (code, err)
+    assert re.search(rf"\d{{{DIGIT_LIMIT + 1}}}", out), "no value past the digit limit"
+    with unlimited_int_digits():
+        assert run(argv) == (0, out, "")

@@ -33,24 +33,24 @@ GEO = LambdaSeq.geometric(2, 1)
 
 def _random_window(rng, n):
     return SeqWindow(
-        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)), {}
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
     )
 
 
 class TestAlphaMatrix:
     def test_unit_first_row(self):
-        b = alpha_matrix(SeqWindow((Fraction(1), Fraction(0), Fraction(0)), {}), LIN)
+        b = alpha_matrix(SeqWindow((Fraction(1), Fraction(0), Fraction(0))), LIN)
         assert b.entry(0, 0) == 1
         assert b.entry(1, 0) == 0 and b.entry(2, 1) == 0
 
     def test_zero(self):
-        b = alpha_matrix(SeqWindow((Fraction(0),) * 4, {}), LIN)
+        b = alpha_matrix(SeqWindow((Fraction(0),) * 4), LIN)
         assert all(b.entry(n, k) == 0 for n in range(4) for k in range(n + 1))
 
     def test_linearity(self):
         rng = random.Random(3)
         a = _random_window(rng, 6)
-        doubled = SeqWindow(tuple(2 * v for v in a.values), {})
+        doubled = SeqWindow(tuple(2 * v for v in a.values))
         b1, b2 = alpha_matrix(a, LIN), alpha_matrix(doubled, LIN)
         for n in range(6):
             for k in range(n + 1):
@@ -99,13 +99,13 @@ class TestAbar:
 
 class TestBetaMatrix:
     def test_diagonal_scaling(self):
-        a = SeqWindow((Fraction(1), Fraction(0)), {})
+        a = SeqWindow((Fraction(1), Fraction(0)))
         t = beta_matrix(a, LIN)
         assert t.entry(0, 0) == LIN.kernel.grow(1).diag[0] * 1
         assert t.entry(1, 1) == 0
 
     def test_zero(self):
-        t = beta_matrix(SeqWindow((Fraction(0),) * 3, {}), LIN)
+        t = beta_matrix(SeqWindow((Fraction(0),) * 3), LIN)
         assert all(t.entry(n, k) == 0 for n in range(3) for k in range(n + 1))
 
     def test_abel_identity_random(self):

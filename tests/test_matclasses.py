@@ -17,7 +17,6 @@ from fibspaces.matclasses import (
     class_check,
     compactness_verdict,
     hat_entry,
-    hat_entry_via_inverse,
     noncompactness_estimate,
     operator_norm,
 )
@@ -45,6 +44,16 @@ def _random_matrix(rng, rows, cols):
             for _ in range(rows)
         ],
         name="random",
+    )
+
+
+def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
+    """Independent route: pair row n against column k of the closed-form
+    inverse triangle (transpose pairing).  Must equal :func:`hat_entry`."""
+    support = source.row_support(n)
+    return sum(
+        (source.entry(n, j) * lam.kernel.inverse_entry(j, k) for j in range(k, support)),
+        Fraction(0),
     )
 
 
