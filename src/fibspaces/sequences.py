@@ -382,6 +382,11 @@ def read_rationals(path: str) -> list[Fraction]:
 # from a "unit:<k>" spec, so that a short input cannot ask for a huge window.
 MATRIX_INDEX_LIMIT = 10_000
 
+# Largest power m accepted in an "inv-fib-pow:<m>" spec: the entries have
+# about 0.7·m·k bits, and a window-16 beta-dual check takes 2 s at m = 1000
+# but more than 2 min at m = 10000.
+INV_FIB_POW_LIMIT = 1000
+
 
 def parse_index(text: str, spec: str) -> int:
     """The integer parameter of a spec such as "unit:<k>"; ParseError otherwise."""
@@ -405,7 +410,10 @@ def parse_generator_spec(spec: str) -> PrefixGenerator:
             raise ParseError(f"unit index in {spec!r} exceeds {MATRIX_INDEX_LIMIT}")
         return unit_seq(k)
     if kind == "inv-fib-pow" and rest:
-        return inv_fib_pow(parse_index(rest, spec))
+        m = parse_index(rest, spec)
+        if m > INV_FIB_POW_LIMIT:
+            raise ParseError(f"power in {spec!r} exceeds {INV_FIB_POW_LIMIT}")
+        return inv_fib_pow(m)
     if kind == "values" and rest:
         return from_values([parse_rational(tok) for tok in rest.split(",")])
     if kind == "file" and rest:

@@ -17,8 +17,6 @@ from .exactreal import DEFAULT_PRECISION, Exponent, rpow
 from .sequences import LambdaSeq, PrefixGenerator, SeqWindow
 from .triangles import inverse_transform
 
-WITNESS_IDS = ("u", "v-hilbert", "t", "v-e0", "power-law", "alternating")
-
 
 def _target_image(name: str, p: Exponent | None, n: int, precision: int) -> list:
     if name == "u":

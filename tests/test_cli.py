@@ -2,11 +2,12 @@
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from fibspaces import subsetsup
+from fibspaces import cli, subsetsup
 from fibspaces.cli import build_parser, main
 from fibspaces.triangles import MATRIX_INDEX_LIMIT
 
@@ -222,6 +223,27 @@ class TestSubsetMode:
         assert exc.value.code == 2
 
 
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _option_fields(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.nargs, a.help)
+        for a in parser._actions
+    ]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on --help and on bad arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestOptions:
     # Every option a command accepts is one it reads.
     OPTIONS = {
@@ -240,10 +262,9 @@ class TestOptions:
     }
 
     def test_option_sets(self):
-        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         found = {
             name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
-            for name, parser in sub.choices.items()
+            for name, parser in _subparsers(build_parser()).items()
         }
         assert found == self.OPTIONS
         assert sum(map(len, found.values())) == 70
@@ -257,6 +278,39 @@ class TestOptions:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+
+class TestParser:
+    """main builds only the invoked command's parser; nothing it prints may change."""
+
+    ARGVS = [
+        [], ["--help"], ["transform", "--help"], ["verify-paper", "-h"], ["bogus"],
+        ["transform", "--bogus"], ["transform", "-N", "3", "--x", "e", "extra"],
+        ["--lambda", "linear:1,1", "transform"], ["class", "--window", "8"],
+        ["dual", "--a", "e", "--kind", "delta"], ["transform", "-N", "abc"],
+        ["transform", "--x", "e", "-N", "3"], ["basis", "--k", "1", "-N", "4", "--json"],
+        ["verify-paper", "--only", "fib-cassini"],
+    ]
+
+    def test_one_command_parser_matches_the_full_one(self):
+        full = _subparsers(build_parser())
+        for name, parser in full.items():
+            alone = _subparsers(build_parser(name))
+            assert list(alone) == [name]
+            assert _option_fields(alone[name]) == _option_fields(parser), name
+            assert alone[name].prog == parser.prog
+            assert alone[name].get_default("fn") is parser.get_default("fn")
+
+    def test_outputs_match_the_full_parser(self, capsys, monkeypatch):
+        ours = [_outcome(capsys, list(argv)) for argv in self.ARGVS]
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert ours == [_outcome(capsys, list(argv)) for argv in self.ARGVS]
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["fibspaces", "transform", "--x", "witness:t", "-N", "3"])
+        assert main() == 0
+        assert capsys.readouterr().out.split() == ["1"] * 3
 
 
 class TestCommands:

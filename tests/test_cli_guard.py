@@ -9,13 +9,14 @@ import json
 import re
 import sys
 import traceback
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fibspaces.cli import main
-from fibspaces.sequences import MATRIX_INDEX_LIMIT, parse_generator_spec
+from fibspaces.sequences import INV_FIB_POW_LIMIT, MATRIX_INDEX_LIMIT, parse_generator_spec
 
 ALLOWED = {0, 2, 3}
 GUARD = settings(
@@ -155,6 +156,21 @@ def test_unit_index_past_the_limit_is_a_parse_error():
         for argv in (
             ["dual", f"--a=unit:{k}", "--space", "linf", "--kind", "beta", "--window", "8"],
             ["transform", f"--x=unit:{k}", "-N", "4"],
+        ):
+            code, _, err = run(argv)
+            assert code == 2 and "Traceback" not in err, (argv, code, err)
+
+
+def test_inv_fib_pow_past_the_limit_is_a_parse_error():
+    """inv-fib-pow:<m> is bounded, so a short spec cannot ask for entries of
+    millions of bits."""
+    assert parse_generator_spec(f"inv-fib-pow:{INV_FIB_POW_LIMIT}").prefix(2).values[1] == (
+        Fraction(1, 2**INV_FIB_POW_LIMIT))
+    for m in (INV_FIB_POW_LIMIT + 1, 10**30):
+        for argv in (
+            ["dual", f"--a=inv-fib-pow:{m}", "--space", "linf", "--kind", "beta",
+             "--window", "8"],
+            ["transform", f"--x=inv-fib-pow:{m}", "-N", "4"],
         ):
             code, _, err = run(argv)
             assert code == 2 and "Traceback" not in err, (argv, code, err)
