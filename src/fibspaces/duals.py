@@ -20,7 +20,7 @@ from .errors import DomainError, ParseError
 from .exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
 from .spaces import normalize_space
-from .subsetsup import subset_sup
+from .subsetsup import column_abs_sums, subset_power_sum
 from .triangles import DenseWindow
 from .verdicts import (
     Status,
@@ -233,18 +233,14 @@ def dual_condition(
         value, done = CertifiedReal.exact(0), 0
         for w in points:
             if condition == "d1":
-                found = subset_sup([r for r in g_rows[:w] if any(r)], q)
+                found, value = subset_power_sum(g_rows[:w], q)
                 lower_bound_only = not found.enumerated
-                value = power_sum(found.column_sums, q)
             elif condition == "d2":
-                for n in range(len(col_sums), w):
-                    col_sums.append(Fraction(0))
-                    for k, g in enumerate(g_rows[n]):
-                        col_sums[k] += abs(g)
+                column_abs_sums(g_rows[done:w], col_sums)
                 value = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
             else:
                 value = CertifiedReal.max_of([value, *sizes[done:w]])
-                done = w
+            done = w
             sweep.append((w, to_float(value.value)))
         classify = classify_growth
 

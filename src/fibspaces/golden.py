@@ -45,6 +45,7 @@ LAMBDA_FAMILIES = (
     LambdaSeq.linear(2, 3),
     LambdaSeq.geometric(2, 1),
 )
+TRIALS = 100  # random cases per randomized check
 
 
 @dataclass
@@ -206,7 +207,7 @@ def _check_inverse_oracle(cfg):
     rng = random.Random(cfg.get("seed", 1234))
     lam = LambdaSeq.linear(1, 1)
     e = e_matrix(lam)
-    for trial in range(cfg.get("trials", 100)):
+    for trial in range(TRIALS):
         y = _random_window(rng, 32)
         by_sum = inverse_transform(y, lam)
         by_solve = solve_triangle(e, y)
@@ -215,7 +216,7 @@ def _check_inverse_oracle(cfg):
         back = forward_transform(by_sum, lam)
         if tuple(back.values) != tuple(y.values):
             return False, f"round trip fails on trial {trial}"
-    return True, "100 random windows, N=32, exact both ways"
+    return True, f"{TRIALS} random windows, N=32, exact both ways"
 
 
 @_register("inverse-closed-form", "closed-form inverse equals the forward-substitution inverse")
@@ -281,13 +282,13 @@ def _check_basis(cfg):
 def _check_sup_inequality(cfg):
     rng = random.Random(cfg.get("seed", 1234) + 2)
     lam = LambdaSeq.linear(1, 1)
-    for _ in range(cfg.get("trials", 100)):
+    for _ in range(TRIALS):
         x = SeqWindow(tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)))
         lhs = space_norm(x, lam, Exponent.infinity()).value
         rhs = window_norm(x.values, Exponent.infinity()) * 4
         if lhs.value > rhs.value:
             return False, "sup bound violated"
-    return True, "100 random bounded windows, exact comparison"
+    return True, f"{TRIALS} random bounded windows, exact comparison"
 
 
 @_register("norm-tail-inequality", "p-norm bound with the reciprocal-tail constant")
@@ -299,13 +300,13 @@ def _check_tail_inequality(cfg):
     if not (abs(m_val.value - 2) <= Fraction(1, 10**20) + m_val.err):
         return False, f"tail constant {m_val} not within 1e-20 of 2"
     factor = rpow(m_val, Fraction(1, 2), 256) * 4
-    for _ in range(cfg.get("trials", 100)):
+    for _ in range(TRIALS):
         x = SeqWindow(tuple(Fraction(rng.randint(-100, 100), 100) for _ in range(24)))
         lhs = space_norm(x, lam, 2).value
         rhs = factor * window_norm(x.values, 2)
         if lhs.value - lhs.err > rhs.value + rhs.err:
             return False, "p-norm bound violated"
-    return True, "100 random windows, constant certified near 2"
+    return True, f"{TRIALS} random windows, constant certified near 2"
 
 
 # -- Dual machinery ---------------------------------------------------------
@@ -315,7 +316,7 @@ def _check_tail_inequality(cfg):
 def _check_abel(cfg):
     rng = random.Random(cfg.get("seed", 1234) + 4)
     for lam in (LambdaSeq.linear(1, 1), LambdaSeq.geometric(2, 1)):
-        for _ in range(cfg.get("trials", 100) // 2):
+        for _ in range(TRIALS // 2):
             n = rng.randint(2, 24)
             a = _random_window(rng, n + 1)
             x = _random_window(rng, n + 1)
@@ -327,14 +328,14 @@ def _check_abel(cfg):
             )
             if direct != apply_dense_row(t, list(y.values), n):
                 return False, "pairing mismatch"
-    return True, "100 random (a, x), n <= 24, two weight families, exact"
+    return True, f"{TRIALS} random (a, x), n <= 24, two weight families, exact"
 
 
 @_register("alpha-pairing", "componentwise pairing identity is exact for random data")
 def _check_alpha_pairing(cfg):
     rng = random.Random(cfg.get("seed", 1234) + 5)
     lam = LambdaSeq.linear(1, 1)
-    for _ in range(cfg.get("trials", 100)):
+    for _ in range(TRIALS):
         n = rng.randint(1, 24)
         a = _random_window(rng, n + 1)
         x = _random_window(rng, n + 1)
@@ -345,7 +346,7 @@ def _check_alpha_pairing(cfg):
                 b, list(y.values), i
             ):
                 return False, "pairing mismatch"
-    return True, "100 random (a, x), componentwise, exact"
+    return True, f"{TRIALS} random (a, x), componentwise, exact"
 
 
 @_register("beta-dual-e0", "the first coordinate vector sits in the beta dual, exactly")

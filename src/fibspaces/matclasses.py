@@ -40,7 +40,7 @@ from .exactreal import (
 )
 from .sequences import LambdaSeq
 from .spaces import normalize_space
-from .subsetsup import subset_sup
+from .subsetsup import column_abs_sums, subset_power_sum
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
     Status,
@@ -166,23 +166,10 @@ def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision: int = DEFAULT_PRECI
     return lambda n: rpow(power_sum(hat.row(n), q, precision), inv_q, precision)
 
 
-def _column_abs_sums(hat: HatMatrix, rows, sums: list[Fraction] | None = None) -> list[Fraction]:
-    """sum_n |hat(n, k)| over the given rows n, one entry per column k,
-    added into ``sums`` when given."""
-    sums = [] if sums is None else sums
-    for n in rows:
-        row = hat.row(n)
-        if len(row) > len(sums):
-            sums.extend([Fraction(0)] * (len(row) - len(sums)))
-        for k, v in enumerate(row):
-            sums[k] += abs(v)
-    return sums
-
-
 def _column_sum_sup(hat: HatMatrix, bound: int):
     """The (k, column sum) sweep over rows n < bound and the Verdict on its
     supremum over k."""
-    sums = _column_abs_sums(hat, range(bound))
+    sums = column_abs_sums(hat.row(n) for n in range(bound))
     sweep = tuple((k, to_float(s)) for k, s in enumerate(sums))
     if hat.finite_rows:
         best = max(sums, default=Fraction(0))
@@ -194,13 +181,6 @@ def _columns(hat: HatMatrix, bound: int) -> list[list[Fraction]]:
     rows = [hat.row(n) for n in range(bound)]
     width = max((len(row) for row in rows), default=0)
     return [[row[k] if k < len(row) else Fraction(0) for row in rows] for k in range(width)]
-
-
-def _subset_power_sum(vectors, q: Fraction, precision: int = DEFAULT_PRECISION):
-    """The subset K of the nonzero vectors that :func:`subset_sup` finds for
-    sup_K sum_k |sum_{v in K} v_k| ** q, and that power sum certified."""
-    found = subset_sup([v for v in vectors if any(v)], q)
-    return found, power_sum(found.column_sums, q, precision)
 
 
 def _subset_status(found, hat: HatMatrix) -> Status:
@@ -388,9 +368,9 @@ def _evaluate_class_condition(
 
     if cid in ("row-subset-sup", "column-subset-sup"):
         if cid == "row-subset-sup":
-            found, val = _subset_power_sum((hat.row(n) for n in range(bound)), q_frac)
+            found, val = subset_power_sum((hat.row(n) for n in range(bound)), q_frac)
         else:
-            found, val = _subset_power_sum(_columns(hat, bound), tp_norm.as_fraction())
+            found, val = subset_power_sum(_columns(hat, bound), tp_norm.as_fraction())
         return Verdict(_subset_status(found, hat), value=val,
                        detail={"enumerated": found.enumerated,
                                "subset": found.subset})
@@ -473,7 +453,7 @@ def operator_norm(
         sweep, verdict = _column_sum_sup(hat, bound)
     elif target == "l1":
         q_frac = conjugate(p).as_fraction()
-        found, total = _subset_power_sum(
+        found, total = subset_power_sum(
             (hat.row(n) for n in range(bound)), q_frac, precision
         )
         value = rpow(total, 1 / q_frac, precision)
@@ -552,14 +532,14 @@ def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int
         sums: list[Fraction] = []
         tops = [Fraction(0)] * (r_max + 1)
         for r in range(bound - 1, -1, -1):
-            _column_abs_sums(hat, (r,), sums)
+            column_abs_sums((hat.row(r),), sums)
             if r <= r_max:
                 tops[r] = max(sums, default=Fraction(0))
         return [(r, to_float(top)) for r, top in enumerate(tops)]
     q_frac = conjugate(p).as_fraction()
     sweep = []
     for r in range(r_max + 1):
-        _, total = _subset_power_sum(
+        _, total = subset_power_sum(
             (hat.row(n) for n in range(r, bound)), q_frac, precision
         )
         sweep.append((r, to_float(rpow(total, 1 / q_frac, precision).value)))

@@ -22,8 +22,6 @@ from .errors import (
 )
 from .exactreal import parse_rational
 
-_VALIDATION_WINDOW = 64
-
 
 class FibCache:
     """Memoized arbitrary-precision Fibonacci numbers."""
@@ -54,11 +52,23 @@ def fib_sq(n: int) -> Fraction:
 # Weight sequences
 
 
+def _check_lambda(k: int, prev: Fraction, value: Fraction):
+    """Raise unless lambda_k = value is positive and exceeds lambda_{k-1} =
+    prev, with lambda_{-1} = 0."""
+    if value > prev:
+        return
+    if k == 0:
+        raise NonPositiveStart(f"lambda_0 = {value} must be positive")
+    raise NotStrictlyIncreasing(f"lambda_{k} = {value} does not exceed lambda_{k-1} = {prev}")
+
+
 class LambdaSeq:
     """Oracle for a strictly increasing positive sequence tending to infinity.
 
     Instances carry their family name and parameters so any prefix can be
-    regenerated and reports stay reproducible.  Index -1 is always 0.
+    regenerated and reports stay reproducible.  Index -1 is always 0.  The
+    family function is read only by the kernel, which checks every value it
+    reads against :func:`_check_lambda`.
     """
 
     def __init__(
@@ -68,38 +78,24 @@ class LambdaSeq:
         fn: Callable[[int], Fraction],
         *,
         reciprocal_summable: bool,
-        validate: bool = True,
     ):
         self.family = family
         self.params = params
-        self._fn = fn
         self.reciprocal_summable = reciprocal_summable
         self.kernel = Kernel(fn)
-        if validate:
-            self._validate_prefix(_VALIDATION_WINDOW)
-
-    def _validate_prefix(self, n: int):
-        prev = self.value(0)
-        if prev <= 0:
-            raise NonPositiveStart(f"lambda_0 = {prev} must be positive")
-        for i in range(1, n):
-            cur = self._fn(i)
-            if cur <= prev:
-                raise NotStrictlyIncreasing(
-                    f"lambda_{i} = {cur} does not exceed lambda_{i-1} = {prev}"
-                )
-            prev = cur
 
     def value(self, n: int) -> Fraction:
         if n == -1:
             return Fraction(0)
         if n < -1:
             raise DomainError(f"lambda index must be >= -1, got {n}")
-        return self._fn(n)
+        return self.kernel.grow(n).lam[n]
 
     def gap(self, n: int) -> Fraction:
         """lambda_n - lambda_{n-1}, with the lambda_{-1} = 0 convention."""
-        return self.value(n) - self.value(n - 1)
+        if n < 0:
+            raise DomainError(f"lambda gap index must be >= 0, got {n}")
+        return self.kernel.grow(n).gap[n]
 
     def reciprocal_tail_bound(self, after: int) -> Fraction:
         """Certified upper bound of sum_{n > after} 1/lambda_n.
@@ -129,10 +125,7 @@ class LambdaSeq:
             raise NotStrictlyIncreasing(f"linear slope must be positive, got {a}")
         if b <= 0:
             raise NonPositiveStart(f"linear offset must be positive, got {b}")
-        return cls(
-            "linear", (a, b), lambda n: a * n + b,
-            reciprocal_summable=False, validate=False,
-        )
+        return cls("linear", (a, b), lambda n: a * n + b, reciprocal_summable=False)
 
     @classmethod
     def geometric(cls, r, c) -> "LambdaSeq":
@@ -141,17 +134,18 @@ class LambdaSeq:
             raise NonPositiveStart(f"geometric scale must be positive, got {c}")
         if r <= 1:
             raise NotStrictlyIncreasing(f"geometric ratio must exceed 1, got {r}")
-        return cls(
-            "geometric", (r, c), lambda n: c * r**n,
-            reciprocal_summable=True, validate=False,
-        )
+        return cls("geometric", (r, c), lambda n: c * r**n, reciprocal_summable=True)
 
     @classmethod
     def explicit(cls, values: Sequence) -> "LambdaSeq":
-        """Explicit prefix; past the prefix the last gap repeats."""
-        vals = tuple(Fraction(v) for v in values)
+        """Explicit prefix, each value checked; past it the last gap repeats."""
+        # Fractions are kept as they are: converting one again costs as much
+        # as checking it.
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if len(vals) < 2:
             raise ParseError("explicit lambda needs at least two values")
+        for k, (prev, value) in enumerate(zip((Fraction(0),) + vals, vals)):
+            _check_lambda(k, prev, value)
         last_gap = vals[-1] - vals[-2]
 
         def fn(n: int) -> Fraction:
@@ -163,7 +157,11 @@ class LambdaSeq:
 
     @classmethod
     def custom(cls, fn: Callable[[int], Fraction], name: str = "custom") -> "LambdaSeq":
-        return cls(name, (), lambda n: Fraction(fn(n)), reciprocal_summable=False)
+        """A family function checked on lambda_0 and lambda_1 here, and on
+        every later value as the kernel reads it."""
+        lam = cls(name, (), lambda n: Fraction(fn(n)), reciprocal_summable=False)
+        lam.kernel.grow(1)
+        return lam
 
     @classmethod
     def from_spec(cls, spec: str) -> "LambdaSeq":
@@ -216,14 +214,18 @@ class Kernel:
         self.num: list[Fraction] = []
 
     def grow(self, n: int) -> "Kernel":
-        """Make the coefficients of indices 0..n-1 available."""
-        if n <= len(self.b):
-            return self
+        """Make lambda, gap and w of indices 0..n and the other coefficients
+        of indices 0..n-1 available.  Each new lambda_k is checked first, so
+        a growth that raises leaves the arrays as they were."""
         lam, gap, w = self.lam, self.gap, self.w
-        while len(w) <= n:
-            k = len(w)
-            value = Fraction(self._value(k))
-            gap.append(value - lam[-1] if lam else value)
+        if n < len(w):
+            return self
+        new = lam[-1:] or [Fraction(0)]  # the lambda before the first new one
+        for k in range(len(w), n + 1):
+            new.append(Fraction(self._value(k)))
+            _check_lambda(k, new[-2], new[-1])
+        for k, prev, value in zip(range(len(w), n + 1), new, new[1:]):
+            gap.append(value - prev)
             lam.append(value)
             w.append(1 / (gap[k] * fib(k) * fib(k + 1)))
         for k in range(len(self.b), n):

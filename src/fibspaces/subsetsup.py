@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .exactreal import integer_nth_root
+from .exactreal import DEFAULT_PRECISION, integer_nth_root, power_sum
 
 NODE_LIMIT = 2**17
 # Fractional bits of the certified scores for non-integer q.
@@ -148,3 +148,21 @@ def subset_sup(rows: Sequence[Sequence[Fraction]], q) -> SubsetSup:
     subset = tuple(sorted(n for i, (_, idx) in enumerate(merged) if best_mask >> i & 1
                           for n in idx))
     return SubsetSup(subset, _column_sums(rows, subset), settled)
+
+
+def subset_power_sum(rows, q, precision: int = DEFAULT_PRECISION):
+    """The subset K of the nonzero rows that :func:`subset_sup` finds for
+    sup_K sum_k |sum_{n in K} rows[n][k]| ** q, and that power sum certified."""
+    found = subset_sup([r for r in rows if any(r)], q)
+    return found, power_sum(found.column_sums, q, precision)
+
+
+def column_abs_sums(rows, sums: list[Fraction] | None = None) -> list[Fraction]:
+    """sum_n |rows[n][k]| over the rows, one entry per column k, added into
+    ``sums`` when given."""
+    sums = [] if sums is None else sums
+    for row in rows:
+        sums.extend([Fraction(0)] * (len(row) - len(sums)))
+        for k, v in enumerate(row):
+            sums[k] += abs(v)
+    return sums

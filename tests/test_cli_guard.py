@@ -189,3 +189,45 @@ def test_exact_values_past_the_digit_limit_print_in_full(argv):
     assert re.search(rf"\d{{{DIGIT_LIMIT + 1}}}", out), "no value past the digit limit"
     with unlimited_int_digits():
         assert run(argv) == (0, out, "")
+
+
+@st.composite
+def broken_lambda_files(draw):
+    """65 to 100 lambda values, strictly increasing and positive up to the
+    first repeat or decrease at index ``bad`` > 64."""
+    size = draw(st.integers(66, 100))
+    bad = draw(st.integers(65, size - 1))
+    steps = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)
+    values = [draw(steps)]
+    for _ in range(1, bad):
+        values.append(values[-1] + draw(steps))
+    values.append(values[-1] - draw(st.sampled_from([0, Fraction(1, 3), 1, values[-1] + 1])))
+    rest = st.fractions(min_value=-10, max_value=1000, max_denominator=8)
+    values += draw(st.lists(rest, min_size=size - bad - 1, max_size=size - bad - 1))
+    return bad, values
+
+
+@settings(GUARD, max_examples=20)
+@given(case=broken_lambda_files(), inverse=st.booleans())
+def test_lambda_file_broken_past_index_64_is_a_domain_error(tmp_path, case, inverse):
+    """A file lambda is checked on every value, not only on a prefix."""
+    bad, values = case
+    path = tmp_path / "lambda.txt"
+    path.write_text("\n".join(map(str, values)) + "\n")
+    argv = ["transform", "--inverse", "--y=e"] if inverse else ["transform", "--x=e"]
+    code, _, err = run(argv + ["-N", str(len(values)), f"--lambda=file:{path}"])
+    assert code == 3 and "Traceback" not in err, (code, err)
+    assert err.startswith(f"domain error: lambda_{bad} = "), err
+
+
+@settings(GUARD, max_examples=20)
+@given(
+    r=st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=4),
+    c=st.fractions(min_value=-1, max_value=9, max_denominator=9),
+    n=st.integers(1, 300),
+    spec=st.sampled_from(["e", "unit:7", "values:1,-1/2,3"]),
+)
+def test_forward_transform_on_geometric_lambda(r, c, n, spec):
+    """Geometric lambda up to N = 300, where the exact values run past the
+    interpreter's digit limit."""
+    check(["transform", f"--x={spec}", "-N", str(n), f"--lambda=geometric:{r},{c}"])

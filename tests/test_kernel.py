@@ -224,7 +224,7 @@ class TestTransformsFromKernel:
         once per index instead of once per matrix entry."""
         calls = []
         lam = LambdaSeq.custom(lambda n: calls.append(n) or n * n + 1, name="counting")
-        del calls[:]  # construction validates a prefix
+        del calls[:]  # construction reads lambda_0 and lambda_1
         n = 64
         x = _rational_window(5, n)
         y = forward_transform(x, lam)

@@ -60,6 +60,10 @@ class TestLambdaSeq:
         assert [lam.value(n) for n in range(4)] == [1, 2, 3, 4]
         assert lam.value(-1) == 0
         assert lam.gap(0) == 1
+        with pytest.raises(DomainError):
+            lam.value(-2)
+        with pytest.raises(DomainError):
+            lam.gap(-1)
 
     def test_geometric(self):
         lam = LambdaSeq.geometric(2, 1)
@@ -74,10 +78,42 @@ class TestLambdaSeq:
     def test_explicit_not_increasing(self):
         with pytest.raises(NotStrictlyIncreasing):
             LambdaSeq.explicit([1, 1, 2])
+        # every value is checked, also past the first 64
+        with pytest.raises(NotStrictlyIncreasing, match="lambda_70 = 69 does not exceed"):
+            LambdaSeq.explicit(list(range(1, 71)) + [69, 100])
+
+    def test_every_read_value_is_checked(self):
+        lam = LambdaSeq.custom(lambda n: n + 1 if n < 100 else 100)
+        assert lam.value(99) == 100
+        with pytest.raises(NotStrictlyIncreasing, match="lambda_100 = 100 does not exceed"):
+            lam.value(100)
+        with pytest.raises(NotStrictlyIncreasing):
+            lam.gap(120)
+
+    def test_failed_growth_leaves_the_kernel_unchanged(self):
+        lam = LambdaSeq.custom(lambda n: n + 1 if n < 10 else 5)
+        kern = lam.kernel.grow(6)
+        arrays = ("lam", "gap", "w", "b", "col", "diag", "num")
+        before = {name: len(getattr(kern, name)) for name in arrays}
+        with pytest.raises(NotStrictlyIncreasing, match="lambda_10 = 5"):
+            kern.grow(20)
+        assert {name: len(getattr(kern, name)) for name in arrays} == before
+        assert lam.value(9) == 10 and len(kern.b) == 9
+
+    def test_each_value_is_read_once(self):
+        calls = []
+        lam = LambdaSeq.custom(lambda n: calls.append(n) or n + 1)
+        for n in (5, 3, 5):
+            assert lam.value(n) == n + 1 and lam.gap(n) == 1
+        assert calls == list(range(6))
 
     def test_nonpositive_start(self):
         with pytest.raises(NonPositiveStart):
             LambdaSeq.linear(1, 0)
+        with pytest.raises(NonPositiveStart):
+            LambdaSeq.explicit([0, 1])
+        with pytest.raises(NonPositiveStart):
+            LambdaSeq.custom(lambda n: n - 1)
         with pytest.raises(NotStrictlyIncreasing):
             LambdaSeq.geometric(1, 1)
 
