@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float
+from .exactreal import CertifiedReal, Exponent, conjugate, dot, power_sum, to_float
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
 from .spaces import normalize_space
 from .subsetsup import column_abs_sums, subset_power_sum
@@ -65,8 +65,7 @@ def abar(a, lam: LambdaSeq, k: int, n: int) -> Fraction:
     if n >= len(values):
         raise DomainError(f"index n={n} outside window of length {len(values)}")
     kern = lam.kernel.grow(k + 1)
-    tail = sum((fib_sq(j + 1) * Fraction(values[j]) for j in range(k + 1, n + 1)),
-               Fraction(0))
+    tail = dot((fib_sq(j + 1), Fraction(values[j])) for j in range(k + 1, n + 1))
     head = Fraction(values[k]) * fib_sq(k + 1) * kern.w[k]
     return kern.lam[k] * (head + kern.b[k] * tail)
 
@@ -83,13 +82,10 @@ def beta_matrix(a, lam: LambdaSeq) -> DenseWindow:
 
 
 def apply_dense_row(window: DenseWindow, y, n: int):
-    """Dot product of stored row n against a window (exact)."""
-    acc = Fraction(0)
-    for k in range(n + 1):
-        c = window.entry(n, k)
-        if c:
-            acc = acc + c * y[k]
-    return acc
+    """Dot product of stored row n against a window (exact).  Zero entries
+    are skipped, so a zero row gives Fraction(0) whatever y holds."""
+    row = [window.entry(n, k) for k in range(n + 1)]
+    return dot((c, y[k]) for k, c in enumerate(row) if c)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,32 @@ class CertifiedReal:
         return float(self.value)
 
 
+def dot(pairs) -> Fraction | CertifiedReal:
+    """The exact sum of c * v over (c, v) pairs: c rational, v rational or
+    certified.
+
+    The sum is one integer numerator over the lcm of the term denominators,
+    reduced once at the end instead of by the gcds of a ``Fraction``
+    multiply and add per term (Knuth, TAOCP Vol. 2, 4.5.1).  A certified v
+    adds |c| * err to a second sum, so the result equals the term-by-term
+    fold of v * c: a certified real once any v is one, else a ``Fraction``.
+    """
+    num, den = 0, 1
+    errs = []
+    for c, v in pairs:
+        if isinstance(v, CertifiedReal):
+            errs.append((abs(c), v.err))
+            v = v.value
+        n = c.numerator * v.numerator
+        if n:
+            d = c.denominator * v.denominator
+            g = math.gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    total = Fraction(num, den)
+    return CertifiedReal(total, dot(errs)) if errs else total
+
+
 # ---------------------------------------------------------------------------
 # Roots and rational powers
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .duals import alpha_matrix, apply_dense_row, beta_matrix, dual_membership
-from .exactreal import CertifiedReal, Exponent, rpow, window_norm
+from .exactreal import CertifiedReal, Exponent, dot, rpow, window_norm
 from .matclasses import (
     class_check,
     noncompactness_estimate,
@@ -267,12 +267,8 @@ def _check_basis(cfg):
     windows += [_random_window(rng, m + 1) for _ in range(10)]
     basis = [basis_vector(k, lam, m + 1) for k in range(m + 1)]
     for w in windows:
-        coeffs = forward_transform(w, lam)
-        acc = [Fraction(0)] * (m + 1)
-        for k in range(m + 1):
-            ck = coeffs.values[k]
-            for n2 in range(m + 1):
-                acc[n2] += ck * basis[k].values[n2]
+        coeffs = forward_transform(w, lam).values
+        acc = [dot((c, b.values[n]) for c, b in zip(coeffs, basis)) for n in range(m + 1)]
         if acc != list(w.values):
             return False, "reconstruction mismatch"
     return True, "witness t plus 10 random windows, m=24, exact"
@@ -322,10 +318,7 @@ def _check_abel(cfg):
             x = _random_window(rng, n + 1)
             y = forward_transform(x, lam)
             t = beta_matrix(a, lam)
-            direct = sum(
-                (Fraction(a.values[k]) * Fraction(x.values[k]) for k in range(n + 1)),
-                Fraction(0),
-            )
+            direct = dot(zip(a.values, x.values))
             if direct != apply_dense_row(t, list(y.values), n):
                 return False, "pairing mismatch"
     return True, f"{TRIALS} random (a, x), n <= 24, two weight families, exact"

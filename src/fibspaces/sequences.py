@@ -317,6 +317,8 @@ class PrefixGenerator:
     image_support: int | None = None
 
     def prefix(self, n: int) -> SeqWindow:
+        if n < 1:
+            raise DomainError(f"window length must be >= 1, got {n}")
         values = tuple(self.fn(n))
         if len(values) != n:
             raise DomainError(f"generator {self.name!r} returned wrong length")

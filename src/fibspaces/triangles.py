@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError, SingularDiagonal, WindowMismatch
-from .exactreal import CertifiedReal, parse_rational
+from .exactreal import CertifiedReal, dot, parse_rational
 from .sequences import MATRIX_INDEX_LIMIT, LambdaSeq, SeqWindow, fib, fib_sq, read_input
 
 Entry = Callable[[int, int], Fraction]
@@ -157,7 +157,7 @@ def compose(a: Triangle, b: Triangle) -> Triangle:
     """Exact matrix product; triangular, so every entry is a finite sum."""
 
     def fn(n, k):
-        return sum((a.entry(n, j) * b.entry(j, k) for j in range(k, n + 1)), Fraction(0))
+        return dot((a.entry(n, j), b.entry(j, k)) for j in range(k, n + 1))
 
     return Triangle(fn, name=f"({a.name})*({b.name})")
 
@@ -167,19 +167,9 @@ def apply_triangle(a: Triangle, x) -> SeqWindow:
     values = list(x)
     if not values:
         raise WindowMismatch("cannot apply a triangle to an empty window")
-    out = []
-    for n in range(len(values)):
-        acc = _scaled(values[0], a.entry(n, 0))
-        for k in range(1, n + 1):
-            acc = acc + _scaled(values[k], a.entry(n, k))
-        out.append(acc)
-    return SeqWindow(tuple(out))
-
-
-def _scaled(v, c: Fraction):
-    if isinstance(v, CertifiedReal):
-        return v * c
-    return Fraction(v) * c
+    return SeqWindow(tuple(
+        dot((a.entry(n, k), values[k]) for k in range(n + 1)) for n in range(len(values))
+    ))
 
 
 def solve_triangle(a: Triangle, y) -> SeqWindow:
@@ -191,9 +181,7 @@ def solve_triangle(a: Triangle, y) -> SeqWindow:
         diag = a.entry(n, n)
         if diag == 0:
             raise SingularDiagonal(f"zero diagonal at row {n}")
-        acc = _scaled(values[n], Fraction(1))
-        for k in range(n):
-            acc = acc + _scaled(out[k], -a.entry(n, k))
+        acc = dot([(1, values[n])] + [(-a.entry(n, k), out[k]) for k in range(n)])
         if isinstance(acc, CertifiedReal):
             out.append(acc.divided_by(diag))
         else:
@@ -206,25 +194,24 @@ def invert_window(a: Triangle, size: int) -> DenseWindow:
     substitution, exact.  Raises on a zero diagonal (checked row by row)."""
     if size < 1:
         raise DomainError("window size must be >= 1")
-    inv = [[Fraction(0)] * (n + 1) for n in range(size)]
+    inv = []
     for n in range(size):
         diag = a.entry(n, n)
         if diag == 0:
             raise SingularDiagonal(f"zero diagonal at row {n}")
-        for k in range(n + 1):
-            if k == n:
-                rhs = Fraction(1)
-            else:
-                rhs = Fraction(0)
-            acc = rhs - sum(
-                (a.entry(n, j) * inv[j][k] for j in range(k, n)), Fraction(0)
-            )
-            inv[n][k] = acc / diag
-    return DenseWindow(tuple(tuple(row) for row in inv))
+        row = [-dot((a.entry(n, j), inv[j][k]) for j in range(k, n)) / diag for k in range(n)]
+        inv.append(row + [1 / diag])
+    return DenseWindow(tuple(inv))
 
 
 # ---------------------------------------------------------------------------
 # Forward and inverse transforms (summation forms)
+
+
+def _scaled(v, c: Fraction):
+    if isinstance(v, CertifiedReal):
+        return v * c
+    return Fraction(v) * c
 
 
 def forward_transform(x, lam: LambdaSeq) -> SeqWindow:

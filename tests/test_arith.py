@@ -13,6 +13,7 @@ from fibspaces.exactreal import (
     CertifiedReal,
     Exponent,
     conjugate,
+    dot,
     format_rational,
     integer_nth_root,
     parse_rational,
@@ -20,6 +21,7 @@ from fibspaces.exactreal import (
     rpow,
     window_norm,
 )
+from fibspaces.triangles import _scaled
 
 fractions_st = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=64
@@ -297,6 +299,52 @@ class TestPowerSum:
             power_sum([], 2, MIN_PRECISION - 1)
         with pytest.raises(ParseError):
             power_sum([Fraction(2)], Fraction(3, 2), MIN_PRECISION - 1)
+
+
+# Integers past CPython's 4,300-digit int <-> str limit, of either sign.
+huge_int_st = st.builds(
+    lambda sign, n: sign * n,
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=10**4300, max_value=10**4400),
+)
+dot_operand_st = st.one_of(
+    st.sampled_from([0, Fraction(0)]),
+    rational_operand_st,
+    huge_int_st,
+    st.builds(Fraction, st.integers(-9, 9), huge_int_st.map(abs)),
+)
+
+
+class TestDot:
+    """The exact dot product equals the term-by-term fold it replaces."""
+
+    @given(st.lists(st.tuples(dot_operand_st, dot_operand_st), max_size=12))
+    @settings(max_examples=100)
+    def test_equals_the_fraction_fold(self, pairs):
+        got = dot(pairs)
+        assert type(got) is Fraction
+        assert got == sum((x * y for x, y in pairs), Fraction(0))
+
+    def test_empty_is_fraction_zero(self):
+        got = dot([])
+        assert type(got) is Fraction and got == 0
+
+    @given(st.lists(
+        st.tuples(dot_operand_st, st.one_of(dot_operand_st, certified_st)), max_size=12,
+    ))
+    @settings(max_examples=100)
+    def test_certified_values_equal_the_scaled_fold(self, pairs):
+        want = Fraction(0)
+        for c, v in pairs:
+            want = want + _scaled(v, c)
+        got = dot(pairs)
+        assert type(got) is type(want)
+        got, want = CertifiedReal.wrap(got), CertifiedReal.wrap(want)
+        assert (got.value, got.err) == (want.value, want.err)
+
+    def test_certified_zero_coefficient_keeps_the_type(self):
+        got = dot([(0, CertifiedReal(Fraction(1), Fraction(1, 2)))])
+        assert type(got) is CertifiedReal and got.is_exact and got.value == 0
 
 
 @given(fractions_st, fractions_st)

@@ -140,6 +140,12 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "domain error" in err
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_window_length_below_one_is_domain_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "transform", "--inverse", "--y", "e", "-N", n)
+        assert code == 3
+        assert out == "" and f"window length must be >= 1, got {n}" in err
+
     @pytest.mark.parametrize("argv", [
         ("opnorm", "--p", "2", "--Y", "l1"),
         ("mnc", "--p", "2", "--Y", "l1", "--rmax", "4"),

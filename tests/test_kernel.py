@@ -31,6 +31,7 @@ from fibspaces.triangles import (
     inverse_transform,
     invert_window,
     lambda_matrix,
+    solve_triangle,
 )
 
 LIN = LambdaSeq.linear(1, 1)
@@ -168,6 +169,18 @@ def _textbook_inverse(y, lam):
     return out
 
 
+def _textbook_solve(a, y):
+    """x_n = (y_n - sum_{k<n} a_{nk} x_k) / a_{nn}, one term at a time."""
+    out = []
+    for n in range(len(y)):
+        acc = y[n]
+        for k in range(n):
+            acc = acc - a.entry(n, k) * out[k]
+        diag = a.entry(n, n)
+        out.append(acc.divided_by(diag) if isinstance(acc, CertifiedReal) else acc / diag)
+    return out
+
+
 class TestTransformsFromKernel:
     """The transforms read their coefficients from the kernel; on inexact
     entries they must still give the textbook sums in value and error."""
@@ -201,6 +214,18 @@ class TestTransformsFromKernel:
         got = forward_transform(x, lam)
         want = apply_triangle(e_matrix(lam), x)
         assert _typed_pairs(got) == _typed_pairs(want)
+        assert any(isinstance(v, CertifiedReal) and v.err > 0 for v in got)
+
+    @pytest.mark.parametrize("lam", [LIN, GEO, EXPLICIT], ids=lambda lam: lam.describe())
+    def test_solve_equals_textbook_substitution(self, lam):
+        """Forward substitution against E on mixed entries, in type, value
+        and error, at N = 24: a plain Fraction head, then certified entries."""
+        y = _certified_window(3, 24)
+        y = [v.value if i < 3 or i % 3 == 0 else v for i, v in enumerate(y)]
+        e = e_matrix(lam)
+        got = solve_triangle(e, y)
+        assert _typed_pairs(got) == _typed_pairs(_textbook_solve(e, y))
+        assert type(got[0]) is Fraction
         assert any(isinstance(v, CertifiedReal) and v.err > 0 for v in got)
 
     def test_forward_reads_only_the_diagonal_entries(self, monkeypatch):
