@@ -185,16 +185,22 @@ def tail_constant(lam: LambdaSeq, k_max: int = 32) -> Verdict:
         )
     enclosures = []
     sweep = []
+    # prefix[n] = sum_{m < n} 1/lambda_m and tails[n] = the tail bound after
+    # n, both extended only as far as some k reads them.
+    prefix = [Fraction(0)]
+    tails: list[Fraction] = []
     for k in range(k_max + 1):
         gap = lam.gap(k)
-        partial = Fraction(0)
         n = k
         while True:
-            partial += 1 / lam.value(n)
-            tail = lam.reciprocal_tail_bound(n)
+            if n == len(tails):
+                prefix.append(prefix[-1] + 1 / lam.value(n))
+                tails.append(lam.reciprocal_tail_bound(n))
+            tail = tails[n]
             if gap * tail < TAIL_TOL:
                 break
             n += 1
+        partial = prefix[n + 1] - prefix[k]
         low = gap * partial
         high = gap * (partial + tail)
         enclosures.append(CertifiedReal.from_interval(low, high))

@@ -15,13 +15,16 @@ The four named triangles:
 * the closed-form inverse of E,
 
 plus forward/inverse transforms between a sequence and its E-image, an
-independent forward-substitution inverse, and the basis columns of the
-inverse.
+independent forward-substitution inverse, an independent product of two
+triangles over shared row and column denominators, and the basis columns
+of the inverse.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -153,13 +156,38 @@ def e_inverse_matrix(lam: LambdaSeq) -> Triangle:
 # Algebra
 
 
-def compose(a: Triangle, b: Triangle) -> Triangle:
-    """Exact matrix product; triangular, so every entry is a finite sum."""
+def compose(a: Triangle, b: Triangle, size: int) -> DenseWindow:
+    """The N x N window of the exact matrix product AB, read from the
+    entries of A and B alone (no closed form), so it is an independent
+    oracle for the identities between the named triangles.
 
-    def fn(n, k):
-        return dot((a.entry(n, j), b.entry(j, k)) for j in range(k, n + 1))
-
-    return Triangle(fn, name=f"({a.name})*({b.name})")
+    Every entry of row n of AB shares the lcm D_n of the denominators in
+    row n of A, and every entry of column k shares the lcm C_k of those in
+    column k of B.  Row n of A and column k of B are scaled to integers by
+    these once, so entry (n, k) is one integer dot product over D_n C_k,
+    reduced once by ``Fraction``.
+    """
+    if size < 1:
+        raise DomainError("window size must be >= 1")
+    b_rows = [b.row(j) for j in range(size)]
+    # cols[k][j - k] = C_k * b_{jk} for j = k..size-1.
+    cols, col_dens = [], []
+    for k in range(size):
+        col = [b_rows[j][k] for j in range(k, size)]
+        den = math.lcm(*(v.denominator for v in col))
+        cols.append([v.numerator * (den // v.denominator) for v in col])
+        col_dens.append(den)
+    out = []
+    for n in range(size):
+        row = a.row(n)
+        den = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (den // v.denominator) for v in row]
+        # ints has n + 1 entries, so map stops at j = n.
+        out.append(tuple(
+            Fraction(sum(map(operator.mul, ints[k:], cols[k])), den * col_dens[k])
+            for k in range(n + 1)
+        ))
+    return DenseWindow(tuple(out))
 
 
 def apply_triangle(a: Triangle, x) -> SeqWindow:

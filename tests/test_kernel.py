@@ -111,8 +111,8 @@ class TestTrianglesAgainstOracles:
     @pytest.mark.parametrize("lam", FAMILIES, ids=lambda lam: lam.describe())
     def test_e_is_the_composition(self, lam):
         assert e_matrix(lam).window(16) == compose(
-            lambda_matrix(lam), fhat_matrix()
-        ).window(16)
+            lambda_matrix(lam), fhat_matrix(), 16
+        )
 
     @pytest.mark.parametrize("lam", FAMILIES, ids=lambda lam: lam.describe())
     def test_closed_form_inverse_is_the_substitution_inverse(self, lam):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from fibspaces.errors import DivergentTail, ParseError
-from fibspaces.exactreal import Exponent, rpow
+from fibspaces.exactreal import CertifiedReal, Exponent, rpow
 from fibspaces.sequences import LambdaSeq, SeqWindow, from_values, unit_seq
 from fibspaces.spaces import (
+    TAIL_TOL,
     _scale_shift,
     inclusion_bounds_check,
     membership_evidence,
@@ -157,6 +158,30 @@ class TestTailConstant:
         sweep = dict(verdict.sweep)
         assert abs(sweep[0] - 2.0) < 1e-12
         assert abs(sweep[3] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("k_max", [2, 8, 32])
+    @pytest.mark.parametrize("r, c", [(2, 1), (Fraction(3, 2), 1), (3, 2)])
+    def test_matches_the_restarted_sums(self, r, c, k_max):
+        # Oracle: every inner sum restarted at n = k, each tail bound recomputed.
+        lam = LambdaSeq.geometric(r, c)
+        enclosures, sweep = [], []
+        for k in range(k_max + 1):
+            gap = lam.gap(k)
+            partial = Fraction(0)
+            n = k
+            while True:
+                partial += 1 / lam.value(n)
+                tail = lam.reciprocal_tail_bound(n)
+                if gap * tail < TAIL_TOL:
+                    break
+                n += 1
+            low, high = gap * partial, gap * (partial + tail)
+            enclosures.append(CertifiedReal.from_interval(low, high))
+            sweep.append((k, float(low)))
+        best = CertifiedReal.max_of(enclosures)
+        verdict = tail_constant(LambdaSeq.geometric(r, c), k_max=k_max)
+        assert (verdict.value.value, verdict.value.err) == (best.value, best.err)
+        assert verdict.sweep == tuple(sweep)
 
 
 class TestInclusionBounds:

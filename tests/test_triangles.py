@@ -39,6 +39,29 @@ window_st = st.lists(
 )
 
 
+@st.composite
+def triangle_st(draw, size):
+    """Rows 0..size-1 of a lower-triangular rational matrix: zeros,
+    negatives and integers, some rows and columns all zero."""
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(min_value=-50, max_value=50).map(Fraction),
+        st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=60),
+    )
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=size - 1)))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=size - 1)))
+    rows = [
+        [Fraction(0) if n in zero_rows or k in zero_cols else draw(entry) for k in range(n + 1)]
+        for n in range(size)
+    ]
+    return Triangle(lambda n, k: rows[n][k])
+
+
+triangle_pair_st = st.integers(min_value=1, max_value=8).flatmap(
+    lambda size: st.tuples(st.just(size), triangle_st(size), triangle_st(size))
+)
+
+
 class TestNamedTriangles:
     def test_lambda_matrix_entries(self):
         m = lambda_matrix(LIN)
@@ -67,7 +90,7 @@ class TestNamedTriangles:
     def test_e_is_composition(self):
         for lam in FAMILIES:
             direct = e_matrix(lam).window(40)
-            assert direct == compose(lambda_matrix(lam), fhat_matrix()).window(40)
+            assert direct == compose(lambda_matrix(lam), fhat_matrix(), 40)
 
     def test_e_inverse_entries(self):
         g = e_inverse_matrix(LIN)
@@ -78,8 +101,8 @@ class TestNamedTriangles:
         ident = identity_triangle().window(64)
         for lam in FAMILIES:
             e, g = e_matrix(lam), e_inverse_matrix(lam)
-            assert compose(e, g).window(64) == ident
-            assert compose(g, e).window(64) == ident
+            assert compose(e, g, 64) == ident
+            assert compose(g, e, 64) == ident
 
     def test_triangularity_probes(self):
         rng = random.Random(99)
@@ -94,7 +117,25 @@ class TestNamedTriangles:
 class TestComposeApply:
     def test_identity_neutral(self):
         b = e_matrix(LIN)
-        assert compose(identity_triangle(), b).window(12) == b.window(12)
+        assert compose(identity_triangle(), b, 12) == b.window(12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(triangle_pair_st)
+    def test_compose_is_the_entrywise_fold(self, pair):
+        size, a, b = pair
+        fold = DenseWindow(tuple(
+            tuple(
+                sum((a.entry(n, j) * b.entry(j, k) for j in range(k, n + 1)), Fraction(0))
+                for k in range(n + 1)
+            )
+            for n in range(size)
+        ))
+        assert compose(a, b, size) == fold
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_compose_rejects_an_empty_window(self, size):
+        with pytest.raises(DomainError, match="window size must be >= 1"):
+            compose(identity_triangle(), e_matrix(LIN), size)
 
     def test_apply_witness_images(self):
         e = e_matrix(LIN)
