@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .exactreal import CertifiedReal, Exponent, conjugate, dot, power_sum, to_float
+from .exactreal import CertifiedReal, Exponent, conjugate, dot, power_sum, to_float, to_fraction
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
 from .spaces import normalize_space
 from .subsetsup import column_abs_sums, subset_power_sum
@@ -35,16 +35,23 @@ CONDITION_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
 
 
 def _g_rows(a_vals, lam: LambdaSeq) -> list[list[Fraction]]:
-    """Rows of the absolute-pairing triangle: inverse row n scaled by a_n."""
-    entry = lam.kernel.inverse_entry
-    return [[entry(n, k) * an for k in range(n + 1)] for n, an in enumerate(a_vals)]
+    """Rows of the absolute-pairing triangle: inverse row n scaled by a_n,
+    that is (a_n f_{n+1}^2) col_k below the diagonal and a_n diag_n on it,
+    one product per entry from a kernel grown once."""
+    kern = lam.kernel.grow(len(a_vals))
+    col, diag = kern.col, kern.diag
+    rows = []
+    for n, an in enumerate(a_vals):
+        scale = an * fib_sq(n + 1)
+        rows.append([scale * col[k] for k in range(n)] + [an * diag[n]])
+    return rows
 
 
 def alpha_matrix(a, lam: LambdaSeq) -> DenseWindow:
     """Pairing triangle for absolute summability: row n is the n-th
     inverse-triangle row scaled by a_n, so that row n applied to y = Ex
     gives a_n x_n exactly."""
-    values = [Fraction(v) for v in list(a)]
+    values = [to_fraction(v) for v in list(a)]
     return DenseWindow(tuple(tuple(row) for row in _g_rows(values, lam)))
 
 
@@ -73,7 +80,7 @@ def abar(a, lam: LambdaSeq, k: int, n: int) -> Fraction:
 def beta_matrix(a, lam: LambdaSeq) -> DenseWindow:
     """Partial-sum pairing triangle: abar_k(n) below the diagonal, the
     diagonal weight scaled by a_n on it."""
-    values = [Fraction(v) for v in list(a)]
+    values = [to_fraction(v) for v in list(a)]
     diag = lam.kernel.grow(len(values)).diag
     rows = _abar_table(values, lam, len(values))
     return DenseWindow(tuple(
@@ -84,8 +91,9 @@ def beta_matrix(a, lam: LambdaSeq) -> DenseWindow:
 def apply_dense_row(window: DenseWindow, y, n: int):
     """Dot product of stored row n against a window (exact).  Zero entries
     are skipped, so a zero row gives Fraction(0) whatever y holds."""
-    row = [window.entry(n, k) for k in range(n + 1)]
-    return dot((c, y[k]) for k, c in enumerate(row) if c)
+    if not 0 <= n < window.size:
+        raise DomainError(f"row {n} outside the stored {window.size}-window")
+    return dot((c, y[k]) for k, c in enumerate(window.rows[n]) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +129,7 @@ def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     if len(a_vals) < w:
         raise DomainError(f"window of length {len(a_vals)} is shorter than {w}")
     kern = lam.kernel.grow(w)
-    a = [Fraction(v) for v in a_vals[:w]]
+    a = [to_fraction(v) for v in a_vals[:w]]
     sums = kern.partial_sums(a)
     col = kern.col
     base = [a[k] * kern.diag[k] - col[k] * sums[k] for k in range(w)]
@@ -176,7 +184,7 @@ def dual_condition(
     finite = a.support is not None
     deepest = _depth(a, window)
     points = sweep_points(deepest)
-    a_deep = [Fraction(v) for v in a.prefix(deepest)]
+    a_deep = [to_fraction(v) for v in a.prefix(deepest)]
     if condition in ("d4", "d6", "d7", "d8") and table is None:
         table = _abar_table(a_deep, lam, deepest)
 
@@ -306,7 +314,7 @@ def dual_membership(
     table = None
     if window >= 4 and any(c in ("d4", "d6", "d7", "d8") for c in conditions):
         depth = _depth(a, window)
-        table = _abar_table([Fraction(v) for v in a.prefix(depth)], lam, depth)
+        table = _abar_table([to_fraction(v) for v in a.prefix(depth)], lam, depth)
     reports = []
     for cond in conditions:
         need_p = cond in ("d1", "d4")

@@ -136,6 +136,17 @@ def conjugate(p: Exponent | RationalLike | str) -> Exponent:
 # Certified reals
 
 
+ZERO = Fraction(0)
+
+
+def to_fraction(v) -> Fraction:
+    """v as a ``Fraction``: a ``Fraction`` passes through unchanged (the
+    same object), anything else is converted exactly as ``Fraction(v)``
+    converts it.  A ``Fraction`` is immutable, so sharing it is safe, and
+    converting one again goes through the ``numbers.Rational`` check."""
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -153,21 +164,22 @@ class CertifiedReal:
     """
 
     value: Fraction
-    err: Fraction = Fraction(0)
+    err: Fraction = ZERO
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
         if not isinstance(self.err, Fraction):
             object.__setattr__(self, "err", Fraction(self.err))
-        if self.err < 0:
+        # A Fraction's denominator is positive, so its sign is its numerator's.
+        if self.err.numerator < 0:
             raise ValueError("error bound must be nonnegative")
 
     # -- constructors
 
     @classmethod
     def exact(cls, q: RationalLike) -> "CertifiedReal":
-        return cls(Fraction(q), Fraction(0))
+        return cls(to_fraction(q), ZERO)
 
     @classmethod
     def from_interval(cls, lo: Fraction, hi: Fraction) -> "CertifiedReal":
@@ -400,7 +412,7 @@ def _pow_interval(x, p: Fraction, precision: int) -> tuple[Fraction, Fraction]:
         return min(lo1, lo2), max(hi1, hi2)
     if isinstance(x, CertifiedReal):
         x = x.value
-    return _rational_pow_interval(Fraction(x), p, precision)
+    return _rational_pow_interval(to_fraction(x), p, precision)
 
 
 def _checked_exponent(p, precision: int) -> Fraction:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .duals import alpha_matrix, apply_dense_row, beta_matrix, dual_membership
-from .exactreal import CertifiedReal, Exponent, dot, rpow, window_norm
+from .exactreal import CertifiedReal, Exponent, dot, rpow, to_fraction, window_norm
 from .matclasses import (
     class_check,
     noncompactness_estimate,
@@ -335,7 +335,7 @@ def _check_alpha_pairing(cfg):
         y = forward_transform(x, lam)
         b = alpha_matrix(a, lam)
         for i in range(n + 1):
-            if Fraction(a.values[i]) * Fraction(x.values[i]) != apply_dense_row(
+            if to_fraction(a.values[i]) * to_fraction(x.values[i]) != apply_dense_row(
                 b, list(y.values), i
             ):
                 return False, "pairing mismatch"

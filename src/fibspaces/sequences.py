@@ -20,7 +20,7 @@ from .errors import (
     NotStrictlyIncreasing,
     ParseError,
 )
-from .exactreal import parse_rational
+from .exactreal import parse_rational, to_fraction
 
 
 class FibCache:
@@ -139,9 +139,7 @@ class LambdaSeq:
     @classmethod
     def explicit(cls, values: Sequence) -> "LambdaSeq":
         """Explicit prefix, each value checked; past it the last gap repeats."""
-        # Fractions are kept as they are: converting one again costs as much
-        # as checking it.
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+        vals = tuple(map(to_fraction, values))
         if len(vals) < 2:
             raise ParseError("explicit lambda needs at least two values")
         for k, (prev, value) in enumerate(zip((Fraction(0),) + vals, vals)):

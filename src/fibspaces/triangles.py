@@ -30,14 +30,19 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError, SingularDiagonal, WindowMismatch
-from .exactreal import CertifiedReal, dot, parse_rational
+from .exactreal import CertifiedReal, dot, parse_rational, to_fraction
 from .sequences import MATRIX_INDEX_LIMIT, LambdaSeq, SeqWindow, fib, fib_sq, read_input
 
 Entry = Callable[[int, int], Fraction]
 
 
 class Triangle:
-    """Infinite lower-triangular matrix backed by an entry oracle."""
+    """Infinite lower-triangular matrix backed by an entry oracle.
+
+    Each entry the oracle returns is coerced to a ``Fraction`` once, when it
+    is memoized; an oracle that already returns a ``Fraction`` has it stored
+    and returned unchanged.
+    """
 
     # Every row may be nonzero: there is no index past the last nonzero row.
     row_bound = None
@@ -55,7 +60,7 @@ class Triangle:
         key = (n, k)
         v = self._memo.get(key)
         if v is None:
-            v = Fraction(self._fn(n, k))
+            v = to_fraction(self._fn(n, k))
             self._memo[key] = v
         return v
 
@@ -75,12 +80,16 @@ class Triangle:
 
 @dataclass(frozen=True)
 class DenseWindow:
-    """An N x N lower-triangular window; row n stores entries 0..n."""
+    """An N x N lower-triangular window; row n stores entries 0..n.
+
+    Entries are coerced to ``Fraction`` once, on construction; an entry that
+    already is a ``Fraction`` is stored as the same object.
+    """
 
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(to_fraction, row)) for row in self.rows)
         if len(rows) == 0:
             raise DomainError("empty window")
         for n, row in enumerate(rows):
@@ -202,14 +211,18 @@ def apply_triangle(a: Triangle, x) -> SeqWindow:
 
 def solve_triangle(a: Triangle, y) -> SeqWindow:
     """Forward-substitution solve of A x = y on the window (the brute-force
-    oracle behind every closed-form inverse in this package)."""
+    oracle behind every closed-form inverse in this package).
+
+    Row n is y_n minus one exact dot product of the entries a_nk against the
+    solved prefix, divided by a_nn; it reads only entries of A.
+    """
     values = list(y)
     out: list = []
     for n in range(len(values)):
         diag = a.entry(n, n)
         if diag == 0:
             raise SingularDiagonal(f"zero diagonal at row {n}")
-        acc = dot([(1, values[n])] + [(-a.entry(n, k), out[k]) for k in range(n)])
+        acc = values[n] - dot((a.entry(n, k), out[k]) for k in range(n))
         if isinstance(acc, CertifiedReal):
             out.append(acc.divided_by(diag))
         else:
@@ -239,7 +252,7 @@ def invert_window(a: Triangle, size: int) -> DenseWindow:
 def _scaled(v, c: Fraction):
     if isinstance(v, CertifiedReal):
         return v * c
-    return Fraction(v) * c
+    return to_fraction(v) * c
 
 
 def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
@@ -312,7 +325,7 @@ class RowWindowedMatrix:
     def __init__(self, rows: Sequence[Sequence], name: str = "rows"):
         cleaned = []
         for row in rows:
-            vals = [Fraction(v) for v in row]
+            vals = list(map(to_fraction, row))
             while vals and vals[-1] == 0:
                 vals.pop()
             cleaned.append(tuple(vals))

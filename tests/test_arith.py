@@ -19,6 +19,7 @@ from fibspaces.exactreal import (
     parse_rational,
     power_sum,
     rpow,
+    to_fraction,
     window_norm,
 )
 from fibspaces.triangles import _scaled
@@ -205,6 +206,43 @@ class TestRationalOperands:
             CertifiedReal(Fraction(1), Fraction(-1))
 
 
+class TestPassThrough:
+    """A Fraction is kept as the same object; ints, numeral strings and
+    floats are converted exactly as Fraction(v) converts them."""
+
+    def test_fraction_is_the_same_object(self):
+        q = Fraction(-22, 7)
+        assert to_fraction(q) is q
+        exact = CertifiedReal.exact(q)
+        assert exact.value is q and exact.is_exact and type(exact.err) is Fraction
+
+    @pytest.mark.parametrize("raw", [0, -12, 10**40, "3/8", "-7", 0.1, -2.5])
+    def test_other_inputs_convert_as_fraction_does(self, raw):
+        for got in (to_fraction(raw), CertifiedReal.exact(raw).value):
+            assert type(got) is Fraction and got == Fraction(raw)
+
+    def test_non_rationals_are_refused(self):
+        with pytest.raises(TypeError):
+            to_fraction(CertifiedReal.exact(1))
+        with pytest.raises(TypeError):
+            CertifiedReal.exact(None)
+
+    @given(
+        st.one_of(
+            st.integers(max_value=-1),
+            st.fractions(max_value=Fraction(-1, 10**6)),
+        )
+    )
+    @settings(max_examples=50)
+    def test_negative_error_bound_is_refused(self, err):
+        with pytest.raises(ValueError):
+            CertifiedReal(Fraction(1, 3), err)
+
+    def test_zero_error_bound_is_kept(self):
+        for err in (0, Fraction(0), "0"):
+            assert CertifiedReal(Fraction(1), err).is_exact
+
+
 class TestWindowNorm:
     def test_two_unit_vector(self):
         r = window_norm([Fraction(1), Fraction(1), Fraction(0), Fraction(0)], 2)
@@ -246,8 +284,9 @@ class TestWindowNorm:
                 assert b.lo <= a.hi + Fraction(1, 2**128)
 
 
-# Rationals, exact certified reals, and enclosures whose half-width runs up
-# to twice the midpoint (so some straddle 0).
+# Rationals, exact certified reals, enclosures whose half-width runs up to
+# twice the midpoint (so some straddle 0), and zeros: exact ones, which
+# power_sum skips, and zero-centred enclosures, which it does not.
 power_terms_st = st.one_of(
     fractions_st,
     fractions_st.map(CertifiedReal.exact),
@@ -255,6 +294,10 @@ power_terms_st = st.one_of(
         lambda v, f: CertifiedReal(v, abs(v) * f + Fraction(1, 1000)),
         fractions_st,
         st.fractions(min_value=0, max_value=2, max_denominator=16),
+    ),
+    st.sampled_from([Fraction(0), CertifiedReal.exact(0)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=16).map(
+        lambda e: CertifiedReal(Fraction(0), e)
     ),
 )
 
@@ -281,6 +324,7 @@ class TestPowerSum:
                 power_sum(values, p, 96)
             return
         got = power_sum(values, p, 96)
+        assert type(got.value) is Fraction and type(got.err) is Fraction
         assert (got.value, got.err) == (want.value, want.err)
 
     def test_straddling_enclosure_with_even_power(self):

@@ -473,6 +473,25 @@ class TestVerifySuite:
         assert code == 0
         assert out.encode() == (DATA / "verify_paper.json").read_bytes()
 
+    # The printed certified bounds of the transforms, norms and pairings, byte
+    # for byte; each snapshot was written by `python -m fibspaces.cli` with
+    # these arguments.
+    @pytest.mark.parametrize("name, argv", [
+        ("transform_power_law.txt",
+         ("transform", "--x", "witness:power-law", "--p", "3/2", "-N", "40")),
+        ("norm_power_law.json",
+         ("norm", "--x", "witness:power-law", "--p", "3/2", "-N", "40")),
+        ("dual_beta_linf.json",
+         ("dual", "--a", "inv-fib-pow:3", "--space", "linf", "--kind", "beta",
+          "--window", "32")),
+        ("transform_inverse_values.txt",
+         ("transform", "--y", "values:1,2/3,-5,7/2,9,1/7", "--inverse")),
+    ])
+    def test_command_output_is_pinned(self, capsys, name, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify-paper", "--only", "inverse-oracle", "--seed", "7")
         _, second, _ = run_cli(capsys, "verify-paper", "--only", "inverse-oracle", "--seed", "7")

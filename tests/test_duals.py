@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibspaces import subsetsup
 from fibspaces.duals import (
@@ -64,6 +66,30 @@ class TestAlphaMatrix:
         for n in range(8):
             for k in range(n + 1):
                 assert b.entry(n, k) == g.entry(n, k) * a.values[n]
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=48),
+            min_size=1, max_size=24,
+        ),
+        st.sampled_from([LIN, GEO]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_inverse_entry_formula(self, a, lam):
+        # Reference: row n of the closed-form inverse, entry by entry, times a_n.
+        want = [
+            [lam.kernel.inverse_entry(n, k) * an for k in range(n + 1)]
+            for n, an in enumerate(a)
+        ]
+        assert alpha_matrix(a, lam).rows == tuple(tuple(row) for row in want)
+
+
+class TestApplyDenseRow:
+    def test_rows_outside_the_window_are_refused(self):
+        b = alpha_matrix([Fraction(1), Fraction(2), Fraction(3)], LIN)
+        for n in (-1, 3, 10):
+            with pytest.raises(DomainError):
+                apply_dense_row(b, [Fraction(1)] * 11, n)
 
 
 class TestAbar:

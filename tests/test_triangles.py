@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibspaces.errors import DomainError, ParseError, SingularDiagonal
+from fibspaces.exactreal import CertifiedReal, dot
 from fibspaces.sequences import LambdaSeq, SeqWindow, fib
 from fibspaces.triangles import (
     DenseWindow,
@@ -30,13 +31,13 @@ from fibspaces.triangles import (
 from fibspaces.witnesses import gen_witness
 
 LIN = LambdaSeq.linear(1, 1)
+GEO = LambdaSeq.geometric(2, 1)
 FAMILIES = (LambdaSeq.linear(1, 1), LambdaSeq.linear(2, 3), LambdaSeq.geometric(2, 1))
 
-window_st = st.lists(
-    st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=48),
-    min_size=1,
-    max_size=24,
+rational_st = st.fractions(
+    min_value=Fraction(-20), max_value=Fraction(20), max_denominator=48
 )
+window_st = st.lists(rational_st, min_size=1, max_size=24)
 
 
 @st.composite
@@ -188,6 +189,49 @@ class TestInversion:
         assert list(x.values) == expected
 
 
+def _solve_negated_dot(a, y):
+    """Reference substitution: row n is one dot product of y_n and the
+    negated entries -a_nk against the solved prefix, over a_nn."""
+    values, out = list(y), []
+    for n in range(len(values)):
+        diag = a.entry(n, n)
+        acc = dot([(1, values[n])] + [(-a.entry(n, k), out[k]) for k in range(n)])
+        out.append(acc.divided_by(diag) if isinstance(acc, CertifiedReal) else acc / diag)
+    return out
+
+
+# Rational windows, and windows mixing rationals with certified reals.
+solve_input_st = st.one_of(
+    window_st,
+    st.lists(
+        st.one_of(
+            rational_st,
+            st.builds(
+                CertifiedReal,
+                rational_st,
+                st.fractions(min_value=0, max_value=2, max_denominator=64),
+            ),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+)
+
+
+class TestSolveTriangle:
+    @given(solve_input_st, st.sampled_from([LIN, GEO]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_negated_dot_form(self, values, lam):
+        got = solve_triangle(e_matrix(lam), values).values
+        want = _solve_negated_dot(e_matrix(lam), values)
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is type(w)
+            if isinstance(w, CertifiedReal):
+                assert (g.value, g.err) == (w.value, w.err)
+            else:
+                assert g == w
+
+
 class TestTransforms:
     def test_forward_equals_entry_oracle(self):
         rng = random.Random(5)
@@ -304,3 +348,28 @@ class TestMatrixJson:
 def test_dense_window_shape_enforced():
     with pytest.raises(DomainError):
         DenseWindow(((Fraction(1), Fraction(2)),))
+
+
+class TestPassThrough:
+    """Exact values are coerced to Fraction once; a Fraction is kept as the
+    same object, anything else is converted as Fraction(v) converts it."""
+
+    def test_dense_window_keeps_fractions(self):
+        q, r, t = Fraction(1, 3), Fraction(-2, 7), Fraction(5)
+        w = DenseWindow(((q,), (r, t)))
+        assert w.rows[0][0] is q and w.rows[1][0] is r and w.entry(1, 1) is t
+
+    def test_dense_window_converts_other_inputs(self):
+        w = DenseWindow(((3,), ("2/9", 0.5)))
+        assert w.rows == ((Fraction(3),), (Fraction(2, 9), Fraction(1, 2)))
+        assert all(type(v) is Fraction for row in w.rows for v in row)
+
+    def test_triangle_entry_keeps_fractions(self):
+        q = Fraction(7, 11)
+        t = Triangle(lambda n, k: q)
+        assert t.entry(2, 1) is q
+
+    @pytest.mark.parametrize("raw", [4, -3, "5/6", 0.25])
+    def test_triangle_entry_converts_other_inputs(self, raw):
+        v = Triangle(lambda n, k: raw).entry(1, 0)
+        assert type(v) is Fraction and v == Fraction(raw)
