@@ -259,9 +259,12 @@ def cmd_plot_data(args, lam: LambdaSeq) -> int:
         if not sweep:
             raise ParseError(f"empty sweep {args.sweep!r}")
         header = "n,value"
+        # Every input is prefix-exact, so one window at the deepest point
+        # serves them all; a point below 1 raises what building it raises.
+        short = [n for n in sweep if n < 1]
+        x = _parse_seq_spec(args.x, lam, short[0] if short else max(sweep), p, args.precision)
         for n in sweep:
-            x = _parse_seq_spec(args.x, lam, n, p, args.precision)
-            est = space_norm(x, lam, p, args.precision)
+            est = space_norm(x.values[:n], lam, p, args.precision)
             rows.append(f"{n},{to_float(est.value.value)!r}")
     elif args.quantity == "mnc":
         p = Exponent.parse(args.p)

@@ -193,28 +193,44 @@ class Kernel:
       abar_k(n) = a_k diag_k + lambda_k b_k (T_n - T_k), with the prefix
       sums T_n = sum_{j<=n} f_{j+1}^2 a_j.
 
-    Index k of each array holds the k-th coefficient; ``lam``, ``gap`` and
-    ``w`` run one index further than ``b``, ``col``, ``diag`` and ``num``.
-    The kernel reads lambda_k as ``value(k)`` and holds no reference to its
-    sequence, so the two form no reference cycle.
+    The transforms read their coefficients ready-made:
+
+    * ``inv_lam`` holds 1/lambda_k and ``e_diag`` holds E_kk = 1/diag_k, the
+      forward transform's row factor and diagonal;
+    * ``here`` holds lambda_k w_k and ``back`` holds -lambda_{k-1} w_k
+      (0 at k = 0), the two signed coefficients of y_k and y_{k-1} in the
+      inverse transform's term j = k.
+
+    Index k of each array holds the k-th coefficient; ``lam``, ``gap``,
+    ``w``, ``inv_lam``, ``here`` and ``back`` hold indices 0..n after
+    ``grow(n)``, one further than ``b``, ``col``, ``diag``, ``e_diag`` and
+    ``num``, which hold 0..n-1.  The kernel reads lambda_k as ``value(k)``
+    and holds no reference to its sequence, so the two form no reference
+    cycle.
     """
 
-    __slots__ = ("_value", "lam", "gap", "w", "b", "col", "diag", "num")
+    __slots__ = ("_value", "lam", "gap", "w", "inv_lam", "here", "back",
+                 "b", "col", "diag", "e_diag", "num")
 
     def __init__(self, value: Callable[[int], Fraction]):
         self._value = value
         self.lam: list[Fraction] = []
         self.gap: list[Fraction] = []
         self.w: list[Fraction] = []
+        self.inv_lam: list[Fraction] = []
+        self.here: list[Fraction] = []
+        self.back: list[Fraction] = []
         self.b: list[Fraction] = []
         self.col: list[Fraction] = []
         self.diag: list[Fraction] = []
+        self.e_diag: list[Fraction] = []
         self.num: list[Fraction] = []
 
     def grow(self, n: int) -> "Kernel":
-        """Make lambda, gap and w of indices 0..n and the other coefficients
-        of indices 0..n-1 available.  Each new lambda_k is checked first, so
-        a growth that raises leaves the arrays as they were."""
+        """Make lambda, gap, w, inv_lam, here and back of indices 0..n and
+        the other coefficients of indices 0..n-1 available.  Each new
+        lambda_k is checked first, so a growth that raises leaves the arrays
+        as they were."""
         lam, gap, w = self.lam, self.gap, self.w
         if n < len(w):
             return self
@@ -226,10 +242,14 @@ class Kernel:
             gap.append(value - prev)
             lam.append(value)
             w.append(1 / (gap[k] * fib(k) * fib(k + 1)))
+            self.inv_lam.append(1 / value)
+            self.here.append(value * w[k])
+            self.back.append(-prev * w[k])
         for k in range(len(self.b), n):
             self.b.append(w[k] - w[k + 1])
             self.col.append(lam[k] * self.b[k])
             self.diag.append(lam[k] * fib_sq(k + 1) * w[k])
+            self.e_diag.append(1 / self.diag[k])
             self.num.append((gap[k] * fib(k) - gap[k + 1] * fib(k + 2)) / fib(k + 1))
         return self
 
@@ -239,8 +259,8 @@ class Kernel:
             return Fraction(0)
         self.grow(n + 1)
         if k == n:
-            return 1 / self.diag[n]
-        return self.num[k] / self.lam[n]
+            return self.e_diag[n]
+        return self.num[k] * self.inv_lam[n]
 
     def inverse_entry(self, n: int, k: int) -> Fraction:
         """Entry (n, k) of the inverse of E; needs the coefficients up to

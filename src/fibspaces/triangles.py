@@ -249,28 +249,30 @@ def invert_window(a: Triangle, size: int) -> DenseWindow:
 # Forward and inverse transforms (summation forms)
 
 
-def _scaled(v, c: Fraction):
-    if isinstance(v, CertifiedReal):
-        return v * c
-    return to_fraction(v) * c
+def _exact_values(x) -> list:
+    """The entries of x, each a ``CertifiedReal`` or a ``Fraction``, so that
+    a product with a ``Fraction`` coefficient is one multiplication."""
+    return [v if isinstance(v, CertifiedReal) else to_fraction(v) for v in x]
 
 
 def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
     """y_n = E_{nn} x_n + S_n / lambda_n, where the running column sum
     S_n = sum_{k<n} num_k x_k is carried from row to row, so each index
     costs a fixed number of scaled terms (row n of E below the diagonal is
-    num_k / lambda_n).  The coefficients come from the per-lambda kernel.
+    num_k / lambda_n).  E_{nn}, 1/lambda_n and num_k come ready-made from
+    the per-lambda kernel.
 
     Must agree, entry for entry, with applying :func:`e_matrix`; on
     certified entries the error bound is the same rational too, because
     lambda_n > 0 factors out of sum_k |num_k / lambda_n| err_k.
     """
-    values = list(x)
+    values = _exact_values(x)
     kern = lam.kernel.grow(len(values))
+    e_diag, inv_lam, num = kern.e_diag, kern.inv_lam, kern.num
     out, acc = [], Fraction(0)
     for n, v in enumerate(values):
-        out.append(_scaled(v, kern.e_entry(n, n)) + _scaled(acc, 1 / kern.lam[n]))
-        acc = acc + _scaled(v, kern.num[n])
+        out.append(v * e_diag[n] + acc * inv_lam[n])
+        acc = acc + v * num[n]
     return SeqWindow(tuple(out))
 
 
@@ -279,24 +281,26 @@ def inverse_transform(y, lam: LambdaSeq) -> SeqWindow:
     f_{k+1}^2 lambda_i y_i w_j, with w_j = 1/(gap(j) f_j f_{j+1}).
 
     The i = -1 terms vanish under the lambda_{-1} = 0 convention.  The
-    coefficients lambda_i and w_j come from the per-lambda kernel.  Must
-    agree exactly with the forward-substitution solve against the E window.
+    signed coefficients lambda_j w_j and -lambda_{j-1} w_j come ready-made
+    from the per-lambda kernel, so each term is one product.  Each j keeps
+    its two terms, in this order, although y_i appears in the terms of
+    j = i and j = i + 1: one product of y_i with the merged coefficient
+    lambda_i (w_i - w_{i+1}) carries the error |w_i - w_{i+1}| lambda_i err_i
+    instead of (w_i + w_{i+1}) lambda_i err_i, so on certified entries it
+    changes the printed bounds (row 2 of ``transform --x witness:power-law
+    --p 3/2 -N 40`` would go from +-2.159e-77 to +-1.583e-77).
+    Must agree exactly with the forward-substitution solve against the E
+    window.
     """
-    values = list(y)
+    values = _exact_values(y)
     kern = lam.kernel.grow(len(values))
-
-    def term(i: int, j: int):
-        if i < 0:
-            return Fraction(0)
-        coeff = kern.lam[i] * kern.w[j]
-        return _scaled(values[i], coeff if (j - i) % 2 == 0 else -coeff)
-
+    here, back = kern.here, kern.back
     out = []
     for k in range(len(values)):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc = term(j - 1, j) + term(j, j) + acc
-        out.append(_scaled(acc, fib_sq(k + 1)))
+        acc = values[0] * here[0]  # j = 0 has no y_{-1} term
+        for j in range(1, k + 1):
+            acc = values[j - 1] * back[j] + values[j] * here[j] + acc
+        out.append(acc * fib_sq(k + 1))
     return SeqWindow(tuple(out))
 
 

@@ -22,7 +22,14 @@ from fibspaces.exactreal import (
     to_fraction,
     window_norm,
 )
-from fibspaces.triangles import _scaled
+
+
+def _scaled(v, c: Fraction):
+    """c v, one term at a time: the fold that ``dot`` must reproduce."""
+    if isinstance(v, CertifiedReal):
+        return v * c
+    return to_fraction(v) * c
+
 
 fractions_st = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=64

@@ -3,12 +3,16 @@
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fibspaces import cli, subsetsup
 from fibspaces.cli import build_parser, main
+from fibspaces.exactreal import DEFAULT_PRECISION, Exponent, to_float
+from fibspaces.sequences import LambdaSeq
+from fibspaces.spaces import space_norm
 from fibspaces.triangles import MATRIX_INDEX_LIMIT
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -486,6 +490,18 @@ class TestVerifySuite:
           "--window", "32")),
         ("transform_inverse_values.txt",
          ("transform", "--y", "values:1,2/3,-5,7/2,9,1/7", "--inverse")),
+        # The same layers at weight families other than the default.
+        ("basis_geometric.txt",
+         ("basis", "--k", "7", "-N", "48", "--lambda", "geometric:3/2,1")),
+        ("transform_power_law_geometric.txt",
+         ("transform", "--x", "witness:power-law", "--p", "3", "-N", "32",
+          "--lambda", "geometric:7/4,1")),
+        ("transform_inverse_values_linear.txt",
+         ("transform", "--y", "values:1,2/3,-5,7/2,9,1/7", "--inverse",
+          "--lambda", "linear:5/2,3/4")),
+        ("plot_data_norm_linear.csv",
+         ("plot-data", "--quantity", "norm", "--x", "witness:power-law", "--p", "3/2",
+          "--sweep", "48,16,32,16", "--lambda", "linear:2,1/3")),
     ])
     def test_command_output_is_pinned(self, capsys, name, argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -507,6 +523,31 @@ class TestVerifySuite:
 
 
 class TestPlotDataEdges:
+    @pytest.mark.parametrize("spec, p", [
+        ("witness:power-law", "3/2"),
+        ("witness:t", "2"),
+        ("witness:alternating", "inf"),
+        ("values:1,-2,3/4", "3"),
+        ("inv-fib-pow:2", "2"),
+    ])
+    def test_norm_sweep_equals_the_per_point_norms(self, capsys, spec, p):
+        """The sweep reads prefixes of one deep window; each row must be
+        the norm of the window built at that point alone, for an unsorted
+        sweep with a repeated point."""
+        sweep = [12, 4, 20, 4, 9]
+        lam = LambdaSeq.geometric(Fraction(3, 2), 1)
+        code, out, _ = run_cli(
+            capsys, "plot-data", "--quantity", "norm", "--x", spec, "--p", p,
+            "--sweep", ",".join(map(str, sweep)), "--lambda", "geometric:3/2,1",
+        )
+        assert code == 0
+        rows = []
+        for n in sweep:
+            x = cli._parse_seq_spec(spec, lam, n, Exponent.parse(p), DEFAULT_PRECISION)
+            est = space_norm(x, lam, Exponent.parse(p), DEFAULT_PRECISION)
+            rows.append(f"{n},{to_float(est.value.value)!r}")
+        assert out == "\n".join(["n,value"] + rows) + "\n"
+
     def test_empty_sweep_is_parse_error(self, capsys):
         for sweep in ("", ",,", " , "):
             code, out, err = run_cli(

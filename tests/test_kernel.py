@@ -15,7 +15,7 @@ from fibspaces.duals import (
     dual_condition,
     dual_membership,
 )
-from fibspaces.errors import DomainError
+from fibspaces.errors import DomainError, NotStrictlyIncreasing
 from fibspaces.exactreal import CertifiedReal
 from fibspaces import matclasses
 from fibspaces.matclasses import HatMatrix, hat_entry, noncompactness_estimate
@@ -41,6 +41,11 @@ EXPLICIT = LambdaSeq.explicit([1, 3, 4, 7, 11])
 TWIN_A = LambdaSeq.custom(lambda n: n * n + 1, name="twin")
 TWIN_B = LambdaSeq.custom(lambda n: 3**n, name="twin")
 FAMILIES = [LIN, GEO, EXPLICIT, TWIN_A, TWIN_B]
+
+# Every coefficient array of the kernel; after grow(n) the LONG ones hold
+# indices 0..n and the others 0..n-1.
+LONG = ("lam", "gap", "w", "inv_lam", "here", "back")
+ARRAYS = LONG + ("b", "col", "diag", "e_diag", "num")
 
 
 def _rational_window(seed: int, n: int) -> list[Fraction]:
@@ -76,11 +81,17 @@ class TestKernelArrays:
         for lam in FAMILIES:
             kern = lam.kernel.grow(12)
             for k in range(12):
+                w = 1 / (lam.gap(k) * fib(k) * fib(k + 1))
                 assert kern.lam[k] == lam.value(k)
                 assert kern.gap[k] == lam.gap(k)
-                assert kern.w[k] == 1 / (lam.gap(k) * fib(k) * fib(k + 1))
+                assert kern.w[k] == w
                 assert kern.b[k] == kern.w[k] - kern.w[k + 1]
                 assert kern.diag[k] == lam.value(k) * fib(k + 1) ** 2 * kern.w[k]
+                # The coefficients the transforms read, with lambda_{-1} = 0.
+                assert kern.inv_lam[k] == 1 / lam.value(k)
+                assert kern.here[k] == lam.value(k) * w
+                assert kern.back[k] == -lam.value(k - 1) * w
+                assert kern.e_diag[k] == lam.gap(k) * Fraction(fib(k), fib(k + 1)) / lam.value(k)
 
     def test_numerator_is_the_closed_form(self):
         for lam in FAMILIES:
@@ -96,9 +107,22 @@ class TestKernelArrays:
         for n in (1, 2, 5, 9):
             stepped.kernel.grow(n)
         fresh = LambdaSeq.geometric(3, 2).kernel.grow(9)
-        assert stepped.kernel.diag == fresh.diag
-        assert stepped.kernel.col == fresh.col
-        assert stepped.kernel.num == fresh.num
+        for name in ARRAYS:
+            assert getattr(stepped.kernel, name) == getattr(fresh, name), name
+
+    def test_growth_that_raises_keeps_every_array(self):
+        """lambda_n = min(n, 5) + 1 stops increasing at index 6: a growth
+        past it raises and leaves every array at its old length."""
+        lam = LambdaSeq.custom(lambda n: min(n, 5) + 1, name="stalls")
+        kern = lam.kernel.grow(3)
+        before = {name: list(getattr(kern, name)) for name in ARRAYS}
+        for n in (6, 10):
+            with pytest.raises(NotStrictlyIncreasing):
+                kern.grow(n)
+            assert {name: getattr(kern, name) for name in ARRAYS} == before
+        assert all(len(before[name]) == (4 if name in LONG else 3) for name in ARRAYS)
+        kern.grow(5)
+        assert len(kern.w) == 6 and len(kern.e_diag) == 5
 
     def test_kernel_lives_on_the_instance(self):
         assert TWIN_A.describe() == TWIN_B.describe()
@@ -228,21 +252,25 @@ class TestTransformsFromKernel:
         assert type(got[0]) is Fraction
         assert any(isinstance(v, CertifiedReal) and v.err > 0 for v in got)
 
-    def test_forward_reads_only_the_diagonal_entries(self, monkeypatch):
-        """Below the diagonal the forward transform scales one running sum,
-        so it asks the kernel for at most the N diagonal entries of E."""
+    def test_transforms_make_no_per_entry_kernel_call(self, monkeypatch):
+        """Both transforms read the kernel's arrays after one growth: no
+        call per entry of E or of its inverse, and one call to grow."""
         calls = []
-        entry = Kernel.e_entry
+        for name in ("e_entry", "inverse_entry", "grow"):
+            method = getattr(Kernel, name)
 
-        def counting(self, n, k):
-            calls.append((n, k))
-            return entry(self, n, k)
+            def counting(self, *args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(self, *args)
 
-        monkeypatch.setattr(Kernel, "e_entry", counting)
+            monkeypatch.setattr(Kernel, name, counting)
         n = 64
-        forward_transform(_rational_window(9, n), LambdaSeq.linear(3, 2))
-        assert len(calls) <= n
-        assert all(i == j for i, j in calls)
+        lam = LambdaSeq.linear(3, 2)
+        y = forward_transform(_rational_window(9, n), lam)
+        assert calls == ["grow"]
+        del calls[:]
+        inverse_transform(y, lam)
+        assert calls == ["grow"]
 
     def test_transforms_read_each_lambda_once(self):
         """The transforms grow the kernel once, so the family function runs
@@ -255,6 +283,81 @@ class TestTransformsFromKernel:
         y = forward_transform(x, lam)
         assert list(inverse_transform(y, lam)) == x
         assert len(calls) <= n + 2
+
+
+def _scaled(v, c: Fraction):
+    if isinstance(v, CertifiedReal):
+        return v * c
+    return Fraction(v) * c
+
+
+def _reference_forward(x, lam):
+    """The forward transform with 1/diag_n and 1/lambda_n taken in the loop."""
+    kern = lam.kernel.grow(len(x))
+    out, acc = [], Fraction(0)
+    for n, v in enumerate(x):
+        out.append(_scaled(v, 1 / kern.diag[n]) + _scaled(acc, 1 / kern.lam[n]))
+        acc = acc + _scaled(v, kern.num[n])
+    return out
+
+
+def _reference_inverse(y, lam):
+    """The inverse transform's restart loop with each coefficient
+    +-lambda_i w_j formed, and its sign chosen, per term."""
+    kern = lam.kernel.grow(len(y))
+
+    def term(i, j):
+        if i < 0:
+            return Fraction(0)
+        coeff = kern.lam[i] * kern.w[j]
+        return _scaled(y[i], coeff if (j - i) % 2 == 0 else -coeff)
+
+    out = []
+    for k in range(len(y)):
+        acc = Fraction(0)
+        for j in range(k + 1):
+            acc = term(j - 1, j) + term(j, j) + acc
+        out.append(_scaled(acc, Fraction(fib(k + 1) ** 2)))
+    return out
+
+
+def _window(kind: str, seed: int, n: int) -> list:
+    """A rational, certified or mixed window; the mixed one holds plain
+    Fractions, ints and certified entries."""
+    if kind == "rational":
+        return _rational_window(seed, n)
+    cert = _certified_window(seed, n)
+    if kind == "certified":
+        return cert
+    return [v.value if i % 3 == 0 else v.value.numerator if i % 6 == 1 else v
+            for i, v in enumerate(cert)]
+
+
+class TestReferenceFolds:
+    """The transforms and E's entries read stored coefficients; they must
+    give exactly what forming each coefficient in the loop gave."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n=st.integers(min_value=1, max_value=24),
+        kind=st.sampled_from(["rational", "certified", "mixed"]),
+        lam=st.sampled_from([LIN, GEO, EXPLICIT, TWIN_A]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_transforms_equal_the_reference_folds(self, seed, n, kind, lam):
+        x = _window(kind, seed, n)
+        assert _typed_pairs(forward_transform(x, lam)) == _typed_pairs(_reference_forward(x, lam))
+        assert _typed_pairs(inverse_transform(x, lam)) == _typed_pairs(_reference_inverse(x, lam))
+
+    @pytest.mark.parametrize("lam", [LIN, GEO, EXPLICIT, TWIN_A], ids=lambda lam: lam.describe())
+    def test_e_entries_equal_the_quotients(self, lam):
+        kern = lam.kernel
+        for n in range(16):
+            kern.grow(n + 1)
+            assert kern.e_entry(n, n) == 1 / kern.diag[n]
+            for k in range(n):
+                assert kern.e_entry(n, k) == kern.num[k] / kern.lam[n]
+            assert type(kern.e_entry(n, 0)) is Fraction
 
 
 class TestSharedWork:
