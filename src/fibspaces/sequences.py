@@ -323,6 +323,10 @@ class SeqWindow:
 class PrefixGenerator:
     """A sequence given by its ability to produce any prefix.
 
+    A prefix must be prefix-exact: ``prefix(n)`` equals the first n entries
+    of ``prefix(m)`` for every m >= n, so a sweep reads each point's prefix
+    from one window built at its deepest point.
+
     ``support`` bounds the nonzero entries when the sequence is finitely
     supported (entries vanish at indices >= support); None means unknown.
     ``image_support`` plays the same role for the sequence's image under

@@ -286,10 +286,14 @@ def membership_evidence(
         return classify_to_zero(points, stabilized_exactly=exact)
 
     norm_p = {"l1": P_ONE, "linf": P_INF}.get(space, p)
+    # A prefix is prefix-exact, so one window at the deepest point serves
+    # every point; a point below 1 raises what building it raises.
+    lowest = min(sweep)
+    window = gen.prefix(lowest if lowest < 1 else deepest).values
     points = []
     exact_values = []
     for n in sorted(sweep):
-        est = space_norm(gen.prefix(n), lam, norm_p, precision)
+        est = space_norm(window[:n], lam, norm_p, precision)
         points.append((n, to_float(est.value.value)))
         exact_values.append(est.value.value)
     stabilized = False

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError, SingularDiagonal, WindowMismatch
-from .exactreal import CertifiedReal, dot, parse_rational, to_fraction
+from .exactreal import ZERO, CertifiedReal, dot, parse_rational, to_fraction
 from .sequences import MATRIX_INDEX_LIMIT, LambdaSeq, SeqWindow, fib, fib_sq, read_input
 
 Entry = Callable[[int, int], Fraction]
@@ -249,30 +249,57 @@ def invert_window(a: Triangle, size: int) -> DenseWindow:
 # Forward and inverse transforms (summation forms)
 
 
-def _exact_values(x) -> list:
-    """The entries of x, each a ``CertifiedReal`` or a ``Fraction``, so that
-    a product with a ``Fraction`` coefficient is one multiplication."""
-    return [v if isinstance(v, CertifiedReal) else to_fraction(v) for v in x]
+def _exact_values(x) -> tuple[list, list | None, int | None]:
+    """The midpoints of x as ``Fraction``s, read in one pass, and the error
+    bounds of x when some entry is a ``CertifiedReal``.
+
+    Returns (mids, errs, first).  ``first`` is the index of the first
+    certified entry and ``errs[i]`` the error bound of entry first + i (0
+    for a rational entry); every entry before ``first`` has error 0.  When
+    no entry is certified, ``errs`` and ``first`` are None.
+    """
+    mids, errs, first = [], None, None
+    for v in x:
+        if isinstance(v, CertifiedReal):
+            if errs is None:
+                errs, first = [], len(mids)
+            mids.append(v.value)
+            errs.append(v.err)
+        else:
+            mids.append(to_fraction(v))
+            if errs is not None:
+                errs.append(ZERO)
+    return mids, errs, first
 
 
 def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
     """y_n = E_{nn} x_n + S_n / lambda_n, where the running column sum
     S_n = sum_{k<n} num_k x_k is carried from row to row, so each index
-    costs a fixed number of scaled terms (row n of E below the diagonal is
+    costs a fixed number of products (row n of E below the diagonal is
     num_k / lambda_n).  E_{nn}, 1/lambda_n and num_k come ready-made from
     the per-lambda kernel.
 
-    Must agree, entry for entry, with applying :func:`e_matrix`; on
-    certified entries the error bound is the same rational too, because
-    lambda_n > 0 factors out of sum_k |num_k / lambda_n| err_k.
+    The loop runs over the rational midpoints of x only.  On certified
+    entries a linear map sends the errors err_k to sum_k |c_k| err_k, so the
+    error bound of y_n is carried as its own nonnegative sum beside it:
+    |E_{nn}| err_n + R_n / lambda_n with R_{n+1} = R_n + |num_n| err_n.
+    That is, term for term, the bound that applying :func:`e_matrix` to
+    the certified entries gives, because lambda_n > 0 factors out of
+    sum_k |num_k / lambda_n| err_k.  Entry n is a ``CertifiedReal``
+    exactly when some entry of x at an index <= n is one.
     """
-    values = _exact_values(x)
-    kern = lam.kernel.grow(len(values))
+    mids, errs, first = _exact_values(x)
+    kern = lam.kernel.grow(len(mids))
     e_diag, inv_lam, num = kern.e_diag, kern.inv_lam, kern.num
     out, acc = [], Fraction(0)
-    for n, v in enumerate(values):
+    for n, v in enumerate(mids):
         out.append(v * e_diag[n] + acc * inv_lam[n])
         acc = acc + v * num[n]
+    if errs is not None:
+        carried = ZERO  # R_n; every error before `first` is 0
+        for n, e in enumerate(errs, first):
+            out[n] = CertifiedReal(out[n], abs(e_diag[n]) * e + carried * inv_lam[n])
+            carried = carried + abs(num[n]) * e
     return SeqWindow(tuple(out))
 
 
@@ -281,26 +308,39 @@ def inverse_transform(y, lam: LambdaSeq) -> SeqWindow:
     f_{k+1}^2 lambda_i y_i w_j, with w_j = 1/(gap(j) f_j f_{j+1}).
 
     The i = -1 terms vanish under the lambda_{-1} = 0 convention.  The
-    signed coefficients lambda_j w_j and -lambda_{j-1} w_j come ready-made
-    from the per-lambda kernel, so each term is one product.  Each j keeps
-    its two terms, in this order, although y_i appears in the terms of
-    j = i and j = i + 1: one product of y_i with the merged coefficient
-    lambda_i (w_i - w_{i+1}) carries the error |w_i - w_{i+1}| lambda_i err_i
-    instead of (w_i + w_{i+1}) lambda_i err_i, so on certified entries it
-    changes the printed bounds (row 2 of ``transform --x witness:power-law
-    --p 3/2 -N 40`` would go from +-2.159e-77 to +-1.583e-77).
+    signed coefficients here_j = lambda_j w_j and back_j = -lambda_{j-1} w_j
+    come ready-made from the per-lambda kernel, so each term is one product,
+    and the loop runs over the rational midpoints of y only.
+
+    On certified entries the error bound of x_k is f_{k+1}^2 B_k, where
+    B_k = B_{k-1} + |back_k| err_{k-1} + |here_k| err_k is one nonnegative
+    sum carried across the window: the bound of the sum of the scaled terms
+    through j = k.  Each j keeps its two terms although y_i appears in the
+    terms of j = i and j = i + 1: one product of y_i with the merged
+    coefficient lambda_i (w_i - w_{i+1}) carries the error
+    |w_i - w_{i+1}| lambda_i err_i instead of (w_i + w_{i+1}) lambda_i err_i,
+    so it would change the printed bounds (row 2 of ``transform --x
+    witness:power-law --p 3/2 -N 40`` would go from +-2.159e-77 to
+    +-1.583e-77).  Entry k is a ``CertifiedReal`` exactly when some entry of
+    y at an index <= k is one.
     Must agree exactly with the forward-substitution solve against the E
     window.
     """
-    values = _exact_values(y)
-    kern = lam.kernel.grow(len(values))
+    mids, errs, first = _exact_values(y)
+    kern = lam.kernel.grow(len(mids))
     here, back = kern.here, kern.back
     out = []
-    for k in range(len(values)):
-        acc = values[0] * here[0]  # j = 0 has no y_{-1} term
+    for k in range(len(mids)):
+        acc = mids[0] * here[0]  # j = 0 has no y_{-1} term
         for j in range(1, k + 1):
-            acc = values[j - 1] * back[j] + values[j] * here[j] + acc
+            acc = mids[j - 1] * back[j] + mids[j] * here[j] + acc
         out.append(acc * fib_sq(k + 1))
+    if errs is not None:
+        carried, prev = ZERO, ZERO  # B_k and err_{k-1}; 0 before `first`
+        for k, e in enumerate(errs, first):
+            carried = carried + abs(back[k]) * prev + abs(here[k]) * e
+            out[k] = CertifiedReal(out[k], carried * fib_sq(k + 1))
+            prev = e
     return SeqWindow(tuple(out))
 
 

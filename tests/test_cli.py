@@ -502,6 +502,14 @@ class TestVerifySuite:
         ("plot_data_norm_linear.csv",
          ("plot-data", "--quantity", "norm", "--x", "witness:power-law", "--p", "3/2",
           "--sweep", "48,16,32,16", "--lambda", "linear:2,1/3")),
+        # The inverse on certified entries whose errors mix zero and nonzero,
+        # and the forward transform on certified entries.
+        ("transform_inverse_power_law_geometric.txt",
+         ("transform", "--inverse", "--y", "witness:power-law", "--p", "2", "-N", "24",
+          "--lambda", "geometric:5/3,1")),
+        ("norm_power_law_geometric.json",
+         ("norm", "--x", "witness:power-law", "--p", "3", "-N", "48",
+          "--lambda", "geometric:5/3,1")),
     ])
     def test_command_output_is_pinned(self, capsys, name, argv):
         code, out, _ = run_cli(capsys, *argv)

@@ -272,6 +272,28 @@ class TestTransformsFromKernel:
         inverse_transform(y, lam)
         assert calls == ["grow"]
 
+    def test_transforms_build_each_certified_entry_once(self, monkeypatch):
+        """The value loops run over rational midpoints: a rational window
+        builds no CertifiedReal, and an N-entry certified window at most N
+        per transform, where a term-by-term certified fold builds O(N^2)."""
+        n = 48
+        lam = LambdaSeq.geometric(Fraction(5, 3), 1)
+        rational, certified = _rational_window(4, n), _certified_window(4, n)
+        built = []
+        post_init = CertifiedReal.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CertifiedReal, "__post_init__", counting)
+        for transform in (forward_transform, inverse_transform):
+            transform(rational, lam)
+            assert built == []
+            transform(certified, lam)
+            assert 0 < len(built) <= n
+            del built[:]
+
     def test_transforms_read_each_lambda_once(self):
         """The transforms grow the kernel once, so the family function runs
         once per index instead of once per matrix entry."""
@@ -323,31 +345,67 @@ def _reference_inverse(y, lam):
 
 def _window(kind: str, seed: int, n: int) -> list:
     """A rational, certified or mixed window; the mixed one holds plain
-    Fractions, ints and certified entries."""
+    Fractions, ints and certified entries.  A "late" window is rational up
+    to a seeded index past 0 and certified from there on; a "zero-err" one
+    holds certified entries whose error is 0 at every third index, entry 0
+    included; a "negative" one holds certified entries of negative value."""
     if kind == "rational":
         return _rational_window(seed, n)
     cert = _certified_window(seed, n)
     if kind == "certified":
         return cert
+    if kind == "late":
+        start = random.Random(seed).randint(1, max(1, n - 1))
+        return [v.value if i < start else v for i, v in enumerate(cert)]
+    if kind == "zero-err":
+        return [CertifiedReal(v.value) if i % 3 == 0 else v for i, v in enumerate(cert)]
+    if kind == "negative":
+        return [CertifiedReal(-abs(v.value) - 1, v.err) for v in cert]
     return [v.value if i % 3 == 0 else v.value.numerator if i % 6 == 1 else v
             for i, v in enumerate(cert)]
 
 
+WINDOW_KINDS = ["rational", "certified", "mixed", "late", "zero-err", "negative"]
+
+
+def _assert_certified_from_first(x, out):
+    """Entry k of a transform is a CertifiedReal exactly when some entry of
+    x at an index <= k is one, and a Fraction otherwise."""
+    seen = False
+    for k, (v, got) in enumerate(zip(x, out)):
+        seen = seen or isinstance(v, CertifiedReal)
+        assert type(got) is (CertifiedReal if seen else Fraction), k
+
+
 class TestReferenceFolds:
-    """The transforms and E's entries read stored coefficients; they must
-    give exactly what forming each coefficient in the loop gave."""
+    """The transforms and E's entries read stored coefficients, and the
+    transforms carry the error bound of certified entries as one separate
+    sum; they must give, in type, value and error, exactly what forming each
+    coefficient and each certified term in the loop gave."""
 
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
         n=st.integers(min_value=1, max_value=24),
-        kind=st.sampled_from(["rational", "certified", "mixed"]),
+        kind=st.sampled_from(WINDOW_KINDS),
         lam=st.sampled_from([LIN, GEO, EXPLICIT, TWIN_A]),
     )
     @settings(max_examples=60, deadline=None)
     def test_transforms_equal_the_reference_folds(self, seed, n, kind, lam):
-        x = _window(kind, seed, n)
-        assert _typed_pairs(forward_transform(x, lam)) == _typed_pairs(_reference_forward(x, lam))
-        assert _typed_pairs(inverse_transform(x, lam)) == _typed_pairs(_reference_inverse(x, lam))
+        self._check(_window(kind, seed, n), lam)
+
+    @pytest.mark.parametrize("lam", [LIN, GEO, TWIN_A], ids=lambda lam: lam.describe())
+    @pytest.mark.parametrize("kind", WINDOW_KINDS[1:])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_deep_windows_equal_the_reference_folds(self, seed, kind, lam):
+        self._check(_window(kind, seed, 64), lam)
+
+    @staticmethod
+    def _check(x, lam):
+        forward, inverse = forward_transform(x, lam), inverse_transform(x, lam)
+        assert _typed_pairs(forward) == _typed_pairs(_reference_forward(x, lam))
+        assert _typed_pairs(inverse) == _typed_pairs(_reference_inverse(x, lam))
+        _assert_certified_from_first(x, forward)
+        _assert_certified_from_first(x, inverse)
 
     @pytest.mark.parametrize("lam", [LIN, GEO, EXPLICIT, TWIN_A], ids=lambda lam: lam.describe())
     def test_e_entries_equal_the_quotients(self, lam):

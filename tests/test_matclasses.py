@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibspaces import duals
 from fibspaces.errors import (
@@ -12,8 +14,10 @@ from fibspaces.errors import (
     UnsupportedPair,
     UnsupportedTarget,
 )
+from fibspaces.exactreal import Exponent
 from fibspaces.matclasses import (
     HatMatrix,
+    _tail_sweep,
     class_check,
     compactness_verdict,
     hat_entry,
@@ -341,6 +345,36 @@ class TestNoncompactness:
             values = [v for _, v in est.sweep]
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-12
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        rows=st.integers(min_value=1, max_value=6),
+        cols=st.integers(min_value=1, max_value=6),
+        scale=st.sampled_from([1, 10**5, 10**9]),
+        branch=st.sampled_from([("c0", 2), ("c", 3), ("l1", 1), ("l1", 2), ("l1", "3/2")]),
+        lam=st.sampled_from([LIN, GEO]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_sweep_never_increases(self, seed, rows, cols, scale, branch, lam):
+        """Each branch of the tail sweep (suffix maxima for c0 and c, column
+        sums for l1 at p = 1, subset suprema for l1 at p > 1) is
+        nonincreasing in r as floats, with no tolerance: a suffix maximum's
+        midpoint never decreases, column sums only grow as rows are added,
+        the subset branch tightens each point by its successors, and float()
+        rounds monotonically.  So the 1e-12 guard of noncompactness_estimate
+        never fires, also where one ulp is far above 1e-12.  Repeated rows
+        reach equal quantities by different routes."""
+        rng = random.Random(seed)
+        base = [[Fraction(rng.randint(-3 * scale, 3 * scale), rng.randint(1, 7))
+                 for _ in range(cols)] for _ in range(rows)]
+        m = RowWindowedMatrix(base + base[:rng.randint(0, rows)])
+        target, p = branch
+        r_max = max(4, m.row_bound + 2)
+        sweep = _tail_sweep(HatMatrix(m, lam), Exponent.of(p), target, m.row_bound,
+                            r_max, 256)
+        values = [v for _, v in sweep]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert noncompactness_estimate(m, lam, p, target, r_max=r_max).sweep == tuple(sweep)
 
     def test_target_c_needs_finite_rows(self):
         with pytest.raises(AlphaLimitUndetermined):

@@ -6,10 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from fibspaces.errors import DivergentTail, ParseError
-from fibspaces.exactreal import CertifiedReal, Exponent, rpow
-from fibspaces.sequences import LambdaSeq, SeqWindow, from_values, unit_seq
+from fibspaces.errors import DivergentTail, DomainError, ParseError
+from fibspaces.exactreal import (
+    DEFAULT_PRECISION,
+    P_INF,
+    P_ONE,
+    CertifiedReal,
+    Exponent,
+    rpow,
+    to_float,
+)
+from fibspaces.sequences import LambdaSeq, SeqWindow, from_values, inv_fib_pow, unit_seq
 from fibspaces.spaces import (
+    DEFAULT_SWEEP,
     TAIL_TOL,
     _scale_shift,
     inclusion_bounds_check,
@@ -19,7 +28,7 @@ from fibspaces.spaces import (
     space_norm,
     tail_constant,
 )
-from fibspaces.verdicts import Status
+from fibspaces.verdicts import Status, classify_growth
 from fibspaces.witnesses import gen_witness, witness_generator
 
 LIN = LambdaSeq.linear(1, 1)
@@ -212,7 +221,46 @@ class TestInclusionBounds:
             assert abs(rep["p"]["constant"].value - 2) <= rep["p"]["constant"].err + Fraction(1, 10**18)
 
 
+def _membership_by_rebuild(gen, lam, space, p, sweep):
+    """The norm branch of membership_evidence with the prefix of every
+    sweep point built on its own."""
+    space, p = normalize_space(space, p)
+    norm_p = {"l1": P_ONE, "linf": P_INF}.get(space, p)
+    points, values = [], []
+    for n in sorted(sweep):
+        est = space_norm(gen.prefix(n), lam, norm_p, DEFAULT_PRECISION)
+        points.append((n, to_float(est.value.value)))
+        values.append(est.value.value)
+    stabilized = (gen.image_support is not None and min(sweep) >= gen.image_support
+                  and all(v == values[-1] for v in values))
+    return classify_growth(points, stabilized_exactly=stabilized)
+
+
 class TestMembershipEvidence:
+    @pytest.mark.parametrize("gen, space, p", [
+        (witness_generator("power-law", GEO, p=Exponent.of(2)), "lp", 3),
+        (witness_generator("power-law", GEO, p=Exponent.of(2)), "l1", None),
+        (witness_generator("t", GEO), "lp", 2),
+        (witness_generator("u", GEO), "lp", 2),
+        (witness_generator("alternating", GEO), "linf", None),
+        (from_values([3, Fraction(-1, 2), 0, 5]), "lp", Fraction(3, 2)),
+        (inv_fib_pow(2), "linf", None),
+    ], ids=["power-law-lp3", "power-law-l1", "t", "u", "alternating", "values", "inv-fib-pow"])
+    @pytest.mark.parametrize("sweep", [DEFAULT_SWEEP, (12, 4, 20, 4, 9)],
+                             ids=["default", "unsorted"])
+    def test_one_deep_window_equals_the_per_point_rebuild(self, gen, space, p, sweep):
+        """The sweep reads every point's prefix from one window built at the
+        deepest point; verdict and sweep must be those of building each
+        point's prefix on its own."""
+        got = membership_evidence(gen, GEO, space, p=p, sweep=sweep)
+        want = _membership_by_rebuild(gen, GEO, space, p, sweep)
+        assert got == want
+        assert got.to_json() == want.to_json()
+
+    def test_sweep_point_below_one_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            membership_evidence(witness_generator("t", LIN), LIN, "lp", p=2, sweep=(8, 0, 4))
+
     def test_power_law_diverges_in_its_own_p(self):
         gen = witness_generator("power-law", LIN, p=Exponent.of(2))
         v = membership_evidence(gen, LIN, "lp", p=2)
