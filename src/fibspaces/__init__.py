@@ -57,7 +57,7 @@ from .triangles import (
     matrix_from_json,
     solve_triangle,
 )
-from .witnesses import gen_witness, witness_generator
+from .witnesses import gen_witness
 from .verdicts import Status, Verdict, classify_growth, classify_to_zero
 from .spaces import (
     NormEstimate,

@@ -62,9 +62,9 @@ def abar(a, lam: LambdaSeq, k: int, n: int) -> Fraction:
                + (1/(gap(k) f_k f_{k+1}) - 1/(gap(k+1) f_{k+1} f_{k+2}))
                  * sum_{j=k+1}^{n} f_{j+1}^2 a_j ].
 
-    Defined for k < n; treated as zero for k >= n (triangle support).  This
-    sums the tail directly, one entry at a time; :func:`_abar_table` is the
-    fast route to whole tables.
+    Defined for 0 <= k < n within the window; any other (k, n) raises
+    ``DomainError``.  This sums the tail directly, one entry at a time;
+    :func:`_abar_table` is the fast route to whole tables.
     """
     values = list(a)
     if not 0 <= k < n:
@@ -121,7 +121,9 @@ class DualReport:
 
 
 def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
-    """abar_k(n) for all k < n < w, in O(w^2) operations.
+    """abar_k(n) for all k < n < w, in O(w^2) operations: w rows, row n
+    holding n entries.  The conditions ask for all rows of the window, or
+    for rows 0..s of a candidate with support s (see :func:`_distinct_rows`).
 
     With the prefix sums T_n = sum_{j<=n} f_{j+1}^2 a_j, abar_k(n) is
     base_k + lambda_k b_k T_n, where base_k = a_k diag_k - lambda_k b_k T_k.
@@ -143,6 +145,19 @@ def _depth(a: PrefixGenerator, window: int) -> int:
     return window if a.support is None else max(window, a.support + 2)
 
 
+def _distinct_rows(a: PrefixGenerator, a_deep: list, lam: LambdaSeq) -> list[list[Fraction]]:
+    """The abar rows d4, d6 and d8 read from a candidate's deepest window.
+
+    T_n is constant from n = s - 1 on for a candidate with support s, so
+    every row n >= s is row s padded with zeros and has the size of row s:
+    rows 0..s are the distinct ones.  The kernel still grows to the whole
+    depth, so every lambda_k the depth reads is checked.
+    """
+    depth = len(a_deep)
+    lam.kernel.grow(depth)
+    return _abar_table(a_deep, lam, depth if a.support is None else a.support + 1)
+
+
 def dual_condition(
     a: PrefixGenerator,
     lam: LambdaSeq,
@@ -154,15 +169,16 @@ def dual_condition(
 ) -> DualReport:
     """Evaluate one membership condition over a deepening window.
 
-    ``table`` may carry the :func:`_abar_table` of the deepest window, so
-    that several conditions on one candidate share it.
+    ``table`` may carry the :func:`_distinct_rows` of the candidate, so that
+    several conditions on one candidate share it.  d4, d6 and d8 take one
+    size per row of it; each later row has the size of its last row.
 
     d1: subset-sup of column sums of the absolute-pairing triangle (needs q);
     d2: sup over columns of absolute column sums of the same triangle;
     d3: convergence of the Fibonacci-square weighted series of a;
     d4: sup over n of the q-power row sums of abar;
     d5: sup of the scaled diagonal;   d6: sup of |abar| over all (n, k);
-    d7: l1-distance of abar rows from their limits tends to zero;
+    d7: the l1-distance between abar rows m and 2m tends to zero;
     d8: sup over n of absolute abar row sums.
 
     A finitely supported candidate is read past its support, where its
@@ -185,35 +201,36 @@ def dual_condition(
     deepest = _depth(a, window)
     points = sweep_points(deepest)
     a_deep = [to_fraction(v) for v in a.prefix(deepest)]
-    if condition in ("d4", "d6", "d7", "d8") and table is None:
-        table = _abar_table(a_deep, lam, deepest)
+    if condition in ("d4", "d6", "d8") and table is None:
+        table = _distinct_rows(a, a_deep, lam)
 
     sweep: list[tuple[int, float]] = []
     lower_bound_only = False
     if condition in ("d3", "d7"):
         # Cauchy evidence: the distance between depths m and 2m, which is
-        # exactly 0 once m clears a finite support.
+        # exactly 0 once m clears a finite support.  Both read the prefix
+        # sums T_n: d3 is |T_2m - T_m|, and since abar_k(m) - abar_k(2m) is
+        # col_k (T_m - T_2m), d7 is |T_m - T_2m| times sum_{k<m} |col_k|.
+        sums = lam.kernel.partial_sums(a_deep)
         if condition == "d3":
-            partials = [Fraction(0)]
-            for j in range(1, deepest):
-                partials.append(partials[-1] + a_deep[j] * fib_sq(j + 1))
-
             def distance(m: int) -> Fraction:
-                return abs(partials[2 * m] - partials[m])
+                return abs(sums[2 * m] - sums[m])
 
         else:
+            abs_col_sums = [Fraction(0)]
+            for c in lam.kernel.grow(deepest).col[:deepest // 2]:
+                abs_col_sums.append(abs_col_sums[-1] + abs(c))
+
             def distance(m: int) -> Fraction:
-                return sum(
-                    (abs(table[m][k] - table[2 * m][k]) for k in range(m)),
-                    Fraction(0),
-                )
+                return abs(sums[m] - sums[2 * m]) * abs_col_sums[m]
 
         dist = None
         for m in [m for m in points if 2 * m < deepest]:
             dist = distance(m)
             sweep.append((m, to_float(dist)))
         if condition == "d3":
-            value = CertifiedReal.exact(partials[-1])
+            # the weighted series from j = 1: T_n less its j = 0 term
+            value = CertifiedReal.exact(sums[-1] - sums[0])
         elif finite:
             value = CertifiedReal.exact(0)
         else:
@@ -309,12 +326,12 @@ def dual_membership(
     p_for_q = p_norm if p_norm is not None else (
         Exponent.infinity() if space == "linf" else Exponent.of(1)
     )
-    # The abar conditions share one table at the depth dual_condition reads
+    # The abar conditions share one table of the rows dual_condition reads
     # (a window below 4 is refused there).
     table = None
-    if window >= 4 and any(c in ("d4", "d6", "d7", "d8") for c in conditions):
-        depth = _depth(a, window)
-        table = _abar_table([to_fraction(v) for v in a.prefix(depth)], lam, depth)
+    if window >= 4 and any(c in ("d4", "d6", "d8") for c in conditions):
+        a_deep = [to_fraction(v) for v in a.prefix(_depth(a, window))]
+        table = _distinct_rows(a, a_deep, lam)
     reports = []
     for cond in conditions:
         need_p = cond in ("d1", "d4")

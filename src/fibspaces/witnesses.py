@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import MissingExponent, UnknownWitness
 from .exactreal import DEFAULT_PRECISION, Exponent, rpow
-from .sequences import LambdaSeq, PrefixGenerator, SeqWindow
+from .sequences import LambdaSeq, SeqWindow
 from .triangles import inverse_transform
 
 
@@ -37,12 +37,6 @@ def _target_image(name: str, p: Exponent | None, n: int, precision: int) -> list
     raise UnknownWitness(f"unknown witness {name!r}")
 
 
-def image_support(name: str) -> int | None:
-    """Index past the last nonzero image entry, when the image is finitely
-    supported (that is what makes the witness's norm finitely determined)."""
-    return {"u": 2, "v-hilbert": 2, "v-e0": 1}.get(name)
-
-
 def gen_witness(
     name: str,
     lam: LambdaSeq,
@@ -60,17 +54,3 @@ def gen_witness(
         p = Exponent.of(p)
     target = _target_image(name, p, n, precision)
     return inverse_transform(SeqWindow(tuple(target)), lam)
-
-
-def witness_generator(
-    name: str,
-    lam: LambdaSeq,
-    p: Exponent | None = None,
-    precision: int = DEFAULT_PRECISION,
-) -> PrefixGenerator:
-    """Prefix-extendable view of a witness, for sweep-based evidence."""
-
-    def fn(n: int) -> tuple:
-        return gen_witness(name, lam, n, p=p, precision=precision).values
-
-    return PrefixGenerator(f"witness:{name}", fn, image_support=image_support(name))

@@ -488,6 +488,14 @@ class TestVerifySuite:
         ("dual_beta_linf.json",
          ("dual", "--a", "inv-fib-pow:3", "--space", "linf", "--kind", "beta",
           "--window", "32")),
+        # Finitely supported candidates, read only through their support:
+        # d3, d4 and d5, then d4, d7 and d8.
+        ("dual_beta_lp_values.json",
+         ("dual", "--a", "values:3,-1/2,0,5/7,0", "--space", "lp:3", "--kind", "beta",
+          "--window", "64", "--lambda", "geometric:3/2,1")),
+        ("dual_beta_linf_values_linear.json",
+         ("dual", "--a", "values:2,0,-7/4,1/3", "--space", "linf", "--kind", "beta",
+          "--window", "48", "--lambda", "linear:7/3,5/2")),
         ("transform_inverse_values.txt",
          ("transform", "--y", "values:1,2/3,-5,7/2,9,1/7", "--inverse")),
         # The same layers at weight families other than the default.

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibspaces import subsetsup
+from fibspaces import duals, subsetsup
 from fibspaces.duals import (
+    DualReport,
+    _abar_table,
+    _g_rows,
     abar,
     alpha_matrix,
     apply_dense_row,
@@ -17,17 +20,26 @@ from fibspaces.duals import (
     dual_membership,
 )
 from fibspaces.errors import DomainError, ParseError
+from fibspaces.exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float, to_fraction
 from fibspaces.sequences import (
     LambdaSeq,
     SeqWindow,
+    fib_sq,
     from_values,
     inv_fib_pow,
     ones_seq,
     unit_seq,
     zero_seq,
 )
+from fibspaces.subsetsup import column_abs_sums, subset_power_sum
 from fibspaces.triangles import e_inverse_matrix, forward_transform
-from fibspaces.verdicts import Status
+from fibspaces.verdicts import (
+    Status,
+    Verdict,
+    classify_growth,
+    classify_to_zero,
+    sweep_points,
+)
 
 LIN = LambdaSeq.linear(1, 1)
 GEO = LambdaSeq.geometric(2, 1)
@@ -267,3 +279,147 @@ class TestDualMembership:
     def test_no_dual_table_for_convergent_spaces(self, space):
         with pytest.raises(ParseError):
             dual_membership(unit_seq(0), LIN, space, "beta", window=12)
+
+
+# ---------------------------------------------------------------------------
+# The full-depth route as an oracle
+
+
+def _full_depth_report(a, lam, condition, window, p=None) -> DualReport:
+    """dual_condition the long way: every abar row built to the depth, one
+    size per row, d3 from its own partial sums and d7 summed entry by entry
+    over the rows m and 2m."""
+    q = None if p is None else conjugate(p).as_fraction()
+    finite = a.support is not None
+    deepest = window if a.support is None else max(window, a.support + 2)
+    points = sweep_points(deepest)
+    a_deep = [to_fraction(v) for v in a.prefix(deepest)]
+    table = _abar_table(a_deep, lam, deepest)
+    sweep, lower_bound_only = [], False
+    if condition in ("d3", "d7"):
+        partials = [Fraction(0)]
+        for j in range(1, deepest):
+            partials.append(partials[-1] + a_deep[j] * fib_sq(j + 1))
+        dist = None
+        for m in [m for m in points if 2 * m < deepest]:
+            if condition == "d3":
+                dist = abs(partials[2 * m] - partials[m])
+            else:
+                dist = sum((abs(table[m][k] - table[2 * m][k]) for k in range(m)), Fraction(0))
+            sweep.append((m, to_float(dist)))
+        if condition == "d3":
+            value = CertifiedReal.exact(partials[-1])
+        elif finite:
+            value = CertifiedReal.exact(0)
+        else:
+            value = CertifiedReal.exact(dist) if dist is not None else None
+        classify = classify_to_zero
+    else:
+        g_rows, col_sums = _g_rows(a_deep, lam), []
+        if condition == "d4":
+            sizes = [power_sum(row, q) for row in table]
+        elif condition == "d5":
+            diag = lam.kernel.grow(deepest).diag
+            sizes = [abs(diag[n] * a_deep[n]) for n in range(deepest)]
+        elif condition == "d6":
+            sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
+        elif condition == "d8":
+            sizes = [sum((abs(v) for v in row), Fraction(0)) for row in table]
+        value, done = CertifiedReal.exact(0), 0
+        for w in points:
+            if condition == "d1":
+                found, value = subset_power_sum(g_rows[:w], q)
+                lower_bound_only = not found.enumerated
+            elif condition == "d2":
+                column_abs_sums(g_rows[done:w], col_sums)
+                value = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
+            else:
+                value = CertifiedReal.max_of([value, *sizes[done:w]])
+            done = w
+            sweep.append((w, to_float(value.value)))
+        classify = classify_growth
+    if finite and lower_bound_only:
+        verdict = Verdict(Status.EVIDENCE_BOUNDED, tuple(sweep))
+    else:
+        verdict = classify(sweep, stabilized_exactly=finite)
+    return DualReport(condition, verdict, tuple(sweep), value, lower_bound_only,
+                      {"lambda": lam.describe(), "window": window, "p": p})
+
+
+def _assert_same_report(got: DualReport, want: DualReport):
+    assert got.to_json() == want.to_json()
+    if want.value is None:
+        assert got.value is None
+    else:
+        assert (got.value.value, got.value.err) == (want.value.value, want.value.err)
+
+
+_small = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=6)
+_lambdas = st.one_of(
+    st.builds(LambdaSeq.linear, _small, _small),
+    st.builds(LambdaSeq.geometric,
+              st.fractions(min_value=Fraction(7, 6), max_value=3, max_denominator=6), _small),
+)
+_candidates = st.one_of(
+    # rationals followed by trailing zeros, so the support is shorter than the list
+    st.builds(
+        lambda vals, zeros: from_values(vals + [Fraction(0)] * zeros),
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                 min_size=1, max_size=14),
+        st.integers(min_value=0, max_value=4),
+    ),
+    # supports from 1 to 71, past window - 2 for every window drawn
+    st.integers(min_value=0, max_value=70).map(unit_seq),
+    st.just(zero_seq()),
+    st.sampled_from([2, 3]).map(inv_fib_pow),
+)
+_exponents = st.sampled_from(
+    [Exponent.of(Fraction(3, 2)), Exponent.of(2), Exponent.of(3), Exponent.infinity()]
+)
+
+
+class TestFullDepthRoute:
+    """Only the rows through a finite support are built and d7 reads prefix
+    sums; every report must stay the one of the full-depth route."""
+
+    @given(a=_candidates, lam=_lambdas, window=st.integers(min_value=4, max_value=64),
+           condition=st.sampled_from(["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8"]),
+           p=_exponents)
+    @settings(max_examples=80, deadline=None)
+    def test_condition_matches_the_full_depth_route(self, a, lam, window, condition, p):
+        p = p if condition in ("d1", "d4") else None
+        got = dual_condition(a, lam, condition, window=window, p=p)
+        _assert_same_report(got, _full_depth_report(a, lam, condition, window, p))
+
+    @given(a=_candidates, lam=_lambdas, window=st.integers(min_value=4, max_value=64),
+           space=st.sampled_from(["l1", "lp:3/2", "lp:2", "lp:3", "linf"]),
+           kind=st.sampled_from(["alpha", "beta", "gamma"]))
+    @settings(max_examples=40, deadline=None)
+    def test_membership_matches_the_full_depth_route(self, a, lam, window, space, kind):
+        res = dual_membership(a, lam, space, kind, window=window)
+        for report in res["conditions"]:
+            p = report.params["p"]
+            _assert_same_report(
+                report, _full_depth_report(a, lam, report.condition, window, p)
+            )
+
+    def test_finite_candidate_builds_rows_through_its_support_only(self, monkeypatch):
+        asked = []
+
+        def recording(a_vals, lam, w):
+            asked.append(w)
+            return _abar_table(a_vals, lam, w)
+
+        monkeypatch.setattr(duals, "_abar_table", recording)
+        dual_membership(unit_seq(5), LIN, "linf", "beta", window=64)
+        for condition in ("d4", "d6", "d8"):
+            dual_condition(unit_seq(5), LIN, condition, window=64, p=Exponent.of(2))
+        assert asked and max(asked) <= 7
+
+    @pytest.mark.parametrize("gen", [unit_seq(5), inv_fib_pow(3)], ids=["unit", "inv-fib-pow"])
+    def test_d7_alone_builds_no_table(self, monkeypatch, gen):
+        def refuse(*args, **kwargs):
+            raise AssertionError("d7 built an abar table")
+
+        monkeypatch.setattr(duals, "_abar_table", refuse)
+        dual_condition(gen, LIN, "d7", window=64)

@@ -15,6 +15,7 @@ from fibspaces.errors import (
 from fibspaces.exactreal import CertifiedReal, rpow
 from fibspaces.sequences import (
     LambdaSeq,
+    PrefixGenerator,
     from_values,
     inv_fib_pow,
     fib,
@@ -22,7 +23,7 @@ from fibspaces.sequences import (
     unit_seq,
 )
 from fibspaces.triangles import forward_transform
-from fibspaces.witnesses import gen_witness, witness_generator
+from fibspaces.witnesses import gen_witness
 
 
 class TestFib:
@@ -220,7 +221,7 @@ class TestWitnesses:
 
     def test_witness_generator_prefixes_consistent(self):
         lam = LambdaSeq.linear(1, 1)
-        gen = witness_generator("t", lam)
+        gen = PrefixGenerator("witness:t", lambda n: gen_witness("t", lam, n).values)
         assert gen.prefix(4).values == gen.prefix(8).values[:4]
 
 

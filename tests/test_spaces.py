@@ -16,7 +16,14 @@ from fibspaces.exactreal import (
     rpow,
     to_float,
 )
-from fibspaces.sequences import LambdaSeq, SeqWindow, from_values, inv_fib_pow, unit_seq
+from fibspaces.sequences import (
+    LambdaSeq,
+    PrefixGenerator,
+    SeqWindow,
+    from_values,
+    inv_fib_pow,
+    unit_seq,
+)
 from fibspaces.spaces import (
     DEFAULT_SWEEP,
     TAIL_TOL,
@@ -29,10 +36,23 @@ from fibspaces.spaces import (
     tail_constant,
 )
 from fibspaces.verdicts import Status, classify_growth
-from fibspaces.witnesses import gen_witness, witness_generator
+from fibspaces.witnesses import gen_witness
 
 LIN = LambdaSeq.linear(1, 1)
 GEO = LambdaSeq.geometric(2, 1)
+
+# Index past the last nonzero image entry of each witness whose image is
+# finitely supported (that is what makes its norm finitely determined).
+IMAGE_SUPPORT = {"u": 2, "v-hilbert": 2, "v-e0": 1}
+
+
+def witness_generator(name, lam, p=None):
+    """Prefix-extendable view of a witness, for sweep-based evidence."""
+
+    def fn(n: int) -> tuple:
+        return gen_witness(name, lam, n, p=p).values
+
+    return PrefixGenerator(f"witness:{name}", fn, image_support=IMAGE_SUPPORT.get(name))
 
 
 def _random_window(rng, n, scale=100):
