@@ -86,6 +86,8 @@ class HatMatrix:
         return row
 
     def _source_row(self, n: int) -> list[Fraction]:
+        if n < 0:
+            raise DomainError(f"row index must be >= 0, got {n}")
         return [self.source.entry(n, j) for j in range(self.source.row_support(n))]
 
     def partial_row(self, n: int, m: int) -> list[Fraction]:
@@ -97,10 +99,16 @@ class HatMatrix:
         return [kern.abar(values, sums, k, max(k, stop)) for k in range(len(values))]
 
     def entry(self, n: int, k: int) -> Fraction:
+        _check_column(k)
         row = self.row(n)
         if k >= len(row):
             return Fraction(0)
         return row[k]
+
+
+def _check_column(k: int):
+    if k < 0:
+        raise DomainError(f"column index must be >= 0, got {k}")
 
 
 def _check_window(window: int):
@@ -116,6 +124,7 @@ def hat_entry(source, lam: LambdaSeq, n: int, k: int, m: int | None = None) -> F
     hat = HatMatrix(source, lam)
     if m is None:
         return hat.entry(n, k)
+    _check_column(k)
     row = hat.partial_row(n, m)
     return row[k] if k < len(row) else Fraction(0)
 

@@ -9,6 +9,7 @@ row of a triangle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -89,13 +90,13 @@ class LambdaSeq:
             return Fraction(0)
         if n < -1:
             raise DomainError(f"lambda index must be >= -1, got {n}")
-        return self.kernel.grow(n).lam[n]
+        return self.kernel.check(n).lam[n]
 
     def gap(self, n: int) -> Fraction:
         """lambda_n - lambda_{n-1}, with the lambda_{-1} = 0 convention."""
         if n < 0:
             raise DomainError(f"lambda gap index must be >= 0, got {n}")
-        return self.kernel.grow(n).gap[n]
+        return self.kernel.check(n).gap[n]
 
     def reciprocal_tail_bound(self, after: int) -> Fraction:
         """Certified upper bound of sum_{n > after} 1/lambda_n.
@@ -158,7 +159,7 @@ class LambdaSeq:
         """A family function checked on lambda_0 and lambda_1 here, and on
         every later value as the kernel reads it."""
         lam = cls(name, (), lambda n: Fraction(fn(n)), reciprocal_summable=False)
-        lam.kernel.grow(1)
+        lam.kernel.check(1)
         return lam
 
     @classmethod
@@ -201,12 +202,17 @@ class Kernel:
       (0 at k = 0), the two signed coefficients of y_k and y_{k-1} in the
       inverse transform's term j = k.
 
-    Index k of each array holds the k-th coefficient; ``lam``, ``gap``,
-    ``w``, ``inv_lam``, ``here`` and ``back`` hold indices 0..n after
-    ``grow(n)``, one further than ``b``, ``col``, ``diag``, ``e_diag`` and
-    ``num``, which hold 0..n-1.  The kernel reads lambda_k as ``value(k)``
-    and holds no reference to its sequence, so the two form no reference
-    cycle.
+    Index k of each array holds the k-th coefficient.  ``check(n)`` reads
+    and checks lambda_0..lambda_n into ``lam`` and ``gap`` alone, so these
+    two may run ahead of the others; ``grow(n)`` checks the same values and
+    then builds ``w``, ``inv_lam``, ``here`` and ``back`` of indices 0..n,
+    and ``b``, ``col``, ``diag``, ``e_diag`` and ``num`` of 0..n-1.  Each
+    coefficient is built as one ``Fraction`` from the integer numerators
+    and denominators of lambda_k, gap(k) and f_k: with gap(k) = g/h, for
+    instance, w_k is h / (g f_k f_{k+1}), reduced by one gcd instead of by
+    the gcds of a ``Fraction`` product or quotient per factor.  The kernel
+    reads lambda_k as ``value(k)`` and holds no reference to its sequence,
+    so the two form no reference cycle.
     """
 
     __slots__ = ("_value", "lam", "gap", "w", "inv_lam", "here", "back",
@@ -226,31 +232,52 @@ class Kernel:
         self.e_diag: list[Fraction] = []
         self.num: list[Fraction] = []
 
-    def grow(self, n: int) -> "Kernel":
-        """Make lambda, gap, w, inv_lam, here and back of indices 0..n and
-        the other coefficients of indices 0..n-1 available.  Each new
-        lambda_k is checked first, so a growth that raises leaves the arrays
-        as they were."""
-        lam, gap, w = self.lam, self.gap, self.w
-        if n < len(w):
+    def check(self, n: int) -> "Kernel":
+        """Make lambda and gap of indices 0..n available.  Each new lambda_k
+        is checked first, so a check that raises leaves both as they were."""
+        lam = self.lam
+        if n < len(lam):
             return self
         new = lam[-1:] or [Fraction(0)]  # the lambda before the first new one
-        for k in range(len(w), n + 1):
+        for k in range(len(lam), n + 1):
             new.append(Fraction(self._value(k)))
             _check_lambda(k, new[-2], new[-1])
-        for k, prev, value in zip(range(len(w), n + 1), new, new[1:]):
-            gap.append(value - prev)
-            lam.append(value)
-            w.append(1 / (gap[k] * fib(k) * fib(k + 1)))
-            self.inv_lam.append(1 / value)
-            self.here.append(value * w[k])
-            self.back.append(-prev * w[k])
+        self.gap.extend(value - prev for prev, value in zip(new, new[1:]))
+        lam.extend(new[1:])
+        return self
+
+    def grow(self, n: int) -> "Kernel":
+        """Make lambda, gap, w, inv_lam, here and back of indices 0..n and
+        the other coefficients of indices 0..n-1 available.  Lambda is
+        checked first, so a growth that raises leaves the arrays as they
+        were."""
+        w = self.w
+        if n < len(w):
+            return self
+        lam, gap = self.check(n).lam, self.gap
+        for k in range(len(w), n + 1):
+            ln, ld = lam[k].numerator, lam[k].denominator
+            pn, pd = (lam[k - 1].numerator, lam[k - 1].denominator) if k else (0, 1)
+            gn, gd = gap[k].numerator, gap[k].denominator
+            wd = gn * fib(k) * fib(k + 1)  # w_k = gd / wd
+            w.append(Fraction(gd, wd))
+            self.inv_lam.append(Fraction(ld, ln))
+            self.here.append(Fraction(ln * gd, ld * wd))
+            self.back.append(Fraction(-pn * gd, pd * wd))
         for k in range(len(self.b), n):
-            self.b.append(w[k] - w[k + 1])
-            self.col.append(lam[k] * self.b[k])
-            self.diag.append(lam[k] * fib_sq(k + 1) * w[k])
-            self.e_diag.append(1 / self.diag[k])
-            self.num.append((gap[k] * fib(k) - gap[k + 1] * fib(k + 2)) / fib(k + 1))
+            ln, ld = lam[k].numerator, lam[k].denominator
+            gn, gd = gap[k].numerator, gap[k].denominator
+            hn, hd = gap[k + 1].numerator, gap[k + 1].denominator
+            w0, w1 = w[k], w[k + 1]
+            bn = w0.numerator * w1.denominator - w1.numerator * w0.denominator
+            bd = w0.denominator * w1.denominator
+            self.b.append(Fraction(bn, bd))
+            self.col.append(Fraction(ln * bn, ld * bd))
+            diag = Fraction(ln * gd * fib(k + 1), ld * gn * fib(k))
+            self.diag.append(diag)
+            self.e_diag.append(Fraction(diag.denominator, diag.numerator))
+            self.num.append(Fraction(gn * fib(k) * hd - hn * fib(k + 2) * gd,
+                                     gd * hd * fib(k + 1)))
         return self
 
     def e_entry(self, n: int, k: int) -> Fraction:
@@ -287,11 +314,28 @@ class Kernel:
 
     def limit_row(self, a) -> list[Fraction]:
         """abar_k(n) for large n and every index k of a, when a holds the
-        whole support: the inner sums run to the end of a."""
+        whole support: the inner sums run to the end of a.
+
+        The row is scaled once to integers A_j = D a_j over the lcm D of
+        its denominators, so the prefix sums S_n = D T_n are integers and
+        each abar_k = (A_k diag_k + col_k (S_last - S_k)) / D is built as
+        one ``Fraction`` (Knuth, TAOCP Vol. 2, 4.5.1)."""
         self.grow(len(a))
-        sums = self.partial_sums(a)
-        last = len(a) - 1
-        return [self.abar(a, sums, k, last) for k in range(len(a))]
+        den = math.lcm(*(v.denominator for v in a))
+        scaled = [v.numerator * (den // v.denominator) for v in a]
+        sums, acc = [], 0
+        for j, v in enumerate(scaled):
+            f = fib(j + 1)
+            acc += f * f * v
+            sums.append(acc)
+        row = []
+        for k, v in enumerate(scaled):
+            d, c = self.diag[k], self.col[k]
+            row.append(Fraction(
+                v * d.numerator * c.denominator + c.numerator * (acc - sums[k]) * d.denominator,
+                den * d.denominator * c.denominator,
+            ))
+        return row
 
 
 # ---------------------------------------------------------------------------

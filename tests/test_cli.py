@@ -518,6 +518,17 @@ class TestVerifySuite:
         ("norm_power_law_geometric.json",
          ("norm", "--x", "witness:power-law", "--p", "3", "-N", "48",
           "--lambda", "geometric:5/3,1")),
+        # The hat rows of E and fhat, and a finitely supported alpha dual.
+        ("mnc_E_c0_linear.json",
+         ("mnc", "--A", "E", "--p", "2", "--Y", "c0", "--lambda", "linear:3,2")),
+        ("opnorm_fhat_linf_geometric.json",
+         ("opnorm", "--A", "fhat", "--p", "2", "--Y", "linf", "--lambda", "geometric:3/2,1")),
+        ("class_E_lp_linf_linear.json",
+         ("class", "--A", "E", "--X", "lp:2", "--Y", "linf", "--window", "24",
+          "--lambda", "linear:5/2,3/4")),
+        ("dual_alpha_lp_values_geometric.json",
+         ("dual", "--a", "values:3,-1/2,0,5/7,1", "--space", "lp:3", "--kind", "alpha",
+          "--window", "32", "--lambda", "geometric:3/2,1")),
     ])
     def test_command_output_is_pinned(self, capsys, name, argv):
         code, out, _ = run_cli(capsys, *argv)

@@ -232,3 +232,18 @@ def test_forward_transform_on_geometric_lambda(r, c, n, spec):
     """Geometric lambda up to N = 300, where the exact values run past the
     interpreter's digit limit."""
     check(["transform", f"--x={spec}", "-N", str(n), f"--lambda=geometric:{r},{c}"])
+
+
+@pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("space", ["l1", "lp:3", "linf"])
+def test_lambda_file_broken_past_a_dual_support_is_a_domain_error(tmp_path, kind, space):
+    """lambda_70 = lambda_69 lies past the candidate's support 2 and inside
+    the window 80: the command exits 3.  (A file lambda is checked whole
+    when it is read; tests/test_duals.py covers a custom lambda that only
+    the kernel reaches.)"""
+    path = tmp_path / "lambda.txt"
+    path.write_text("\n".join(map(str, [*range(1, 71), 70])) + "\n")
+    code, out, err = run(["dual", "--a", "values:1,2", "--space", space, "--kind", kind,
+                          "--window", "80", f"--lambda=file:{path}"])
+    assert (code, out) == (3, ""), (code, err)
+    assert err.startswith("domain error: lambda_70 = 70 does not exceed lambda_69 = 70"), err

@@ -19,7 +19,7 @@ from fibspaces.duals import (
     dual_condition,
     dual_membership,
 )
-from fibspaces.errors import DomainError, ParseError
+from fibspaces.errors import DomainError, NotStrictlyIncreasing, ParseError
 from fibspaces.exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float, to_fraction
 from fibspaces.sequences import (
     LambdaSeq,
@@ -423,3 +423,36 @@ class TestFullDepthRoute:
 
         monkeypatch.setattr(duals, "_abar_table", refuse)
         dual_condition(gen, LIN, "d7", window=64)
+
+
+# lambda_40 = lambda_39: past the support of every candidate below and
+# inside each depth read.
+_STALLS = 40
+
+
+def _stalling_lambda() -> LambdaSeq:
+    return LambdaSeq.custom(lambda n: n + 1 if n < _STALLS else _STALLS, name="stalls")
+
+
+@pytest.mark.parametrize("a", [unit_seq(0), from_values([1, Fraction(-2, 3)]), zero_seq()],
+                         ids=["unit", "values", "zero"])
+class TestLambdaCheckedToTheDepth:
+    """A lambda that breaks between a finite candidate's support and the
+    depth it is read to raises, although no condition needs a coefficient
+    past the support."""
+
+    # d3 is the weighted series of a alone and reads no lambda.
+    @pytest.mark.parametrize("condition", [c for c in duals.CONDITION_IDS if c != "d3"])
+    def test_every_condition_raises(self, a, condition):
+        with pytest.raises(NotStrictlyIncreasing, match=f"lambda_{_STALLS} "):
+            dual_condition(a, _stalling_lambda(), condition, window=48, p=Exponent.of(3))
+
+    @pytest.mark.parametrize("space", ["l1", "lp:3", "linf"])
+    @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
+    def test_every_membership_raises(self, a, space, kind):
+        with pytest.raises(NotStrictlyIncreasing, match=f"lambda_{_STALLS} "):
+            dual_membership(a, _stalling_lambda(), space, kind, window=48)
+
+    def test_a_window_short_of_the_break_reads_it_not(self, a):
+        for kind in ("alpha", "beta", "gamma"):
+            dual_membership(a, _stalling_lambda(), "lp:3", kind, window=_STALLS - 1)

@@ -131,6 +131,150 @@ class TestKernelArrays:
         assert TWIN_A.kernel.grow(5).diag[4] != TWIN_B.kernel.grow(5).diag[4]
 
 
+# Rationals with numerators and denominators up to 40 digits.
+BIG_RATIONALS = st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40))
+SMALL_RATIONALS = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@st.composite
+def lambda_families(draw):
+    """(make, value): ``make()`` builds a fresh LambdaSeq of a linear,
+    geometric, explicit or custom family, some with 40-digit numerators, and
+    ``value(k)`` is its lambda_k computed apart from any kernel."""
+    kind = draw(st.sampled_from(["linear", "geometric", "explicit", "custom"]))
+    if kind == "linear":
+        a, b = draw(BIG_RATIONALS), draw(BIG_RATIONALS)
+        return (lambda: LambdaSeq.linear(a, b)), (lambda k: a * k + b)
+    if kind == "geometric":
+        r, c = 1 + draw(SMALL_RATIONALS), draw(BIG_RATIONALS)
+        return (lambda: LambdaSeq.geometric(r, c)), (lambda k: c * r**k)
+    if kind == "explicit":
+        steps = draw(st.lists(st.one_of(BIG_RATIONALS, SMALL_RATIONALS), min_size=2, max_size=10))
+        vals = [sum(steps[:i + 1]) for i in range(len(steps))]
+        last = vals[-1] - vals[-2]
+
+        def value(k):
+            return vals[k] if k < len(vals) else vals[-1] + last * (k - len(vals) + 1)
+
+        return (lambda: LambdaSeq.explicit(vals)), value
+    c, e = draw(BIG_RATIONALS), draw(st.integers(1, 3))
+
+    def value(k):
+        return c * (k + 1) ** e + Fraction(k, 7)
+
+    return (lambda: LambdaSeq.custom(value, name="poly")), value
+
+
+def _oracle_arrays(value, n: int) -> dict:
+    """Every kernel array after grow(n), each coefficient formed term by
+    term with Fraction arithmetic."""
+    lam = [Fraction(value(k)) for k in range(n + 2)]
+    gap = [lam[k] - (lam[k - 1] if k else 0) for k in range(n + 2)]
+    w = [1 / (gap[k] * fib(k) * fib(k + 1)) for k in range(n + 2)]
+    b = [w[k] - w[k + 1] for k in range(n + 1)]
+    diag = [lam[k] * Fraction(fib(k + 1)) ** 2 * w[k] for k in range(n + 1)]
+    long = {
+        "lam": lam, "gap": gap, "w": w,
+        "inv_lam": [1 / v for v in lam],
+        "here": [lam[k] * w[k] for k in range(n + 2)],
+        "back": [-(lam[k - 1] if k else Fraction(0)) * w[k] for k in range(n + 2)],
+    }
+    short = {
+        "b": b,
+        "col": [lam[k] * b[k] for k in range(n + 1)],
+        "diag": diag,
+        "e_diag": [1 / d for d in diag],
+        "num": [(gap[k] * fib(k) - gap[k + 1] * fib(k + 2)) / fib(k + 1) for k in range(n + 1)],
+    }
+    return {**{name: v[:n + 1] for name, v in long.items()},
+            **{name: v[:n] for name, v in short.items()}}
+
+
+def _expected(value, n: int, ahead: int) -> dict:
+    """The oracle arrays after grow(n), with lam and gap read to index
+    ``ahead`` >= n."""
+    want, top = _oracle_arrays(value, n), _oracle_arrays(value, ahead)
+    want["lam"], want["gap"] = top["lam"], top["gap"]
+    return want
+
+
+def _arrays(kern) -> dict:
+    return {name: list(getattr(kern, name)) for name in ARRAYS}
+
+
+def _assert_fractions(arrays: dict):
+    for name, values in arrays.items():
+        assert all(type(v) is Fraction for v in values), name
+
+
+class TestIntegerKernel:
+    """The kernel builds each coefficient and each hat row from integers;
+    every value must equal the term-by-term Fraction formula it replaces."""
+
+    @given(family=lambda_families(), n=st.integers(0, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_arrays_equal_the_oracle(self, family, n):
+        make, value = family
+        kern = make().kernel
+        ahead = max(n, len(kern.lam) - 1)  # a custom family reads lambda_1 when built
+        arrays = _arrays(kern.grow(n))
+        assert arrays == _expected(value, n, ahead)
+        _assert_fractions(arrays)
+
+    @given(
+        family=lambda_families(),
+        row=st.lists(st.one_of(st.just(Fraction(0)), SMALL_RATIONALS.map(lambda v: -v),
+                               BIG_RATIONALS), max_size=64),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_limit_row_is_abar_over_the_partial_sums(self, family, row):
+        kern = family[0]().kernel
+        got = kern.limit_row(row)
+        sums = kern.partial_sums(row)
+        assert got == [kern.abar(row, sums, k, len(row) - 1) for k in range(len(row))]
+        assert all(type(v) is Fraction for v in got)
+
+    @given(family=lambda_families(), n=st.integers(0, 64), m=st.integers(0, 64),
+           check_first=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_check_and_grow_in_either_order_equal_one_grow(self, family, n, m, check_first):
+        make, value = family
+        kern = make().kernel
+        ahead = max(n, m, len(kern.lam) - 1)
+        if check_first:
+            kern.check(n).grow(m)
+        else:
+            kern.grow(m).check(n)
+        assert _arrays(kern) == _expected(value, m, ahead)
+
+    @given(
+        family=lambda_families(),
+        bad=st.integers(2, 64),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_growth_that_raises_leaves_every_array(self, family, bad, data):
+        """lambda stops increasing at index ``bad``: a check or growth that
+        reaches it raises, and leaves lam, gap and every coefficient as it
+        was; a growth short of it still equals the oracle."""
+        value = family[1]
+        drop = data.draw(st.sampled_from([0, Fraction(1, 3), 1]))
+
+        def broken(k):
+            return value(k) if k < bad else value(bad - 1) - drop
+
+        kern = LambdaSeq.custom(broken, name="broken").kernel
+        kern.grow(data.draw(st.integers(1, bad - 1)))
+        kern.check(data.draw(st.integers(1, bad - 1)))
+        before = _arrays(kern)
+        for step in (kern.check, kern.grow):
+            with pytest.raises(NotStrictlyIncreasing, match=f"lambda_{bad} "):
+                step(data.draw(st.integers(bad, 80)))
+            assert _arrays(kern) == before
+        kern.grow(bad - 1)
+        assert _arrays(kern) == _oracle_arrays(value, bad - 1)
+
+
 class TestTrianglesAgainstOracles:
     @pytest.mark.parametrize("lam", FAMILIES, ids=lambda lam: lam.describe())
     def test_e_is_the_composition(self, lam):

@@ -74,6 +74,25 @@ class TestHatEntries:
     def test_zero_matrix(self):
         assert hat_entry(ZERO, LIN, 0, 0) == 0
 
+    @pytest.mark.parametrize("source", [
+        RowWindowedMatrix([[1, 2, 3]]), identity_triangle(), e_matrix(GEO),
+    ], ids=["rows", "identity", "E"])
+    @pytest.mark.parametrize("n, k", [(0, -1), (-1, 0), (-1, -1), (2, -3)])
+    @pytest.mark.parametrize("m", [None, 0, 4])
+    def test_negative_indices_are_domain_errors(self, source, n, k, m):
+        """A negative index is refused, as Triangle.entry and
+        RowWindowedMatrix.entry refuse it, not read from the end of a row."""
+        with pytest.raises(DomainError):
+            hat_entry(source, LIN, n, k, m=m)
+        hat = HatMatrix(source, LIN)
+        with pytest.raises(DomainError):
+            hat.entry(n, k)
+        if n < 0:
+            with pytest.raises(DomainError):
+                hat.row(n)
+            with pytest.raises(DomainError):
+                hat.partial_row(n, 4)
+
     def test_partial_entries_reach_full(self):
         rng = random.Random(12)
         m = _random_matrix(rng, 6, 6)

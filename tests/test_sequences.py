@@ -99,7 +99,9 @@ class TestLambdaSeq:
         with pytest.raises(NotStrictlyIncreasing, match="lambda_10 = 5"):
             kern.grow(20)
         assert {name: len(getattr(kern, name)) for name in arrays} == before
-        assert lam.value(9) == 10 and len(kern.b) == 9
+        # Reading lambda checks it without building the other coefficients.
+        assert lam.value(9) == 10 and len(kern.lam) == 10 and len(kern.b) == 6
+        assert len(kern.grow(9).b) == 9
 
     def test_each_value_is_read_once(self):
         calls = []
