@@ -74,7 +74,7 @@ def abar(a, lam: LambdaSeq, k: int, n: int) -> Fraction:
     kern = lam.kernel.grow(k + 1)
     tail = dot((fib_sq(j + 1), Fraction(values[j])) for j in range(k + 1, n + 1))
     head = Fraction(values[k]) * fib_sq(k + 1) * kern.w[k]
-    return kern.lam[k] * (head + kern.b[k] * tail)
+    return kern.lam[k] * (head + (kern.w[k] - kern.w[k + 1]) * tail)
 
 
 def beta_matrix(a, lam: LambdaSeq) -> DenseWindow:
@@ -123,10 +123,10 @@ class DualReport:
 def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     """abar_k(n) for all k < n < w, in O(w^2) operations: w rows, row n
     holding n entries.  The conditions ask for all rows of the window, or
-    for rows 0..s of a candidate with support s (see :func:`_distinct_rows`).
+    for rows 0..s of a candidate with support s (see :func:`dual_condition`).
 
     With the prefix sums T_n = sum_{j<=n} f_{j+1}^2 a_j, abar_k(n) is
-    base_k + lambda_k b_k T_n, where base_k = a_k diag_k - lambda_k b_k T_k.
+    base_k + col_k T_n, where base_k = a_k diag_k - col_k T_k.
     """
     if len(a_vals) < w:
         raise DomainError(f"window of length {len(a_vals)} is shorter than {w}")
@@ -138,40 +138,17 @@ def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     return [[base[k] + col[k] * sums[n] for k in range(n)] for n in range(w)]
 
 
-def _depth(a: PrefixGenerator, window: int) -> int:
-    """How deep a candidate is read: the window, and for a finitely
-    supported candidate at least two rows past its support, where every
-    condition below is decided by the finite computation."""
-    return window if a.support is None else max(window, a.support + 2)
-
-
-def _distinct_rows(a: PrefixGenerator, a_deep: list, lam: LambdaSeq) -> list[list[Fraction]]:
-    """The abar rows d4, d6 and d8 read from a candidate's deepest window.
-
-    T_n is constant from n = s - 1 on for a candidate with support s, so
-    every row n >= s is row s padded with zeros and has the size of row s:
-    rows 0..s are the distinct ones.  The kernel still grows to the whole
-    depth, so every lambda_k the depth reads is checked.
-    """
-    depth = len(a_deep)
-    lam.kernel.grow(depth)
-    return _abar_table(a_deep, lam, depth if a.support is None else a.support + 1)
-
-
 def dual_condition(
     a: PrefixGenerator,
     lam: LambdaSeq,
     condition: str,
     window: int = 32,
     p=None,
-    *,
-    table: list | None = None,
 ) -> DualReport:
     """Evaluate one membership condition over a deepening window.
 
-    ``table`` may carry the :func:`_distinct_rows` of the candidate, so that
-    several conditions on one candidate share it.  d4, d6 and d8 take one
-    size per row of it; each later row has the size of its last row.
+    d4, d6 and d8 take one size per distinct abar row of the candidate;
+    each later row has the size of its last row.
 
     d1: subset-sup of column sums of the absolute-pairing triangle (needs q);
     d2: sup over columns of absolute column sums of the same triangle;
@@ -198,11 +175,18 @@ def dual_condition(
             raise DomainError(f"{condition} with q = inf is not a sum condition")
 
     finite = a.support is not None
-    deepest = _depth(a, window)
+    # A finitely supported candidate is read at least two rows past its
+    # support, where every condition is decided by the finite computation.
+    deepest = max(window, a.support + 2) if finite else window
     points = sweep_points(deepest)
     a_deep = [to_fraction(v) for v in a.prefix(deepest)]
-    if condition in ("d4", "d6", "d8") and table is None:
-        table = _distinct_rows(a, a_deep, lam)
+    if condition in ("d4", "d6", "d8"):
+        # T_n is constant from n = s - 1 on for a candidate with support s,
+        # so every row n >= s is row s padded with zeros: rows 0..s are the
+        # distinct ones.  The kernel still grows to the whole depth, so every
+        # lambda_k the depth reads is checked.
+        lam.kernel.grow(deepest)
+        table = _abar_table(a_deep, lam, a.support + 1 if finite else deepest)
 
     sweep: list[tuple[int, float]] = []
     lower_bound_only = False
@@ -300,17 +284,16 @@ def dual_membership(
     lam: LambdaSeq,
     space: str,
     kind: str,
-    p=None,
     window: int = 32,
 ) -> dict:
     """Combined alpha/beta/gamma dual membership evidence.
 
     The condition set is the classical characterization for the given
     space and dual kind; the result carries the per-condition reports
-    and their conjunction.  ``space`` and ``p`` are read by
-    ``normalize_space``; the space must be l1, lp or linf.
+    and their conjunction.  ``space`` is a spec read by ``normalize_space``,
+    such as "l1" or "lp:2"; the space must be l1, lp or linf.
     """
-    space, p_norm = normalize_space(space, p)
+    space, p_norm = normalize_space(space)
     if space not in _BETA_TABLE:
         raise ParseError(f"unknown space {space!r}")
     if kind == "alpha":
@@ -326,21 +309,11 @@ def dual_membership(
     p_for_q = p_norm if p_norm is not None else (
         Exponent.infinity() if space == "linf" else Exponent.of(1)
     )
-    # The abar conditions share one table of the rows dual_condition reads
-    # (a window below 4 is refused there).
-    table = None
-    if window >= 4 and any(c in ("d4", "d6", "d8") for c in conditions):
-        a_deep = [to_fraction(v) for v in a.prefix(_depth(a, window))]
-        table = _distinct_rows(a, a_deep, lam)
-    reports = []
-    for cond in conditions:
-        need_p = cond in ("d1", "d4")
-        reports.append(
-            dual_condition(
-                a, lam, cond, window=window,
-                p=p_for_q if need_p else None, table=table,
-            )
-        )
+    reports = [
+        dual_condition(a, lam, cond, window=window,
+                       p=p_for_q if cond in ("d1", "d4") else None)
+        for cond in conditions
+    ]
     combined = conjunction([r.verdict for r in reports], label=f"{kind}-dual:{space}")
     return {
         "space": space,

@@ -345,7 +345,7 @@ def _check_alpha_pairing(cfg):
 @_register("beta-dual-e0", "the first coordinate vector sits in the beta dual, exactly")
 def _check_beta_e0(cfg):
     lam = LambdaSeq.linear(1, 1)
-    result = dual_membership(unit_seq(0), lam, "lp", "beta", p=2, window=24)
+    result = dual_membership(unit_seq(0), lam, "lp:2", "beta", window=24)
     ok = result["verdict"].status is Status.HOLDS_EXACTLY
     status = ", ".join(r.verdict.status.value for r in result["conditions"])
     return ok, f"conditions: {status}"
@@ -361,7 +361,7 @@ def _single_row_matrix() -> RowWindowedMatrix:
 @_register("class-finite", "finite matrices make every mapping condition finitely determined")
 def _check_class_finite(cfg):
     lam = LambdaSeq.linear(1, 1)
-    report = class_check(_single_row_matrix(), lam, "lp", "linf", p=2, window=16)
+    report = class_check(_single_row_matrix(), lam, "lp:2", "linf", window=16)
     if not report.verdict.is_exact:
         return False, "single-row report not exact"
     bad = [cid for cid, v in report.conditions if not v.is_exact]

@@ -3,11 +3,9 @@ measure-of-noncompactness estimates.
 
 Everything here runs through one transformed matrix: given a source matrix
 A and a weight family, row n of A is paired against the inverse triangle,
-giving entries
-
-    hat(n, k) = lambda_k [ f_{k+1}^2 a_nk / (gap(k) f_k f_{k+1})
-                + (1/(gap(k) f_k f_{k+1}) - 1/(gap(k+1) f_{k+1} f_{k+2}))
-                  * sum_{j>k} f_{j+1}^2 a_nj ].
+so hat(n, k) is the pairing quantity abar_k of the row a = (a_nj)_j with
+its inner sum run to the end of the row (see
+:class:`~fibspaces.sequences.Kernel`).
 
 For the matrices accepted here (row-windowed, or triangles) every row is
 finitely supported, so the inner series truncates and each hat entry is an
@@ -91,12 +89,12 @@ class HatMatrix:
         return [self.source.entry(n, j) for j in range(self.source.row_support(n))]
 
     def partial_row(self, n: int, m: int) -> list[Fraction]:
-        """Row n with every inner sum stopped at j = m."""
+        """Row n with every inner sum stopped at j = m: the limit row of the
+        entries through j = m, then a_nk diag_k (an empty inner sum) past it."""
         values = self._source_row(n)
         kern = self.lam.kernel.grow(len(values))
-        sums = kern.partial_sums(values)
-        stop = min(m, len(values) - 1)
-        return [kern.abar(values, sums, k, max(k, stop)) for k in range(len(values))]
+        head = kern.limit_row(values[:max(m + 1, 0)])
+        return head + [values[k] * kern.diag[k] for k in range(len(head), len(values))]
 
     def entry(self, n: int, k: int) -> Fraction:
         _check_column(k)
@@ -257,15 +255,13 @@ def class_check(
     lam: LambdaSeq,
     source: str,
     target: str,
-    p=None,
-    target_p=None,
     window: int = 24,
 ) -> ClassReport:
     """Check the conditions of the governing mapping-class characterization
     for the pair (source space, target space), each with a Verdict.  Each
-    space is read with its exponent by ``normalize_space``."""
-    src, p_norm = normalize_space(source, p)
-    tgt, tp_norm = normalize_space(target, target_p)
+    space is a spec read by ``normalize_space``, such as "l1" or "lp:2"."""
+    src, p_norm = normalize_space(source)
+    tgt, tp_norm = normalize_space(target)
     if src not in SOURCES:
         raise UnsupportedPair(f"unsupported source {source!r}")
     if tgt not in TARGETS:
@@ -509,12 +505,12 @@ class MncEstimate:
 
     def compactness(self) -> Verdict:
         """Compactness of the matrix operator: exactly compact when the
-        noncompactness measure is exactly zero, otherwise classified from
-        the tail sweep."""
+        noncompactness measure is exactly zero, otherwise labelled from the
+        verdict on the tail sweep."""
         if self.exact:  # the limit is then exactly zero
             return Verdict(Status.HOLDS_EXACTLY, self.sweep, label="compact",
                            value=self.limit)
-        inner = classify_to_zero(self.sweep)
+        inner = self.verdict
         if inner.status is Status.EVIDENCE_BOUNDED:
             return Verdict(Status.EVIDENCE_BOUNDED, self.sweep,
                            label="evidence-compact", growth=inner.growth)

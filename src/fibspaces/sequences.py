@@ -183,53 +183,47 @@ class Kernel:
     """The closed-form coefficients of the composed triangle E and of its
     inverse for one weight sequence, as arrays grown on demand.
 
-    With w_k = 1/(gap(k) f_k f_{k+1}) and b_k = w_k - w_{k+1}:
+    With w_k = 1/(gap(k) f_k f_{k+1}), every entry is read from eight arrays
+    whose index k holds the k-th coefficient:
 
-    * the inverse has f_{n+1}^2 lambda_k b_k below the diagonal (``col``)
-      and diag_n = lambda_n f_{n+1}^2 w_n on it (``diag``);
+    * ``lam`` and ``gap`` hold lambda_k and gap(k) = lambda_k - lambda_{k-1};
+    * ``w`` holds w_k;
     * E has num_k / lambda_n below the diagonal, with the row-independent
       numerator num_k = (gap(k) f_k - gap(k+1) f_{k+2}) / f_{k+1} (``num``),
       and 1/diag_n on it;
+    * the inverse of E has f_{n+1}^2 col_k below the diagonal, with
+      col_k = lambda_k (w_k - w_{k+1}) (``col``), and
+      diag_n = lambda_n f_{n+1}^2 w_n on it (``diag``);
     * pairing a sequence a against column k of the inverse up to row n gives
-      abar_k(n) = a_k diag_k + lambda_k b_k (T_n - T_k), with the prefix
-      sums T_n = sum_{j<=n} f_{j+1}^2 a_j.
-
-    The transforms read their coefficients ready-made:
-
-    * ``inv_lam`` holds 1/lambda_k and ``e_diag`` holds E_kk = 1/diag_k, the
-      forward transform's row factor and diagonal;
+      abar_k(n) = a_k diag_k + col_k (T_n - T_k), with the prefix sums
+      T_n = sum_{j<=n} f_{j+1}^2 a_j;
     * ``here`` holds lambda_k w_k and ``back`` holds -lambda_{k-1} w_k
       (0 at k = 0), the two signed coefficients of y_k and y_{k-1} in the
       inverse transform's term j = k.
 
-    Index k of each array holds the k-th coefficient.  ``check(n)`` reads
-    and checks lambda_0..lambda_n into ``lam`` and ``gap`` alone, so these
-    two may run ahead of the others; ``grow(n)`` checks the same values and
-    then builds ``w``, ``inv_lam``, ``here`` and ``back`` of indices 0..n,
-    and ``b``, ``col``, ``diag``, ``e_diag`` and ``num`` of 0..n-1.  Each
-    coefficient is built as one ``Fraction`` from the integer numerators
-    and denominators of lambda_k, gap(k) and f_k: with gap(k) = g/h, for
-    instance, w_k is h / (g f_k f_{k+1}), reduced by one gcd instead of by
-    the gcds of a ``Fraction`` product or quotient per factor.  The kernel
-    reads lambda_k as ``value(k)`` and holds no reference to its sequence,
-    so the two form no reference cycle.
+    ``check(n)`` reads and checks lambda_0..lambda_n into ``lam`` and ``gap``
+    alone, so these two may run ahead of the others; ``grow(n)`` checks the
+    same values and then builds ``w``, ``here`` and ``back`` of indices 0..n,
+    and ``col``, ``diag`` and ``num`` of 0..n-1.  Each coefficient is built
+    as one ``Fraction`` from the integer numerators and denominators of
+    lambda_k, gap(k) and f_k: with gap(k) = g/h, for instance, w_k is
+    h / (g f_k f_{k+1}), reduced by one gcd instead of by the gcds of a
+    ``Fraction`` product or quotient per factor.  The kernel reads lambda_k
+    as ``value(k)`` and holds no reference to its sequence, so the two form
+    no reference cycle.
     """
 
-    __slots__ = ("_value", "lam", "gap", "w", "inv_lam", "here", "back",
-                 "b", "col", "diag", "e_diag", "num")
+    __slots__ = ("_value", "lam", "gap", "w", "here", "back", "col", "diag", "num")
 
     def __init__(self, value: Callable[[int], Fraction]):
         self._value = value
         self.lam: list[Fraction] = []
         self.gap: list[Fraction] = []
         self.w: list[Fraction] = []
-        self.inv_lam: list[Fraction] = []
         self.here: list[Fraction] = []
         self.back: list[Fraction] = []
-        self.b: list[Fraction] = []
         self.col: list[Fraction] = []
         self.diag: list[Fraction] = []
-        self.e_diag: list[Fraction] = []
         self.num: list[Fraction] = []
 
     def check(self, n: int) -> "Kernel":
@@ -247,10 +241,9 @@ class Kernel:
         return self
 
     def grow(self, n: int) -> "Kernel":
-        """Make lambda, gap, w, inv_lam, here and back of indices 0..n and
-        the other coefficients of indices 0..n-1 available.  Lambda is
-        checked first, so a growth that raises leaves the arrays as they
-        were."""
+        """Make lambda, gap, w, here and back of indices 0..n and col, diag
+        and num of indices 0..n-1 available.  Lambda is checked first, so a
+        growth that raises leaves the arrays as they were."""
         w = self.w
         if n < len(w):
             return self
@@ -261,21 +254,17 @@ class Kernel:
             gn, gd = gap[k].numerator, gap[k].denominator
             wd = gn * fib(k) * fib(k + 1)  # w_k = gd / wd
             w.append(Fraction(gd, wd))
-            self.inv_lam.append(Fraction(ld, ln))
             self.here.append(Fraction(ln * gd, ld * wd))
             self.back.append(Fraction(-pn * gd, pd * wd))
-        for k in range(len(self.b), n):
+        for k in range(len(self.col), n):
             ln, ld = lam[k].numerator, lam[k].denominator
             gn, gd = gap[k].numerator, gap[k].denominator
             hn, hd = gap[k + 1].numerator, gap[k + 1].denominator
             w0, w1 = w[k], w[k + 1]
             bn = w0.numerator * w1.denominator - w1.numerator * w0.denominator
-            bd = w0.denominator * w1.denominator
-            self.b.append(Fraction(bn, bd))
+            bd = w0.denominator * w1.denominator  # w_k - w_{k+1} = bn / bd
             self.col.append(Fraction(ln * bn, ld * bd))
-            diag = Fraction(ln * gd * fib(k + 1), ld * gn * fib(k))
-            self.diag.append(diag)
-            self.e_diag.append(Fraction(diag.denominator, diag.numerator))
+            self.diag.append(Fraction(ln * gd * fib(k + 1), ld * gn * fib(k)))
             self.num.append(Fraction(gn * fib(k) * hd - hn * fib(k + 2) * gd,
                                      gd * hd * fib(k + 1)))
         return self
@@ -286,8 +275,8 @@ class Kernel:
             return Fraction(0)
         self.grow(n + 1)
         if k == n:
-            return self.e_diag[n]
-        return self.num[k] * self.inv_lam[n]
+            return 1 / self.diag[n]
+        return self.num[k] / self.lam[n]
 
     def inverse_entry(self, n: int, k: int) -> Fraction:
         """Entry (n, k) of the inverse of E; needs the coefficients up to
@@ -306,11 +295,6 @@ class Kernel:
             acc = acc + fib_sq(j + 1) * v
             sums.append(acc)
         return sums
-
-    def abar(self, a, sums, k: int, n: int) -> Fraction:
-        """abar_k(n) from the partial sums of a, for k <= n (k = n gives the
-        scaled diagonal a_n diag_n).  Needs ``grow(k + 1)`` first."""
-        return a[k] * self.diag[k] + self.col[k] * (sums[n] - sums[k])
 
     def limit_row(self, a) -> list[Fraction]:
         """abar_k(n) for large n and every index k of a, when a holds the

@@ -55,24 +55,22 @@ def _scale_shift(values, q: float) -> int:
     return math.ceil(top + 1 - room / q) + 1
 
 
-def normalize_space(space: str, p=None) -> tuple[str, Exponent | None]:
-    """The canonical (kind, exponent) of a space given as a kind of
-    ``SPACE_KINDS`` with the exponent p for "lp", or as "lp:<p>".
+def normalize_space(space: str) -> tuple[str, Exponent | None]:
+    """The canonical (kind, exponent) of a space spec: "lp:<p>", or a kind
+    of ``SPACE_KINDS`` other than "lp".
 
     lp with p = 1 is l1 and with p = inf is linf, so the exponent is None
     for every kind but "lp"; callers check the kinds they support.
     """
     space = space.strip()
     kind, colon, text = space.partition(":")
-    if colon and kind == "lp" and p is None:
-        p = Exponent.parse(text)
-    elif colon or kind not in SPACE_KINDS:
+    if (colon and kind != "lp") or kind not in SPACE_KINDS:
         raise ParseError(f"bad space spec {space!r}")
     if kind != "lp":
         return kind, None
-    if p is None:
+    if not colon:
         raise ParseError("space 'lp' needs an exponent")
-    p = Exponent.of(p)
+    p = Exponent.parse(text)
     if p.is_infinite:
         return "linf", None
     if p.as_fraction() == 1:
@@ -252,20 +250,19 @@ def inclusion_bounds_check(
 def membership_evidence(
     gen: PrefixGenerator,
     lam: LambdaSeq,
-    space: str = "lp",
-    p=None,
+    space: str,
     sweep=DEFAULT_SWEEP,
     precision: int = DEFAULT_PRECISION,
 ) -> Verdict:
     """Finite evidence that the generated sequence lies in the named space.
 
-    ``space`` and ``p`` are read by ``normalize_space``: "l1" or "lp" (the
+    ``space`` is a spec read by ``normalize_space``: "l1" or "lp:<p>" (the
     p-norm of the image must stay bounded), "linf" (image sup bounded) or
     "c0" (image entries tend to zero).  When the generator's image is known
     to be finitely supported the quantity is finitely determined and the
     verdict is exact.
     """
-    space, p = normalize_space(space, p)
+    space, p = normalize_space(space)
     if space not in ("l1", "lp", "linf", "c0"):
         raise ParseError(f"unknown space {space!r}")
 

@@ -141,23 +141,16 @@ def fhat_matrix() -> Triangle:
 
 
 def e_matrix(lam: LambdaSeq) -> Triangle:
-    """The composed triangle in closed form.
-
-    Below the diagonal the entry is num_k / lambda_n, a column factor
-    num_k = gap(k) f_k/f_{k+1} - gap(k+1) f_{k+2}/f_{k+1} over a row factor,
-    which is what lets :func:`forward_transform` run in one pass; on the
-    diagonal it is gap(n) f_n / (lambda_n f_{n+1}).
-    """
+    """The composed triangle in closed form, read from the per-lambda
+    kernel (see :class:`~fibspaces.sequences.Kernel`).  Below the diagonal
+    each entry is a column factor over a row factor, num_k / lambda_n, which
+    is what lets :func:`forward_transform` run in one pass."""
     return Triangle(lam.kernel.e_entry, name=f"E[{lam.describe()}]")
 
 
 def e_inverse_matrix(lam: LambdaSeq) -> Triangle:
-    """Closed-form inverse of :func:`e_matrix`.
-
-    Below the diagonal:
-    lambda_k f_{n+1}^2 [ 1/(gap(k) f_k f_{k+1}) - 1/(gap(k+1) f_{k+1} f_{k+2}) ];
-    diagonal: lambda_n f_{n+1}^2 / (gap(n) f_n f_{n+1}).
-    """
+    """Closed-form inverse of :func:`e_matrix`, read from the per-lambda
+    kernel (see :class:`~fibspaces.sequences.Kernel`)."""
     return Triangle(lam.kernel.inverse_entry, name=f"Einv[{lam.describe()}]")
 
 
@@ -273,16 +266,16 @@ def _exact_values(x) -> tuple[list, list | None, int | None]:
 
 
 def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
-    """y_n = E_{nn} x_n + S_n / lambda_n, where the running column sum
+    """y_n = x_n / diag_n + S_n / lambda_n, where the running column sum
     S_n = sum_{k<n} num_k x_k is carried from row to row, so each index
-    costs a fixed number of products (row n of E below the diagonal is
-    num_k / lambda_n).  E_{nn}, 1/lambda_n and num_k come ready-made from
-    the per-lambda kernel.
+    costs a fixed number of products and quotients (row n of E is
+    num_k / lambda_n below the diagonal and 1/diag_n on it).  lambda_n,
+    diag_n and num_k come from the per-lambda kernel.
 
     The loop runs over the rational midpoints of x only.  On certified
     entries a linear map sends the errors err_k to sum_k |c_k| err_k, so the
     error bound of y_n is carried as its own nonnegative sum beside it:
-    |E_{nn}| err_n + R_n / lambda_n with R_{n+1} = R_n + |num_n| err_n.
+    err_n / |diag_n| + R_n / lambda_n with R_{n+1} = R_n + |num_n| err_n.
     That is, term for term, the bound that applying :func:`e_matrix` to
     the certified entries gives, because lambda_n > 0 factors out of
     sum_k |num_k / lambda_n| err_k.  Entry n is a ``CertifiedReal``
@@ -290,24 +283,25 @@ def forward_transform(x, lam: LambdaSeq) -> SeqWindow:
     """
     mids, errs, first = _exact_values(x)
     kern = lam.kernel.grow(len(mids))
-    e_diag, inv_lam, num = kern.e_diag, kern.inv_lam, kern.num
+    lams, diag, num = kern.lam, kern.diag, kern.num
     out, acc = [], Fraction(0)
     for n, v in enumerate(mids):
-        out.append(v * e_diag[n] + acc * inv_lam[n])
+        out.append(v / diag[n] + acc / lams[n])
         acc = acc + v * num[n]
     if errs is not None:
         carried = ZERO  # R_n; every error before `first` is 0
         for n, e in enumerate(errs, first):
-            out[n] = CertifiedReal(out[n], abs(e_diag[n]) * e + carried * inv_lam[n])
+            out[n] = CertifiedReal(out[n], e / abs(diag[n]) + carried / lams[n])
             carried = carried + abs(num[n]) * e
     return SeqWindow(tuple(out))
 
 
 def inverse_transform(y, lam: LambdaSeq) -> SeqWindow:
-    """x_k = sum_{j=0}^{k} sum_{i=j-1}^{j} (-1)^{j-i}
-    f_{k+1}^2 lambda_i y_i w_j, with w_j = 1/(gap(j) f_j f_{j+1}).
+    """x_k = f_{k+1}^2 sum_{j=0}^{k} (here_j y_j + back_j y_{j-1}), the
+    inverse of E (see :class:`~fibspaces.sequences.Kernel`) applied with
+    its column factors split into their two signed terms.
 
-    The i = -1 terms vanish under the lambda_{-1} = 0 convention.  The
+    The y_{-1} term vanishes under the lambda_{-1} = 0 convention.  The
     signed coefficients here_j = lambda_j w_j and back_j = -lambda_{j-1} w_j
     come ready-made from the per-lambda kernel, so each term is one product,
     and the loop runs over the rational midpoints of y only.

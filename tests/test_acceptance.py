@@ -183,7 +183,7 @@ def test_criterion_08_dual_machinery(acceptance):
         ok = ok and lhs == apply_dense_row(t, list(y.values), n)
         b = alpha_matrix(a, LIN)
         ok = ok and a.values[n] * x.values[n] == apply_dense_row(b, list(y.values), n)
-    res = dual_membership(unit_seq(0), LIN, "lp", "beta", p=2, window=24)
+    res = dual_membership(unit_seq(0), LIN, "lp:2", "beta", window=24)
     ok = ok and res["verdict"].status is Status.HOLDS_EXACTLY
     assert acceptance(
         8, "pairing identities exact (100x); unit vector beta-dual holds-exactly", ok
@@ -204,7 +204,7 @@ def test_criterion_09_matrix_classes_and_mnc(acceptance):
     )
 
     for mat in (single, two, rand8):
-        rep = class_check(mat, LIN, "lp", "linf", p=2, window=12)
+        rep = class_check(mat, LIN, "lp:2", "linf", window=12)
         ok = ok and all(v.is_exact for _, v in rep.conditions)
         # self-consistency: the q-norm-sup condition squares the norm value
         qsup = dict(rep.conditions)["row-qnorm-sup"].value

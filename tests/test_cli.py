@@ -529,6 +529,23 @@ class TestVerifySuite:
         ("dual_alpha_lp_values_geometric.json",
          ("dual", "--a", "values:3,-1/2,0,5/7,1", "--space", "lp:3", "--kind", "alpha",
           "--window", "32", "--lambda", "geometric:3/2,1")),
+        # Partial hat rows (partial-uniform), a d6 table, a finitely
+        # supported gamma dual, and the compactness label of an l1 sweep.
+        ("class_E_linf_linf_geometric.json",
+         ("class", "--A", "E", "--X", "linf", "--Y", "linf", "--window", "16",
+          "--lambda", "geometric:3/2,1")),
+        ("class_fhat_linf_c0_linear.json",
+         ("class", "--A", "fhat", "--X", "linf", "--Y", "c0", "--window", "16",
+          "--lambda", "linear:5/2,3/4")),
+        ("dual_beta_l1_linear.json",
+         ("dual", "--a", "inv-fib-pow:3", "--space", "l1", "--kind", "beta",
+          "--window", "32", "--lambda", "linear:5/2,3/4")),
+        ("dual_gamma_linf_values_geometric.json",
+         ("dual", "--a", "values:2,-1/3,0,5", "--space", "linf", "--kind", "gamma",
+          "--window", "24", "--lambda", "geometric:5/3,1")),
+        ("mnc_fhat_l1_geometric.json",
+         ("mnc", "--A", "fhat", "--p", "3/2", "--Y", "l1", "--rmax", "8",
+          "--lambda", "geometric:3/2,1")),
     ])
     def test_command_output_is_pinned(self, capsys, name, argv):
         code, out, _ = run_cli(capsys, *argv)

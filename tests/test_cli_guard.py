@@ -247,3 +247,17 @@ def test_lambda_file_broken_past_a_dual_support_is_a_domain_error(tmp_path, kind
                           "--window", "80", f"--lambda=file:{path}"])
     assert (code, out) == (3, ""), (code, err)
     assert err.startswith("domain error: lambda_70 = 70 does not exceed lambda_69 = 70"), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dual", "--a", "e", "--space", "lp", "--kind", "beta"],
+     "space 'lp' needs an exponent"),
+    (["dual", "--a", "e", "--space", "lp:0", "--kind", "beta"],
+     "exponent must satisfy p >= 1, got 0"),
+    (["class", "--A", "E", "--X", "l1", "--Y", "lp"], "space 'lp' needs an exponent"),
+    (["class", "--A", "E", "--X", "l1:2", "--Y", "linf"], "bad space spec 'l1:2'"),
+])
+def test_bad_space_spec_is_an_input_error(argv, message):
+    """A space spec without its exponent, with an exponent below 1, or with
+    an exponent on a kind that takes none exits 2 with one line."""
+    assert run(argv) == (2, "", f"input error: {message}\n")

@@ -231,20 +231,20 @@ class TestDualConditions:
 
 class TestDualMembership:
     def test_beta_unit0_exact(self):
-        res = dual_membership(unit_seq(0), LIN, "lp", "beta", p=2, window=24)
+        res = dual_membership(unit_seq(0), LIN, "lp:2", "beta", window=24)
         assert res["verdict"].status is Status.HOLDS_EXACTLY
         assert [r.condition for r in res["conditions"]] == ["d3", "d4", "d5"]
 
     def test_beta_ones_fails_d3(self):
-        res = dual_membership(ones_seq(), LIN, "lp", "beta", p=2, window=32)
+        res = dual_membership(ones_seq(), LIN, "lp:2", "beta", window=32)
         assert res["verdict"].status is Status.EVIDENCE_DIVERGING
         d3 = next(r for r in res["conditions"] if r.condition == "d3")
         assert d3.verdict.status is Status.EVIDENCE_DIVERGING
 
     def test_zero_member_everywhere(self):
         for kind in ("alpha", "beta", "gamma"):
-            for space, p in (("l1", None), ("lp", 2), ("linf", None)):
-                res = dual_membership(zero_seq(), LIN, space, kind, p=p, window=16)
+            for space in ("l1", "lp:2", "linf"):
+                res = dual_membership(zero_seq(), LIN, space, kind, window=16)
                 assert res["verdict"].status is Status.HOLDS_EXACTLY, (kind, space)
 
     def test_condition_tables(self):
@@ -260,19 +260,18 @@ class TestDualMembership:
             ("linf", "gamma"): ["d5", "d8"],
         }
         for (space, kind), expected in cases.items():
-            res = dual_membership(
-                unit_seq(0), LIN, space, kind, p=2 if space == "lp" else None, window=12
-            )
+            spec = "lp:2" if space == "lp" else space
+            res = dual_membership(unit_seq(0), LIN, spec, kind, window=12)
             assert [r.condition for r in res["conditions"]] == expected, (space, kind)
 
     def test_p_normalization(self):
-        res = dual_membership(unit_seq(0), LIN, "lp", "beta", p=1, window=12)
+        res = dual_membership(unit_seq(0), LIN, "lp:1", "beta", window=12)
         assert res["space"] == "l1"
         assert [r.condition for r in res["conditions"]] == ["d3", "d5", "d6"]
 
     def test_space_spec_matches_kind_and_exponent(self):
         spec = dual_membership(unit_seq(0), LIN, "lp:3", "gamma", window=12)
-        kind = dual_membership(unit_seq(0), LIN, "lp", "gamma", p=3, window=12)
+        kind = dual_membership(unit_seq(0), LIN, " lp:6/2 ", "gamma", window=12)
         assert (spec["space"], spec["p"]) == (kind["space"], kind["p"]) == ("lp", "3")
 
     @pytest.mark.parametrize("space", ["c", "c0"])

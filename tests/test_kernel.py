@@ -44,8 +44,8 @@ FAMILIES = [LIN, GEO, EXPLICIT, TWIN_A, TWIN_B]
 
 # Every coefficient array of the kernel; after grow(n) the LONG ones hold
 # indices 0..n and the others 0..n-1.
-LONG = ("lam", "gap", "w", "inv_lam", "here", "back")
-ARRAYS = LONG + ("b", "col", "diag", "e_diag", "num")
+LONG = ("lam", "gap", "w", "here", "back")
+ARRAYS = LONG + ("col", "diag", "num")
 
 
 def _rational_window(seed: int, n: int) -> list[Fraction]:
@@ -85,13 +85,12 @@ class TestKernelArrays:
                 assert kern.lam[k] == lam.value(k)
                 assert kern.gap[k] == lam.gap(k)
                 assert kern.w[k] == w
-                assert kern.b[k] == kern.w[k] - kern.w[k + 1]
+                assert kern.col[k] == lam.value(k) * (kern.w[k] - kern.w[k + 1])
                 assert kern.diag[k] == lam.value(k) * fib(k + 1) ** 2 * kern.w[k]
                 # The coefficients the transforms read, with lambda_{-1} = 0.
-                assert kern.inv_lam[k] == 1 / lam.value(k)
                 assert kern.here[k] == lam.value(k) * w
                 assert kern.back[k] == -lam.value(k - 1) * w
-                assert kern.e_diag[k] == lam.gap(k) * Fraction(fib(k), fib(k + 1)) / lam.value(k)
+                assert 1 / kern.diag[k] == lam.gap(k) * Fraction(fib(k), fib(k + 1)) / lam.value(k)
 
     def test_numerator_is_the_closed_form(self):
         for lam in FAMILIES:
@@ -122,7 +121,7 @@ class TestKernelArrays:
             assert {name: getattr(kern, name) for name in ARRAYS} == before
         assert all(len(before[name]) == (4 if name in LONG else 3) for name in ARRAYS)
         kern.grow(5)
-        assert len(kern.w) == 6 and len(kern.e_diag) == 5
+        assert len(kern.w) == 6 and len(kern.diag) == 5
 
     def test_kernel_lives_on_the_instance(self):
         assert TWIN_A.describe() == TWIN_B.describe()
@@ -175,15 +174,12 @@ def _oracle_arrays(value, n: int) -> dict:
     diag = [lam[k] * Fraction(fib(k + 1)) ** 2 * w[k] for k in range(n + 1)]
     long = {
         "lam": lam, "gap": gap, "w": w,
-        "inv_lam": [1 / v for v in lam],
         "here": [lam[k] * w[k] for k in range(n + 2)],
         "back": [-(lam[k - 1] if k else Fraction(0)) * w[k] for k in range(n + 2)],
     }
     short = {
-        "b": b,
         "col": [lam[k] * b[k] for k in range(n + 1)],
         "diag": diag,
-        "e_diag": [1 / d for d in diag],
         "num": [(gap[k] * fib(k) - gap[k + 1] * fib(k + 2)) / fib(k + 1) for k in range(n + 1)],
     }
     return {**{name: v[:n + 1] for name, v in long.items()},
@@ -231,8 +227,34 @@ class TestIntegerKernel:
         kern = family[0]().kernel
         got = kern.limit_row(row)
         sums = kern.partial_sums(row)
-        assert got == [kern.abar(row, sums, k, len(row) - 1) for k in range(len(row))]
+        assert got == [row[k] * kern.diag[k] + kern.col[k] * (sums[-1] - sums[k])
+                       for k in range(len(row))]
         assert all(type(v) is Fraction for v in got)
+
+    @given(
+        family=lambda_families(),
+        row=st.lists(st.one_of(st.just(Fraction(0)), SMALL_RATIONALS.map(lambda v: -v),
+                               BIG_RATIONALS), min_size=1, max_size=24),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_partial_row_on_a_fresh_kernel_is_the_per_term_oracle(self, family, row, data):
+        """partial_row on a weight sequence no earlier call has grown: the
+        kernel must be grown through the whole row, not only through the
+        stop, before the diagonal past the stop is read."""
+        make, value = family
+        m = data.draw(st.integers(0, len(row) + 2))
+        got = HatMatrix(RowWindowedMatrix([row]), make()).partial_row(0, m)
+        want = _oracle_arrays(value, len(row))
+        diag, col = want["diag"], want["col"]
+        stop = min(m, len(row) - 1)
+        sums = [sum((fib(j + 1) ** 2 * row[j] for j in range(n + 1)), Fraction(0))
+                for n in range(len(row))]
+        # The source row drops its trailing zeros, whose entries here are 0.
+        assert got + [0] * (len(row) - len(got)) == [
+            row[k] * diag[k] + (col[k] * (sums[stop] - sums[k]) if k <= stop else 0)
+            for k in range(len(row))
+        ]
 
     @given(family=lambda_families(), n=st.integers(0, 64), m=st.integers(0, 64),
            check_first=st.booleans())

@@ -132,32 +132,29 @@ class TestHatEntries:
 class TestClassCheck:
     def test_zero_in_every_class(self):
         pairs = [
-            ("lp", "linf", 2, None), ("l1", "linf", None, None),
-            ("linf", "linf", None, None), ("l1", "c", None, None),
-            ("lp", "c", 2, None), ("linf", "c", None, None),
-            ("l1", "c0", None, None), ("lp", "c0", 2, None),
-            ("linf", "c0", None, None), ("l1", "l1", None, None),
-            ("lp", "l1", 2, None), ("linf", "l1", None, None),
-            ("l1", "lp", None, 2), ("linf", "lp", None, 2),
+            ("lp:2", "linf"), ("l1", "linf"), ("linf", "linf"), ("l1", "c"),
+            ("lp:2", "c"), ("linf", "c"), ("l1", "c0"), ("lp:2", "c0"),
+            ("linf", "c0"), ("l1", "l1"), ("lp:2", "l1"), ("linf", "l1"),
+            ("l1", "lp:2"), ("linf", "lp:2"),
         ]
-        for src, tgt, p, tp in pairs:
-            rep = class_check(ZERO, LIN, src, tgt, p=p, target_p=tp, window=8)
+        for src, tgt in pairs:
+            rep = class_check(ZERO, LIN, src, tgt, window=8)
             assert rep.verdict.status is Status.HOLDS_EXACTLY, (src, tgt)
 
     def test_single_row_exact_and_sup_one(self):
-        rep = class_check(SINGLE, LIN, "lp", "linf", p=2, window=16)
+        rep = class_check(SINGLE, LIN, "lp:2", "linf", window=16)
         assert rep.verdict.status is Status.HOLDS_EXACTLY
         qsup = dict(rep.conditions)["row-qnorm-sup"]
         assert qsup.value.value == 1
 
     def test_identity_not_into_linf(self):
-        rep = class_check(identity_triangle(), LIN, "lp", "linf", p=2, window=24)
+        rep = class_check(identity_triangle(), LIN, "lp:2", "linf", window=24)
         assert rep.verdict.status is Status.EVIDENCE_DIVERGING
         assert dict(rep.conditions)["row-qnorm-sup"].status is Status.EVIDENCE_DIVERGING
 
     def test_rows_in_beta_dual_holds_for_triangle_rows(self):
         # Rows 30 and 31 reach the window; finite support decides them too.
-        rep = class_check(e_matrix(LIN), LIN, "lp", "linf", p=2, window=32)
+        rep = class_check(e_matrix(LIN), LIN, "lp:2", "linf", window=32)
         cond = dict(rep.conditions)["rows-in-beta-dual"]
         assert cond.status is Status.HOLDS_EXACTLY
         assert cond.detail == {"reason": "rows finitely supported"}
@@ -170,12 +167,12 @@ class TestClassCheck:
 
         monkeypatch.setattr(duals, "dual_membership", refuse)
         monkeypatch.setattr(duals, "_abar_table", refuse)
-        rep = class_check(source, LIN, "lp", "l1", p=2, window=8)
+        rep = class_check(source, LIN, "lp:2", "l1", window=8)
         assert dict(rep.conditions)["rows-in-beta-dual"].is_exact
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPair):
-            class_check(SINGLE, LIN, "lp", "lp", p=2, target_p=3)
+            class_check(SINGLE, LIN, "lp:2", "lp:3")
 
     @pytest.mark.parametrize("source", ["c", "c0"])
     def test_convergent_source_is_unsupported(self, source):
@@ -184,7 +181,7 @@ class TestClassCheck:
 
     def test_space_spec_matches_kind_and_exponent(self):
         spec = class_check(SINGLE, LIN, "lp:2", "lp:inf", window=8)
-        kind = class_check(SINGLE, LIN, "lp", "lp", p=2, target_p="inf", window=8)
+        kind = class_check(SINGLE, LIN, " lp:4/2 ", "linf", window=8)
         assert spec.to_json() == kind.to_json()
         assert (spec.source, spec.target, spec.p) == ("lp", "linf", "2")
 
@@ -198,21 +195,16 @@ class TestClassCheck:
     def test_random_finite_matrices_fully_determined(self):
         rng = random.Random(14)
         m = _random_matrix(rng, 8, 8)
-        for src, tgt, p, tp in (
-            ("lp", "linf", 2, None),
-            ("lp", "c0", 2, None),
-            ("l1", "l1", None, None),
-            ("lp", "l1", 2, None),
-            ("l1", "lp", None, 3),
-        ):
-            rep = class_check(m, LIN, src, tgt, p=p, target_p=tp, window=12)
+        for src, tgt in (("lp:2", "linf"), ("lp:2", "c0"), ("l1", "l1"), ("lp:2", "l1"),
+                         ("l1", "lp:3")):
+            rep = class_check(m, LIN, src, tgt, window=12)
             assert all(v.is_exact for _, v in rep.conditions), (src, tgt)
 
     def test_self_consistency_with_operator_norm(self):
         # the row-qnorm-sup quantity is the operator-norm supremum, q-powered
         rng = random.Random(15)
         m = _random_matrix(rng, 6, 6)
-        rep = class_check(m, LIN, "lp", "linf", p=2, window=12)
+        rep = class_check(m, LIN, "lp:2", "linf", window=12)
         qsup = dict(rep.conditions)["row-qnorm-sup"].value
         norm = operator_norm(m, LIN, 2, "linf").value
         assert (norm * norm).agrees_with(qsup)
@@ -244,7 +236,7 @@ class TestSupEvidence:
     @pytest.mark.parametrize("window", [0, -1])
     def test_empty_window_is_a_domain_error(self, window):
         with pytest.raises(DomainError):
-            class_check(e_matrix(LIN), LIN, "lp", "c0", p=2, window=window)
+            class_check(e_matrix(LIN), LIN, "lp:2", "c0", window=window)
         with pytest.raises(DomainError):
             operator_norm(e_matrix(LIN), LIN, 2, "l1", window=window)
         with pytest.raises(DomainError):

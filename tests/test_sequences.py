@@ -94,14 +94,14 @@ class TestLambdaSeq:
     def test_failed_growth_leaves_the_kernel_unchanged(self):
         lam = LambdaSeq.custom(lambda n: n + 1 if n < 10 else 5)
         kern = lam.kernel.grow(6)
-        arrays = ("lam", "gap", "w", "b", "col", "diag", "num")
+        arrays = ("lam", "gap", "w", "col", "diag", "num")
         before = {name: len(getattr(kern, name)) for name in arrays}
         with pytest.raises(NotStrictlyIncreasing, match="lambda_10 = 5"):
             kern.grow(20)
         assert {name: len(getattr(kern, name)) for name in arrays} == before
         # Reading lambda checks it without building the other coefficients.
-        assert lam.value(9) == 10 and len(kern.lam) == 10 and len(kern.b) == 6
-        assert len(kern.grow(9).b) == 9
+        assert lam.value(9) == 10 and len(kern.lam) == 10 and len(kern.col) == 6
+        assert len(kern.grow(9).col) == 9
 
     def test_each_value_is_read_once(self):
         calls = []

@@ -62,29 +62,26 @@ def _random_window(rng, n, scale=100):
 
 
 class TestNormalizeSpace:
-    @pytest.mark.parametrize("space, p, expected", [
-        ("lp:2", None, ("lp", Exponent.of(2))),
-        (" lp:3/2 ", None, ("lp", Exponent.of(Fraction(3, 2)))),
-        ("lp", 3, ("lp", Exponent.of(3))),
-        ("lp:1", None, ("l1", None)),
-        ("lp", 1, ("l1", None)),
-        ("lp:inf", None, ("linf", None)),
-        ("lp", "inf", ("linf", None)),
-        ("l1", None, ("l1", None)),
-        ("linf", None, ("linf", None)),
-        ("c", None, ("c", None)),
-        ("c0", None, ("c0", None)),
+    @pytest.mark.parametrize("space, expected", [
+        ("lp:2", ("lp", Exponent.of(2))),
+        (" lp:3/2 ", ("lp", Exponent.of(Fraction(3, 2)))),
+        ("lp:6/2", ("lp", Exponent.of(3))),
+        ("lp:1", ("l1", None)),
+        ("lp:2/2", ("l1", None)),
+        ("lp:inf", ("linf", None)),
+        ("lp:INF", ("linf", None)),
+        ("l1", ("l1", None)),
+        ("linf", ("linf", None)),
+        ("c", ("c", None)),
+        ("c0", ("c0", None)),
     ])
-    def test_canonical_form(self, space, p, expected):
-        assert normalize_space(space, p) == expected
+    def test_canonical_form(self, space, expected):
+        assert normalize_space(space) == expected
 
-    @pytest.mark.parametrize("space, p", [
-        ("lp", None), ("lp:", None), ("lp:0", None), ("lp:x", None), ("lp:2", 3),
-        ("l1:2", None), ("foo", None), ("", None),
-    ])
-    def test_malformed_is_parse_error(self, space, p):
+    @pytest.mark.parametrize("space", ["lp", "lp:", "lp:0", "lp:x", "l1:2", "foo", ""])
+    def test_malformed_is_parse_error(self, space):
         with pytest.raises(ParseError):
-            normalize_space(space, p)
+            normalize_space(space)
 
 
 class TestSpaceNorm:
@@ -241,10 +238,10 @@ class TestInclusionBounds:
             assert abs(rep["p"]["constant"].value - 2) <= rep["p"]["constant"].err + Fraction(1, 10**18)
 
 
-def _membership_by_rebuild(gen, lam, space, p, sweep):
+def _membership_by_rebuild(gen, lam, space, sweep):
     """The norm branch of membership_evidence with the prefix of every
     sweep point built on its own."""
-    space, p = normalize_space(space, p)
+    space, p = normalize_space(space)
     norm_p = {"l1": P_ONE, "linf": P_INF}.get(space, p)
     points, values = [], []
     for n in sorted(sweep):
@@ -257,38 +254,38 @@ def _membership_by_rebuild(gen, lam, space, p, sweep):
 
 
 class TestMembershipEvidence:
-    @pytest.mark.parametrize("gen, space, p", [
-        (witness_generator("power-law", GEO, p=Exponent.of(2)), "lp", 3),
-        (witness_generator("power-law", GEO, p=Exponent.of(2)), "l1", None),
-        (witness_generator("t", GEO), "lp", 2),
-        (witness_generator("u", GEO), "lp", 2),
-        (witness_generator("alternating", GEO), "linf", None),
-        (from_values([3, Fraction(-1, 2), 0, 5]), "lp", Fraction(3, 2)),
-        (inv_fib_pow(2), "linf", None),
+    @pytest.mark.parametrize("gen, space", [
+        (witness_generator("power-law", GEO, p=Exponent.of(2)), "lp:3"),
+        (witness_generator("power-law", GEO, p=Exponent.of(2)), "l1"),
+        (witness_generator("t", GEO), "lp:2"),
+        (witness_generator("u", GEO), "lp:2"),
+        (witness_generator("alternating", GEO), "linf"),
+        (from_values([3, Fraction(-1, 2), 0, 5]), "lp:3/2"),
+        (inv_fib_pow(2), "linf"),
     ], ids=["power-law-lp3", "power-law-l1", "t", "u", "alternating", "values", "inv-fib-pow"])
     @pytest.mark.parametrize("sweep", [DEFAULT_SWEEP, (12, 4, 20, 4, 9)],
                              ids=["default", "unsorted"])
-    def test_one_deep_window_equals_the_per_point_rebuild(self, gen, space, p, sweep):
+    def test_one_deep_window_equals_the_per_point_rebuild(self, gen, space, sweep):
         """The sweep reads every point's prefix from one window built at the
         deepest point; verdict and sweep must be those of building each
         point's prefix on its own."""
-        got = membership_evidence(gen, GEO, space, p=p, sweep=sweep)
-        want = _membership_by_rebuild(gen, GEO, space, p, sweep)
+        got = membership_evidence(gen, GEO, space, sweep=sweep)
+        want = _membership_by_rebuild(gen, GEO, space, sweep)
         assert got == want
         assert got.to_json() == want.to_json()
 
     def test_sweep_point_below_one_is_a_domain_error(self):
         with pytest.raises(DomainError):
-            membership_evidence(witness_generator("t", LIN), LIN, "lp", p=2, sweep=(8, 0, 4))
+            membership_evidence(witness_generator("t", LIN), LIN, "lp:2", sweep=(8, 0, 4))
 
     def test_power_law_diverges_in_its_own_p(self):
         gen = witness_generator("power-law", LIN, p=Exponent.of(2))
-        v = membership_evidence(gen, LIN, "lp", p=2)
+        v = membership_evidence(gen, LIN, "lp:2")
         assert v.status is Status.EVIDENCE_DIVERGING
 
     def test_power_law_bounded_in_larger_p(self):
         gen = witness_generator("power-law", LIN, p=Exponent.of(2))
-        v = membership_evidence(gen, LIN, "lp", p=3)
+        v = membership_evidence(gen, LIN, "lp:3")
         assert v.status is Status.EVIDENCE_BOUNDED
 
     def test_power_law_sup_bounded(self):
@@ -313,16 +310,16 @@ class TestMembershipEvidence:
         assert v.status is Status.EVIDENCE_DIVERGING
 
     def test_t_diverges(self):
-        v = membership_evidence(witness_generator("t", LIN), LIN, "lp", p=2)
+        v = membership_evidence(witness_generator("t", LIN), LIN, "lp:2")
         assert v.status is Status.EVIDENCE_DIVERGING
 
     def test_finite_image_witness_exact(self):
-        v = membership_evidence(witness_generator("u", LIN), LIN, "lp", p=2)
+        v = membership_evidence(witness_generator("u", LIN), LIN, "lp:2")
         assert v.status is Status.HOLDS_EXACTLY
 
-    @pytest.mark.parametrize("space, p", [("l1", None), ("lp:1", None), ("lp", 1)])
-    def test_l1_spellings_agree(self, space, p):
-        v = membership_evidence(unit_seq(0), LIN, space, p=p)
+    @pytest.mark.parametrize("space", ["l1", "lp:1", "lp:2/2"])
+    def test_l1_spellings_agree(self, space):
+        v = membership_evidence(unit_seq(0), LIN, space)
         assert v.to_json() == membership_evidence(unit_seq(0), LIN, "l1").to_json()
         # E's column 0 is of order 1/lambda_n: not summable for linear weights.
         assert v.status is Status.EVIDENCE_DIVERGING
@@ -330,7 +327,7 @@ class TestMembershipEvidence:
     def test_lp_spec_matches_kind_and_exponent(self):
         gen = witness_generator("power-law", LIN, p=Exponent.of(2))
         spec = membership_evidence(gen, LIN, "lp:3")
-        kind = membership_evidence(gen, LIN, "lp", p=3)
+        kind = membership_evidence(gen, LIN, " lp:6/2 ")
         assert spec.to_json() == kind.to_json()
 
     @pytest.mark.parametrize("space", ["c", "foo", "lp:x"])
