@@ -26,7 +26,6 @@ from .exactreal import (
     window_norm,
 )
 from .sequences import (
-    FibCache,
     LambdaSeq,
     PrefixGenerator,
     SeqWindow,

@@ -305,10 +305,9 @@ def dual_membership(
     else:
         raise ParseError(f"unknown dual kind {kind!r}")
 
-    # d1/d4 consume the conjugate exponent; q = 1 for the sup-normed space.
-    p_for_q = p_norm if p_norm is not None else (
-        Exponent.infinity() if space == "linf" else Exponent.of(1)
-    )
+    # d1/d4 consume the conjugate exponent: only lp and linf ask for them,
+    # and q = 1 for the sup-normed space.
+    p_for_q = p_norm if p_norm is not None else Exponent.infinity()
     reports = [
         dual_condition(a, lam, cond, window=window,
                        p=p_for_q if cond in ("d1", "d4") else None)

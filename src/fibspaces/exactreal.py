@@ -64,6 +64,22 @@ def to_float(q: RationalLike) -> float:
     return float(q)
 
 
+def _format_error(err: Fraction) -> str:
+    """A positive error bound as f"{float(err):.3e}", built from integers
+    when the bound is past the float range."""
+    if to_float(err) < math.inf:
+        return f"{float(err):.3e}"
+    # 10 ** exp <= err < 10 ** (exp + 1), counted up from an estimate below.
+    bits = err.numerator.bit_length() - err.denominator.bit_length()
+    exp = int((bits - 1) * math.log10(2)) - 1
+    while 10 ** (exp + 1) <= err:
+        exp += 1
+    digits = round(err / 10 ** (exp - 3))  # 1000 <= digits <= 10 ** 4
+    if digits == 10**4:
+        digits, exp = 10**3, exp + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e+{exp}"
+
+
 # ---------------------------------------------------------------------------
 # Exponents
 
@@ -298,7 +314,7 @@ class CertifiedReal:
     def __str__(self) -> str:
         if self.is_exact:
             return f"{format_rational(self.value)} (exact)"
-        return f"{self.decimal()} ± {float(self.err):.3e}"
+        return f"{self.decimal()} ± {_format_error(self.err)}"
 
     def __float__(self) -> float:
         return float(self.value)

@@ -50,7 +50,6 @@ from .verdicts import (
 )
 
 SOURCES = ("l1", "lp", "linf")
-TARGETS = ("linf", "c", "c0", "l1", "lp")
 
 
 class HatMatrix:
@@ -116,15 +115,9 @@ def _check_window(window: int):
         raise DomainError(f"window must be >= 1, got {window}")
 
 
-def hat_entry(source, lam: LambdaSeq, n: int, k: int, m: int | None = None) -> Fraction:
-    """The transformed entry; with ``m`` given, the partial version whose
-    inner sum stops at j = m."""
-    hat = HatMatrix(source, lam)
-    if m is None:
-        return hat.entry(n, k)
-    _check_column(k)
-    row = hat.partial_row(n, m)
-    return row[k] if k < len(row) else Fraction(0)
+def hat_entry(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
+    """The transformed entry hat(n, k)."""
+    return HatMatrix(source, lam).entry(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +257,6 @@ def class_check(
     tgt, tp_norm = normalize_space(target)
     if src not in SOURCES:
         raise UnsupportedPair(f"unsupported source {source!r}")
-    if tgt not in TARGETS:
-        raise UnsupportedPair(f"unsupported target {target!r}")
     key = (src, tgt)
     if key not in _CLASS_TABLE:
         raise UnsupportedPair(f"no characterization for {src} -> {tgt}")
@@ -273,8 +264,7 @@ def class_check(
     _check_window(window)
     hat = HatMatrix(source_matrix, lam)
     bound = hat.effective_bound(window)
-    q = conjugate(p_norm) if p_norm is not None else Exponent.of(1)
-    q_frac = q.as_fraction() if not q.is_infinite else None
+    q_frac = conjugate(p_norm).as_fraction() if p_norm is not None else Fraction(1)
 
     conditions: list[tuple[str, Verdict]] = []
     for cid in _CLASS_TABLE[key]:
@@ -317,8 +307,6 @@ def _evaluate_class_condition(
                        detail={"reason": "per-row finite support"})
 
     if cid == "row-qnorm-sup":
-        if q_frac is None:
-            raise UnsupportedPair("row q-norms need a finite conjugate exponent")
         return _sup_condition(hat, bound, lambda n: power_sum(hat.row(n), q_frac))[1]
 
     if cid == "entry-sup":
@@ -479,6 +467,14 @@ def operator_norm(
 # ---------------------------------------------------------------------------
 # Hausdorff measure of noncompactness
 
+# The compactness label of each status of the tail-sweep verdict.
+_COMPACTNESS = {
+    Status.HOLDS_EXACTLY: "compact",
+    Status.EVIDENCE_BOUNDED: "evidence-compact",
+    Status.EVIDENCE_DIVERGING: "evidence-noncompact",
+    Status.INCONCLUSIVE: "inconclusive",
+}
+
 
 @dataclass
 class MncEstimate:
@@ -507,18 +503,9 @@ class MncEstimate:
         """Compactness of the matrix operator: exactly compact when the
         noncompactness measure is exactly zero, otherwise labelled from the
         verdict on the tail sweep."""
-        if self.exact:  # the limit is then exactly zero
-            return Verdict(Status.HOLDS_EXACTLY, self.sweep, label="compact",
-                           value=self.limit)
         inner = self.verdict
-        if inner.status is Status.EVIDENCE_BOUNDED:
-            return Verdict(Status.EVIDENCE_BOUNDED, self.sweep,
-                           label="evidence-compact", growth=inner.growth)
-        if inner.status is Status.EVIDENCE_DIVERGING:
-            return Verdict(Status.EVIDENCE_DIVERGING, self.sweep,
-                           label="evidence-noncompact", growth=inner.growth)
-        return Verdict(Status.INCONCLUSIVE, self.sweep, label="inconclusive",
-                       growth=inner.growth)
+        return Verdict(inner.status, self.sweep, label=_COMPACTNESS[inner.status],
+                       value=inner.value, growth=inner.growth)
 
 
 def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int,
@@ -592,23 +579,17 @@ def noncompactness_estimate(
         if b > a + 1e-12:
             raise DomainError(f"tail sweep grows from {a!r} to {b!r}")
 
-    if hat.finite_rows:
-        # s(r) = 0 once r clears the last nonzero row: the limit is exact.
-        limit: CertifiedReal | None = CertifiedReal.exact(0)
-        exact = True
+    # s(r) = 0 once r clears the last nonzero row: the limit is exactly 0,
+    # and so are both ends of a bracket [limit / 2, limit] or [limit, 4 limit].
+    exact = hat.finite_rows
+    limit = CertifiedReal.exact(0) if exact else None
+    if exact:
         verdict = Verdict(Status.HOLDS_EXACTLY, tuple(sweep),
                           value=limit, label="tail vanishes")
     else:
-        limit = None
-        exact = False
         verdict = classify_to_zero(sweep)
-
-    bracket = None
-    if limit is not None:
-        if target == "c":
-            bracket = (limit, limit)  # [limit / 2, limit] with limit = 0
-        elif target == "l1" and p != P_ONE:
-            bracket = (limit, limit * Fraction(4))
+    brackets = exact and (target == "c" or (target == "l1" and p != P_ONE))
+    bracket = (limit, limit) if brackets else None
     return MncEstimate(
         target=target, p=str(p), sweep=tuple(sweep),
         limit=limit, bracket=bracket, exact=exact, verdict=verdict,

@@ -24,24 +24,16 @@ from .errors import (
 from .exactreal import parse_rational, to_fraction
 
 
-class FibCache:
-    """Memoized arbitrary-precision Fibonacci numbers."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self):
-        self._values = [1, 1]
-
-    def __call__(self, n: int) -> int:
-        if n < 0:
-            raise DomainError(f"Fibonacci index must be >= 0, got {n}")
-        values = self._values
-        while len(values) <= n:
-            values.append(values[-1] + values[-2])
-        return values[n]
+_FIB = [1, 1]
 
 
-fib = FibCache()
+def fib(n: int) -> int:
+    """f(n), memoized in one module-level list."""
+    if n < 0:
+        raise DomainError(f"Fibonacci index must be >= 0, got {n}")
+    while len(_FIB) <= n:
+        _FIB.append(_FIB[-1] + _FIB[-2])
+    return _FIB[n]
 
 
 def fib_sq(n: int) -> Fraction:
@@ -72,18 +64,15 @@ class LambdaSeq:
     reads against :func:`_check_lambda`.
     """
 
-    def __init__(
-        self,
-        family: str,
-        params: tuple,
-        fn: Callable[[int], Fraction],
-        *,
-        reciprocal_summable: bool,
-    ):
+    def __init__(self, family: str, params: tuple, fn: Callable[[int], Fraction]):
         self.family = family
         self.params = params
-        self.reciprocal_summable = reciprocal_summable
         self.kernel = Kernel(fn)
+
+    @property
+    def reciprocal_summable(self) -> bool:
+        """Whether sum 1/lambda_n converges with a certified tail."""
+        return self.family == "geometric"
 
     def value(self, n: int) -> Fraction:
         if n == -1:
@@ -103,7 +92,7 @@ class LambdaSeq:
 
         Only families with a closed-form geometric tail support this.
         """
-        if self.family != "geometric":
+        if not self.reciprocal_summable:
             raise DivergentTail(
                 f"no certified reciprocal tail for family {self.family!r}"
             )
@@ -126,7 +115,7 @@ class LambdaSeq:
             raise NotStrictlyIncreasing(f"linear slope must be positive, got {a}")
         if b <= 0:
             raise NonPositiveStart(f"linear offset must be positive, got {b}")
-        return cls("linear", (a, b), lambda n: a * n + b, reciprocal_summable=False)
+        return cls("linear", (a, b), lambda n: a * n + b)
 
     @classmethod
     def geometric(cls, r, c) -> "LambdaSeq":
@@ -135,7 +124,7 @@ class LambdaSeq:
             raise NonPositiveStart(f"geometric scale must be positive, got {c}")
         if r <= 1:
             raise NotStrictlyIncreasing(f"geometric ratio must exceed 1, got {r}")
-        return cls("geometric", (r, c), lambda n: c * r**n, reciprocal_summable=True)
+        return cls("geometric", (r, c), lambda n: c * r**n)
 
     @classmethod
     def explicit(cls, values: Sequence) -> "LambdaSeq":
@@ -152,13 +141,16 @@ class LambdaSeq:
                 return vals[n]
             return vals[-1] + last_gap * (n - len(vals) + 1)
 
-        return cls("explicit", vals, fn, reciprocal_summable=False)
+        return cls("explicit", vals, fn)
 
     @classmethod
     def custom(cls, fn: Callable[[int], Fraction], name: str = "custom") -> "LambdaSeq":
         """A family function checked on lambda_0 and lambda_1 here, and on
-        every later value as the kernel reads it."""
-        lam = cls(name, (), lambda n: Fraction(fn(n)), reciprocal_summable=False)
+        every later value as the kernel reads it.  The name "geometric"
+        is refused: it promises the closed-form reciprocal tail."""
+        if name == "geometric":
+            raise DomainError("a custom family cannot be named 'geometric'")
+        lam = cls(name, (), lambda n: Fraction(fn(n)))
         lam.kernel.check(1)
         return lam
 

@@ -95,7 +95,7 @@ class NormEstimate:
     def to_json(self) -> dict:
         out = {
             "value": str(self.value),
-            "error_bound": float(self.value.err),
+            "error_bound": to_float(self.value.err),
             "window": self.window,
         }
         if self.tail_fraction is not None:

@@ -151,9 +151,9 @@ def subset_sup(rows: Sequence[Sequence[Fraction]], q) -> SubsetSup:
 
 
 def subset_power_sum(rows, q, precision: int = DEFAULT_PRECISION):
-    """The subset K of the nonzero rows that :func:`subset_sup` finds for
+    """The subset K of the rows that :func:`subset_sup` finds for
     sup_K sum_k |sum_{n in K} rows[n][k]| ** q, and that power sum certified."""
-    found = subset_sup([r for r in rows if any(r)], q)
+    found = subset_sup(list(rows), q)
     return found, power_sum(found.column_sums, q, precision)
 
 

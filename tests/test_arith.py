@@ -176,6 +176,22 @@ class TestCertifiedReal:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_error_past_the_float_range(self):
+        """An error bound too large for a float prints from integers, with
+        a mantissa that rounds up to 10 carried into the exponent."""
+        assert str(CertifiedReal(Fraction(1), Fraction(10**400))).endswith("± 1.000e+400")
+        assert str(CertifiedReal(Fraction(1), Fraction(99995 * 10**396))).endswith("± 1.000e+401")
+        assert str(CertifiedReal(Fraction(1), Fraction(99994 * 10**396))).endswith("± 9.999e+400")
+        assert str(CertifiedReal(Fraction(1), Fraction(10**5000, 3))).endswith("± 3.333e+4999")
+
+    @given(st.one_of(
+        st.fractions(min_value=Fraction(1, 10**300), max_value=10**300),
+        st.integers(min_value=1, max_value=2**1024 - 2**971).map(Fraction),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_error_in_the_float_range_prints_as_a_float(self, err):
+        assert str(CertifiedReal(Fraction(1), err)).endswith(f"± {float(err):.3e}")
+
 
 certified_st = st.builds(
     CertifiedReal,

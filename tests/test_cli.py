@@ -18,6 +18,13 @@ from fibspaces.triangles import MATRIX_INDEX_LIMIT
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _pinned_commands():
+    """(snapshot name, argv) per command line of the pinned-output manifest."""
+    lines = (DATA / "pinned_commands.txt").read_text().splitlines()
+    return [(name, tuple(argv)) for name, *argv in
+            (line.split() for line in lines if line.strip() and not line.startswith("#"))]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -220,6 +227,19 @@ class TestSubsetMode:
         assert code == 0
         (d1,) = json.loads(out)["result"]["conditions"]
         assert d1["condition"] == "d1" and d1["lower_bound_only"] is True
+
+    def test_subset_names_row_indices(self, capsys, tmp_path):
+        """A zero row before the nonzero ones keeps its index in the
+        printed subset."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"kind": "dense", "entries": [["0", "0"], ["1", "0"], ["0", "1"]]}
+        ))
+        code, out, _ = run_cli(capsys, "class", "--A", str(path), "--X", "lp:2", "--Y", "l1")
+        assert code == 0
+        conditions = dict(json.loads(out)["result"]["conditions"])
+        assert conditions["row-subset-sup"]["detail"]["subset"] == "(1, 2)"
+        assert conditions["row-subset-sup"]["value"] == "25 (exact)"
 
     @pytest.mark.parametrize("argv", [
         ("dual", "--a", "unit:0", "--subset-mode", "sample"),
@@ -478,75 +498,8 @@ class TestVerifySuite:
         assert out.encode() == (DATA / "verify_paper.json").read_bytes()
 
     # The printed certified bounds of the transforms, norms and pairings, byte
-    # for byte; each snapshot was written by `python -m fibspaces.cli` with
-    # these arguments.
-    @pytest.mark.parametrize("name, argv", [
-        ("transform_power_law.txt",
-         ("transform", "--x", "witness:power-law", "--p", "3/2", "-N", "40")),
-        ("norm_power_law.json",
-         ("norm", "--x", "witness:power-law", "--p", "3/2", "-N", "40")),
-        ("dual_beta_linf.json",
-         ("dual", "--a", "inv-fib-pow:3", "--space", "linf", "--kind", "beta",
-          "--window", "32")),
-        # Finitely supported candidates, read only through their support:
-        # d3, d4 and d5, then d4, d7 and d8.
-        ("dual_beta_lp_values.json",
-         ("dual", "--a", "values:3,-1/2,0,5/7,0", "--space", "lp:3", "--kind", "beta",
-          "--window", "64", "--lambda", "geometric:3/2,1")),
-        ("dual_beta_linf_values_linear.json",
-         ("dual", "--a", "values:2,0,-7/4,1/3", "--space", "linf", "--kind", "beta",
-          "--window", "48", "--lambda", "linear:7/3,5/2")),
-        ("transform_inverse_values.txt",
-         ("transform", "--y", "values:1,2/3,-5,7/2,9,1/7", "--inverse")),
-        # The same layers at weight families other than the default.
-        ("basis_geometric.txt",
-         ("basis", "--k", "7", "-N", "48", "--lambda", "geometric:3/2,1")),
-        ("transform_power_law_geometric.txt",
-         ("transform", "--x", "witness:power-law", "--p", "3", "-N", "32",
-          "--lambda", "geometric:7/4,1")),
-        ("transform_inverse_values_linear.txt",
-         ("transform", "--y", "values:1,2/3,-5,7/2,9,1/7", "--inverse",
-          "--lambda", "linear:5/2,3/4")),
-        ("plot_data_norm_linear.csv",
-         ("plot-data", "--quantity", "norm", "--x", "witness:power-law", "--p", "3/2",
-          "--sweep", "48,16,32,16", "--lambda", "linear:2,1/3")),
-        # The inverse on certified entries whose errors mix zero and nonzero,
-        # and the forward transform on certified entries.
-        ("transform_inverse_power_law_geometric.txt",
-         ("transform", "--inverse", "--y", "witness:power-law", "--p", "2", "-N", "24",
-          "--lambda", "geometric:5/3,1")),
-        ("norm_power_law_geometric.json",
-         ("norm", "--x", "witness:power-law", "--p", "3", "-N", "48",
-          "--lambda", "geometric:5/3,1")),
-        # The hat rows of E and fhat, and a finitely supported alpha dual.
-        ("mnc_E_c0_linear.json",
-         ("mnc", "--A", "E", "--p", "2", "--Y", "c0", "--lambda", "linear:3,2")),
-        ("opnorm_fhat_linf_geometric.json",
-         ("opnorm", "--A", "fhat", "--p", "2", "--Y", "linf", "--lambda", "geometric:3/2,1")),
-        ("class_E_lp_linf_linear.json",
-         ("class", "--A", "E", "--X", "lp:2", "--Y", "linf", "--window", "24",
-          "--lambda", "linear:5/2,3/4")),
-        ("dual_alpha_lp_values_geometric.json",
-         ("dual", "--a", "values:3,-1/2,0,5/7,1", "--space", "lp:3", "--kind", "alpha",
-          "--window", "32", "--lambda", "geometric:3/2,1")),
-        # Partial hat rows (partial-uniform), a d6 table, a finitely
-        # supported gamma dual, and the compactness label of an l1 sweep.
-        ("class_E_linf_linf_geometric.json",
-         ("class", "--A", "E", "--X", "linf", "--Y", "linf", "--window", "16",
-          "--lambda", "geometric:3/2,1")),
-        ("class_fhat_linf_c0_linear.json",
-         ("class", "--A", "fhat", "--X", "linf", "--Y", "c0", "--window", "16",
-          "--lambda", "linear:5/2,3/4")),
-        ("dual_beta_l1_linear.json",
-         ("dual", "--a", "inv-fib-pow:3", "--space", "l1", "--kind", "beta",
-          "--window", "32", "--lambda", "linear:5/2,3/4")),
-        ("dual_gamma_linf_values_geometric.json",
-         ("dual", "--a", "values:2,-1/3,0,5", "--space", "linf", "--kind", "gamma",
-          "--window", "24", "--lambda", "geometric:5/3,1")),
-        ("mnc_fhat_l1_geometric.json",
-         ("mnc", "--A", "fhat", "--p", "3/2", "--Y", "l1", "--rmax", "8",
-          "--lambda", "geometric:3/2,1")),
-    ])
+    # for byte, for each snapshot of the manifest.
+    @pytest.mark.parametrize("name, argv", _pinned_commands())
     def test_command_output_is_pinned(self, capsys, name, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -18,7 +18,7 @@ from fibspaces.duals import (
 from fibspaces.errors import DomainError, NotStrictlyIncreasing
 from fibspaces.exactreal import CertifiedReal
 from fibspaces import matclasses
-from fibspaces.matclasses import HatMatrix, hat_entry, noncompactness_estimate
+from fibspaces.matclasses import HatMatrix, noncompactness_estimate
 from fibspaces.sequences import Kernel, LambdaSeq, fib, from_values, inv_fib_pow
 from fibspaces.triangles import (
     RowWindowedMatrix,
@@ -615,7 +615,6 @@ class TestSharedWork:
                 for k in range(len(row)):
                     want = (abar(row, GEO, k, stop) if k < stop
                             else GEO.kernel.grow(k + 1).diag[k] * row[k])
-                    assert hat_entry(source, GEO, n, k, m=m) == want
                     assert hat.partial_row(n, m)[k] == want
 
 

@@ -17,6 +17,7 @@ from fibspaces.errors import (
 from fibspaces.exactreal import Exponent
 from fibspaces.matclasses import (
     HatMatrix,
+    MncEstimate,
     _tail_sweep,
     class_check,
     compactness_verdict,
@@ -31,7 +32,7 @@ from fibspaces.triangles import (
     e_matrix,
     identity_triangle,
 )
-from fibspaces.verdicts import Status
+from fibspaces.verdicts import Status, Verdict
 
 LIN = LambdaSeq.linear(1, 1)
 GEO = LambdaSeq.geometric(2, 1)
@@ -61,6 +62,12 @@ def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
     )
 
 
+def partial_entry(hat: HatMatrix, n: int, k: int, m: int) -> Fraction:
+    """Entry k of ``hat.partial_row(n, m)``, 0 past the row."""
+    row = hat.partial_row(n, m)
+    return row[k] if k < len(row) else Fraction(0)
+
+
 class TestHatEntries:
     def test_identity_diagonal(self):
         assert hat_entry(identity_triangle(), LIN, 1, 1) == 4
@@ -81,9 +88,10 @@ class TestHatEntries:
     @pytest.mark.parametrize("m", [None, 0, 4])
     def test_negative_indices_are_domain_errors(self, source, n, k, m):
         """A negative index is refused, as Triangle.entry and
-        RowWindowedMatrix.entry refuse it, not read from the end of a row."""
+        RowWindowedMatrix.entry refuse it, not read from the end of a row;
+        a partial row stopped at any horizon m refuses a negative row."""
         with pytest.raises(DomainError):
-            hat_entry(source, LIN, n, k, m=m)
+            hat_entry(source, LIN, n, k)
         hat = HatMatrix(source, LIN)
         with pytest.raises(DomainError):
             hat.entry(n, k)
@@ -91,7 +99,7 @@ class TestHatEntries:
             with pytest.raises(DomainError):
                 hat.row(n)
             with pytest.raises(DomainError):
-                hat.partial_row(n, 4)
+                hat.partial_row(n, 4 if m is None else m)
 
     def test_partial_entries_reach_full(self):
         rng = random.Random(12)
@@ -99,9 +107,9 @@ class TestHatEntries:
         hat = HatMatrix(m, LIN)
         for n in range(6):
             for k in range(6):
-                assert hat_entry(m, LIN, n, k, m=8) == hat.entry(n, k)
+                assert partial_entry(hat, n, k, 8) == hat.entry(n, k)
                 # horizon m = k leaves an empty inner sum: only the head term
-                assert hat_entry(m, LIN, n, k, m=k) == LIN.kernel.grow(k + 1).diag[k] * m.entry(n, k)
+                assert partial_entry(hat, n, k, k) == LIN.kernel.grow(k + 1).diag[k] * m.entry(n, k)
 
     def test_consistency_of_both_routes(self):
         rng = random.Random(13)
@@ -427,6 +435,17 @@ class TestNoncompactness:
         for m, p, target in cases:
             est = noncompactness_estimate(m, LIN, p, target, r_max=8)
             assert compactness_verdict(m, LIN, p, target, r_max=8) == est.compactness()
+
+    @pytest.mark.parametrize("status, label", [
+        (Status.EVIDENCE_BOUNDED, "evidence-compact"),
+        (Status.EVIDENCE_DIVERGING, "evidence-noncompact"),
+        (Status.INCONCLUSIVE, "inconclusive"),
+    ])
+    def test_compactness_label_of_each_evidence_status(self, status, label):
+        sweep = ((0, 2.0), (1, 1.5), (2, 1.25), (3, 1.0), (4, 1.0))
+        est = MncEstimate(target="c0", p="2", sweep=sweep, limit=None, bracket=None,
+                          exact=False, verdict=Verdict(status, sweep, growth=-0.5))
+        assert est.compactness() == Verdict(status, sweep, growth=-0.5, label=label)
 
     def test_domination_by_operator_norm(self):
         rng = random.Random(19)

@@ -71,6 +71,26 @@ class TestLambdaSeq:
         assert [lam.value(n) for n in range(4)] == [1, 2, 4, 8]
         assert lam.reciprocal_summable
 
+    @pytest.mark.parametrize("family, summable", [
+        ("linear", False), ("geometric", True), ("explicit", False),
+        ("custom", False), ("file", False),
+    ])
+    def test_only_geometric_is_reciprocal_summable(self, tmp_path, family, summable):
+        path = tmp_path / "lambda.txt"
+        path.write_text("1\n3\n4\n")
+        lam = {
+            "linear": lambda: LambdaSeq.linear(1, 1),
+            "geometric": lambda: LambdaSeq.geometric(2, 1),
+            "explicit": lambda: LambdaSeq.explicit([1, 2, 4]),
+            "custom": lambda: LambdaSeq.custom(lambda n: Fraction(2) ** n),
+            "file": lambda: LambdaSeq.from_spec(f"file:{path}"),
+        }[family]()
+        assert lam.reciprocal_summable is summable
+
+    def test_custom_family_cannot_be_named_geometric(self):
+        with pytest.raises(DomainError):
+            LambdaSeq.custom(lambda n: Fraction(2) ** n, name="geometric")
+
     def test_explicit_tail(self):
         lam = LambdaSeq.explicit([1, 2, 4])
         # past the prefix the last gap repeats

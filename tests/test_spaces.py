@@ -27,6 +27,7 @@ from fibspaces.sequences import (
 from fibspaces.spaces import (
     DEFAULT_SWEEP,
     TAIL_TOL,
+    NormEstimate,
     _scale_shift,
     inclusion_bounds_check,
     membership_evidence,
@@ -124,6 +125,14 @@ class TestSpaceNorm:
         assert _scale_shift([Fraction(2**400)], 2.0) == 0
         assert _scale_shift([Fraction(2**600)], 2.0) > 0
         assert _scale_shift([Fraction(0)], 2.0) == 0
+
+    def test_error_past_the_float_range_renders(self):
+        """An error bound too large for a float prints from integers and
+        reports an infinite error_bound."""
+        est = NormEstimate(CertifiedReal(Fraction(1), Fraction(10**400)), 8)
+        out = est.to_json()
+        assert out["value"].endswith("± 1.000e+400")
+        assert out["error_bound"] == math.inf
 
     def test_non_absoluteness(self):
         # The image mixes signs, so |x| has a strictly different norm.
