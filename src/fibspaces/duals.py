@@ -183,9 +183,7 @@ def dual_condition(
     if condition in ("d4", "d6", "d8"):
         # T_n is constant from n = s - 1 on for a candidate with support s,
         # so every row n >= s is row s padded with zeros: rows 0..s are the
-        # distinct ones.  The kernel still grows to the whole depth, so every
-        # lambda_k the depth reads is checked.
-        lam.kernel.grow(deepest)
+        # distinct ones.
         table = _abar_table(a_deep, lam, a.support + 1 if finite else deepest)
 
     sweep: list[tuple[int, float]] = []

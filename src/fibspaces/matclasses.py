@@ -220,7 +220,7 @@ _CLASS_TABLE = {
                      "row-qnorm-sup", "rows-in-beta-dual"),
     ("l1", "linf"): ("row-series-exists", "row-diag-scaled-bounded", "entry-sup"),
     ("linf", "linf"): ("row-series-exists", "row-diag-scaled-bounded",
-                       "column-sum-sup", "partial-uniform"),
+                       "row-l1-sup", "partial-uniform"),
     ("l1", "c"): ("row-series-exists", "row-diag-scaled-bounded", "column-limits"),
     ("lp", "c"): ("row-series-exists", "row-diag-scaled-bounded", "row-qnorm-sup",
                   "rows-in-beta-dual", "column-limits"),
@@ -309,8 +309,9 @@ def _evaluate_class_condition(
     if cid == "row-qnorm-sup":
         return _sup_condition(hat, bound, lambda n: power_sum(hat.row(n), q_frac))[1]
 
-    if cid == "entry-sup":
-        return _sup_condition(hat, bound, _row_quantity_fn(hat, P_ONE))[1]
+    if cid in ("entry-sup", "row-l1-sup"):
+        p = P_ONE if cid == "entry-sup" else P_INF
+        return _sup_condition(hat, bound, _row_quantity_fn(hat, p))[1]
 
     if cid == "column-sum-sup":
         return _column_sum_sup(hat, bound)[1]

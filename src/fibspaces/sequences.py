@@ -45,23 +45,14 @@ def fib_sq(n: int) -> Fraction:
 # Weight sequences
 
 
-def _check_lambda(k: int, prev: Fraction, value: Fraction):
-    """Raise unless lambda_k = value is positive and exceeds lambda_{k-1} =
-    prev, with lambda_{-1} = 0."""
-    if value > prev:
-        return
-    if k == 0:
-        raise NonPositiveStart(f"lambda_0 = {value} must be positive")
-    raise NotStrictlyIncreasing(f"lambda_{k} = {value} does not exceed lambda_{k-1} = {prev}")
-
-
 class LambdaSeq:
     """Oracle for a strictly increasing positive sequence tending to infinity.
 
     Instances carry their family name and parameters so any prefix can be
     regenerated and reports stay reproducible.  Index -1 is always 0.  The
-    family function is read only by the kernel, which checks every value it
-    reads against :func:`_check_lambda`.
+    constructors ``linear``, ``geometric`` and ``explicit`` check lambda
+    whole when they build it; the bare constructor trusts ``fn``, and the
+    kernel, the only reader of the family function, trusts lambda.
     """
 
     def __init__(self, family: str, params: tuple, fn: Callable[[int], Fraction]):
@@ -79,13 +70,13 @@ class LambdaSeq:
             return Fraction(0)
         if n < -1:
             raise DomainError(f"lambda index must be >= -1, got {n}")
-        return self.kernel.check(n).lam[n]
+        return self.kernel.read(n).lam[n]
 
     def gap(self, n: int) -> Fraction:
         """lambda_n - lambda_{n-1}, with the lambda_{-1} = 0 convention."""
         if n < 0:
             raise DomainError(f"lambda gap index must be >= 0, got {n}")
-        return self.kernel.check(n).gap[n]
+        return self.kernel.read(n).gap[n]
 
     def reciprocal_tail_bound(self, after: int) -> Fraction:
         """Certified upper bound of sum_{n > after} 1/lambda_n.
@@ -133,7 +124,12 @@ class LambdaSeq:
         if len(vals) < 2:
             raise ParseError("explicit lambda needs at least two values")
         for k, (prev, value) in enumerate(zip((Fraction(0),) + vals, vals)):
-            _check_lambda(k, prev, value)
+            if value > prev:
+                continue
+            if k == 0:
+                raise NonPositiveStart(f"lambda_0 = {value} must be positive")
+            raise NotStrictlyIncreasing(
+                f"lambda_{k} = {value} does not exceed lambda_{k-1} = {prev}")
         last_gap = vals[-1] - vals[-2]
 
         def fn(n: int) -> Fraction:
@@ -142,17 +138,6 @@ class LambdaSeq:
             return vals[-1] + last_gap * (n - len(vals) + 1)
 
         return cls("explicit", vals, fn)
-
-    @classmethod
-    def custom(cls, fn: Callable[[int], Fraction], name: str = "custom") -> "LambdaSeq":
-        """A family function checked on lambda_0 and lambda_1 here, and on
-        every later value as the kernel reads it.  The name "geometric"
-        is refused: it promises the closed-form reciprocal tail."""
-        if name == "geometric":
-            raise DomainError("a custom family cannot be named 'geometric'")
-        lam = cls(name, (), lambda n: Fraction(fn(n)))
-        lam.kernel.check(1)
-        return lam
 
     @classmethod
     def from_spec(cls, spec: str) -> "LambdaSeq":
@@ -193,16 +178,17 @@ class Kernel:
       (0 at k = 0), the two signed coefficients of y_k and y_{k-1} in the
       inverse transform's term j = k.
 
-    ``check(n)`` reads and checks lambda_0..lambda_n into ``lam`` and ``gap``
-    alone, so these two may run ahead of the others; ``grow(n)`` checks the
-    same values and then builds ``w``, ``here`` and ``back`` of indices 0..n,
+    ``read(n)`` reads lambda_0..lambda_n into ``lam`` and ``gap`` alone, so
+    these two may run ahead of the others; ``grow(n)`` reads the same values
+    and then builds ``w``, ``here`` and ``back`` of indices 0..n,
     and ``col``, ``diag`` and ``num`` of 0..n-1.  Each coefficient is built
     as one ``Fraction`` from the integer numerators and denominators of
     lambda_k, gap(k) and f_k: with gap(k) = g/h, for instance, w_k is
     h / (g f_k f_{k+1}), reduced by one gcd instead of by the gcds of a
     ``Fraction`` product or quotient per factor.  The kernel reads lambda_k
     as ``value(k)`` and holds no reference to its sequence, so the two form
-    no reference cycle.
+    no reference cycle.  It trusts lambda: the ``LambdaSeq`` constructors
+    check it.
     """
 
     __slots__ = ("_value", "lam", "gap", "w", "here", "back", "col", "diag", "num")
@@ -218,28 +204,21 @@ class Kernel:
         self.diag: list[Fraction] = []
         self.num: list[Fraction] = []
 
-    def check(self, n: int) -> "Kernel":
-        """Make lambda and gap of indices 0..n available.  Each new lambda_k
-        is checked first, so a check that raises leaves both as they were."""
-        lam = self.lam
-        if n < len(lam):
-            return self
-        new = lam[-1:] or [Fraction(0)]  # the lambda before the first new one
+    def read(self, n: int) -> "Kernel":
+        """Make lambda and gap of indices 0..n available."""
+        lam, gap = self.lam, self.gap
         for k in range(len(lam), n + 1):
-            new.append(Fraction(self._value(k)))
-            _check_lambda(k, new[-2], new[-1])
-        self.gap.extend(value - prev for prev, value in zip(new, new[1:]))
-        lam.extend(new[1:])
+            lam.append(to_fraction(self._value(k)))
+            gap.append(lam[k] - lam[k - 1] if k else lam[k])
         return self
 
     def grow(self, n: int) -> "Kernel":
         """Make lambda, gap, w, here and back of indices 0..n and col, diag
-        and num of indices 0..n-1 available.  Lambda is checked first, so a
-        growth that raises leaves the arrays as they were."""
+        and num of indices 0..n-1 available."""
         w = self.w
         if n < len(w):
             return self
-        lam, gap = self.check(n).lam, self.gap
+        lam, gap = self.read(n).lam, self.gap
         for k in range(len(w), n + 1):
             ln, ld = lam[k].numerator, lam[k].denominator
             pn, pd = (lam[k - 1].numerator, lam[k - 1].denominator) if k else (0, 1)

@@ -398,6 +398,19 @@ class TestCommands:
         assert result["verdict"]["status"] == "evidence-bounded"
         assert dict(result["conditions"])["rows-in-beta-dual"]["status"] == "holds-exactly"
 
+    def test_class_identity_linf_linf_reads_schur_row_sums(self, capsys):
+        """(linf : linf) asks for sup_n sum_k |hat_nk|.  The identity's hat
+        matrix is the inverse of E, whose column 0 is unbounded, so its row
+        sums diverge, as opnorm --p inf --Y linf says."""
+        code, out, _ = run_cli(
+            capsys, "class", "--A", "identity", "--X", "linf", "--Y", "linf",
+            "--window", "16", "--lambda", "linear:1,1",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["verdict"]["status"] == "evidence-diverging"
+        assert dict(result["conditions"])["row-l1-sup"]["status"] == "evidence-diverging"
+
     def test_opnorm_report(self, capsys, single_row):
         code, out, _ = run_cli(
             capsys, "opnorm", "--A", single_row, "--p", "2", "--Y", "linf"

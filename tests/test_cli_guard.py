@@ -209,14 +209,16 @@ def broken_lambda_files(draw):
 
 
 @settings(GUARD, max_examples=20)
-@given(case=broken_lambda_files(), inverse=st.booleans())
-def test_lambda_file_broken_past_index_64_is_a_domain_error(tmp_path, case, inverse):
-    """A file lambda is checked on every value, not only on a prefix."""
+@given(case=broken_lambda_files(), inverse=st.booleans(), data=st.data())
+def test_lambda_file_broken_past_index_64_is_a_domain_error(tmp_path, case, inverse, data):
+    """A file lambda is checked on every value, not only on a prefix, and
+    whatever the window: -N may stop short of the bad index."""
     bad, values = case
     path = tmp_path / "lambda.txt"
     path.write_text("\n".join(map(str, values)) + "\n")
     argv = ["transform", "--inverse", "--y=e"] if inverse else ["transform", "--x=e"]
-    code, _, err = run(argv + ["-N", str(len(values)), f"--lambda=file:{path}"])
+    n = data.draw(st.one_of(st.integers(1, bad - 1), st.just(len(values))))
+    code, _, err = run(argv + ["-N", str(n), f"--lambda=file:{path}"])
     assert code == 3 and "Traceback" not in err, (code, err)
     assert err.startswith(f"domain error: lambda_{bad} = "), err
 
@@ -234,17 +236,17 @@ def test_forward_transform_on_geometric_lambda(r, c, n, spec):
     check(["transform", f"--x={spec}", "-N", str(n), f"--lambda=geometric:{r},{c}"])
 
 
+@pytest.mark.parametrize("window", [8, 80])
 @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
 @pytest.mark.parametrize("space", ["l1", "lp:3", "linf"])
-def test_lambda_file_broken_past_a_dual_support_is_a_domain_error(tmp_path, kind, space):
-    """lambda_70 = lambda_69 lies past the candidate's support 2 and inside
-    the window 80: the command exits 3.  (A file lambda is checked whole
-    when it is read; tests/test_duals.py covers a custom lambda that only
-    the kernel reaches.)"""
+def test_lambda_file_broken_past_a_dual_support_is_a_domain_error(tmp_path, kind, space, window):
+    """lambda_70 = lambda_69 lies past the candidate's support 2: the command
+    exits 3 whether or not the window reaches index 70, because a file
+    lambda is checked whole when it is read."""
     path = tmp_path / "lambda.txt"
     path.write_text("\n".join(map(str, [*range(1, 71), 70])) + "\n")
     code, out, err = run(["dual", "--a", "values:1,2", "--space", space, "--kind", kind,
-                          "--window", "80", f"--lambda=file:{path}"])
+                          "--window", str(window), f"--lambda=file:{path}"])
     assert (code, out) == (3, ""), (code, err)
     assert err.startswith("domain error: lambda_70 = 70 does not exceed lambda_69 = 70"), err
 

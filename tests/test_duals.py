@@ -19,7 +19,7 @@ from fibspaces.duals import (
     dual_condition,
     dual_membership,
 )
-from fibspaces.errors import DomainError, NotStrictlyIncreasing, ParseError
+from fibspaces.errors import DomainError, ParseError
 from fibspaces.exactreal import CertifiedReal, Exponent, conjugate, power_sum, to_float, to_fraction
 from fibspaces.sequences import (
     LambdaSeq,
@@ -424,34 +424,48 @@ class TestFullDepthRoute:
         dual_condition(gen, LIN, "d7", window=64)
 
 
-# lambda_40 = lambda_39: past the support of every candidate below and
-# inside each depth read.
-_STALLS = 40
+# Every kernel array; after grow(n) the LONG ones hold indices 0..n and
+# the others 0..n-1.
+_LONG = ("lam", "gap", "w", "here", "back")
+_SHORT = ("col", "diag", "num")
+_DEPTH = 48
 
 
-def _stalling_lambda() -> LambdaSeq:
-    return LambdaSeq.custom(lambda n: n + 1 if n < _STALLS else _STALLS, name="stalls")
+def _grown_to(lam: LambdaSeq) -> int:
+    """The n of the kernel's deepest grow(n), once every array is seen to
+    hold what grow(n) makes and nothing past it."""
+    kern = lam.kernel
+    n = len(kern.w) - 1
+    assert [len(getattr(kern, name)) for name in _LONG] == [n + 1] * len(_LONG)
+    assert [len(getattr(kern, name)) for name in _SHORT] == [n] * len(_SHORT)
+    return n
 
 
 @pytest.mark.parametrize("a", [unit_seq(0), from_values([1, Fraction(-2, 3)]), zero_seq()],
                          ids=["unit", "values", "zero"])
-class TestLambdaCheckedToTheDepth:
-    """A lambda that breaks between a finite candidate's support and the
-    depth it is read to raises, although no condition needs a coefficient
-    past the support."""
+class TestKernelGrownToTheDepth:
+    """The kernel trusts lambda, so a condition grows it only as far as it
+    reads coefficients: d4, d6 and d8 through a finite candidate's distinct
+    rows 0..s, the others through the whole depth.  A membership, as every
+    command runs it, still grows the kernel through the whole depth."""
 
     # d3 is the weighted series of a alone and reads no lambda.
     @pytest.mark.parametrize("condition", [c for c in duals.CONDITION_IDS if c != "d3"])
-    def test_every_condition_raises(self, a, condition):
-        with pytest.raises(NotStrictlyIncreasing, match=f"lambda_{_STALLS} "):
-            dual_condition(a, _stalling_lambda(), condition, window=48, p=Exponent.of(3))
+    def test_every_condition_grows_to_what_it_reads(self, a, condition):
+        lam = LambdaSeq.geometric(2, 1)
+        dual_condition(a, lam, condition, window=_DEPTH, p=Exponent.of(3))
+        table = condition in ("d4", "d6", "d8")
+        assert _grown_to(lam) == (a.support + 1 if table else _DEPTH)
 
     @pytest.mark.parametrize("space", ["l1", "lp:3", "linf"])
     @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
-    def test_every_membership_raises(self, a, space, kind):
-        with pytest.raises(NotStrictlyIncreasing, match=f"lambda_{_STALLS} "):
-            dual_membership(a, _stalling_lambda(), space, kind, window=48)
+    def test_every_membership_grows_to_the_depth(self, a, space, kind):
+        lam = LambdaSeq.geometric(2, 1)
+        dual_membership(a, lam, space, kind, window=_DEPTH)
+        assert _grown_to(lam) == _DEPTH
 
-    def test_a_window_short_of_the_break_reads_it_not(self, a):
+    def test_a_shorter_window_grows_no_further(self, a):
         for kind in ("alpha", "beta", "gamma"):
-            dual_membership(a, _stalling_lambda(), "lp:3", kind, window=_STALLS - 1)
+            lam = LambdaSeq.geometric(2, 1)
+            dual_membership(a, lam, "lp:3", kind, window=_DEPTH - 9)
+            assert _grown_to(lam) == _DEPTH - 9

@@ -15,7 +15,7 @@ from fibspaces.duals import (
     dual_condition,
     dual_membership,
 )
-from fibspaces.errors import DomainError, NotStrictlyIncreasing
+from fibspaces.errors import DomainError
 from fibspaces.exactreal import CertifiedReal
 from fibspaces import matclasses
 from fibspaces.matclasses import HatMatrix, noncompactness_estimate
@@ -38,8 +38,8 @@ LIN = LambdaSeq.linear(1, 1)
 GEO = LambdaSeq.geometric(2, 1)
 EXPLICIT = LambdaSeq.explicit([1, 3, 4, 7, 11])
 # Two different sequences that describe themselves the same way.
-TWIN_A = LambdaSeq.custom(lambda n: n * n + 1, name="twin")
-TWIN_B = LambdaSeq.custom(lambda n: 3**n, name="twin")
+TWIN_A = LambdaSeq("twin", (), lambda n: n * n + 1)
+TWIN_B = LambdaSeq("twin", (), lambda n: 3**n)
 FAMILIES = [LIN, GEO, EXPLICIT, TWIN_A, TWIN_B]
 
 # Every coefficient array of the kernel; after grow(n) the LONG ones hold
@@ -109,20 +109,6 @@ class TestKernelArrays:
         for name in ARRAYS:
             assert getattr(stepped.kernel, name) == getattr(fresh, name), name
 
-    def test_growth_that_raises_keeps_every_array(self):
-        """lambda_n = min(n, 5) + 1 stops increasing at index 6: a growth
-        past it raises and leaves every array at its old length."""
-        lam = LambdaSeq.custom(lambda n: min(n, 5) + 1, name="stalls")
-        kern = lam.kernel.grow(3)
-        before = {name: list(getattr(kern, name)) for name in ARRAYS}
-        for n in (6, 10):
-            with pytest.raises(NotStrictlyIncreasing):
-                kern.grow(n)
-            assert {name: getattr(kern, name) for name in ARRAYS} == before
-        assert all(len(before[name]) == (4 if name in LONG else 3) for name in ARRAYS)
-        kern.grow(5)
-        assert len(kern.w) == 6 and len(kern.diag) == 5
-
     def test_kernel_lives_on_the_instance(self):
         assert TWIN_A.describe() == TWIN_B.describe()
         assert TWIN_A.kernel is not TWIN_B.kernel
@@ -138,9 +124,10 @@ SMALL_RATIONALS = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denomi
 @st.composite
 def lambda_families(draw):
     """(make, value): ``make()`` builds a fresh LambdaSeq of a linear,
-    geometric, explicit or custom family, some with 40-digit numerators, and
+    geometric, explicit or bare polynomial family, some with 40-digit
+    numerators, and
     ``value(k)`` is its lambda_k computed apart from any kernel."""
-    kind = draw(st.sampled_from(["linear", "geometric", "explicit", "custom"]))
+    kind = draw(st.sampled_from(["linear", "geometric", "explicit", "poly"]))
     if kind == "linear":
         a, b = draw(BIG_RATIONALS), draw(BIG_RATIONALS)
         return (lambda: LambdaSeq.linear(a, b)), (lambda k: a * k + b)
@@ -161,7 +148,7 @@ def lambda_families(draw):
     def value(k):
         return c * (k + 1) ** e + Fraction(k, 7)
 
-    return (lambda: LambdaSeq.custom(value, name="poly")), value
+    return (lambda: LambdaSeq("poly", (), value)), value
 
 
 def _oracle_arrays(value, n: int) -> dict:
@@ -211,10 +198,8 @@ class TestIntegerKernel:
     @settings(max_examples=40, deadline=None)
     def test_arrays_equal_the_oracle(self, family, n):
         make, value = family
-        kern = make().kernel
-        ahead = max(n, len(kern.lam) - 1)  # a custom family reads lambda_1 when built
-        arrays = _arrays(kern.grow(n))
-        assert arrays == _expected(value, n, ahead)
+        arrays = _arrays(make().kernel.grow(n))
+        assert arrays == _oracle_arrays(value, n)
         _assert_fractions(arrays)
 
     @given(
@@ -257,44 +242,16 @@ class TestIntegerKernel:
         ]
 
     @given(family=lambda_families(), n=st.integers(0, 64), m=st.integers(0, 64),
-           check_first=st.booleans())
+           read_first=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_check_and_grow_in_either_order_equal_one_grow(self, family, n, m, check_first):
+    def test_read_and_grow_in_either_order_equal_one_grow(self, family, n, m, read_first):
         make, value = family
         kern = make().kernel
-        ahead = max(n, m, len(kern.lam) - 1)
-        if check_first:
-            kern.check(n).grow(m)
+        if read_first:
+            kern.read(n).grow(m)
         else:
-            kern.grow(m).check(n)
-        assert _arrays(kern) == _expected(value, m, ahead)
-
-    @given(
-        family=lambda_families(),
-        bad=st.integers(2, 64),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_a_growth_that_raises_leaves_every_array(self, family, bad, data):
-        """lambda stops increasing at index ``bad``: a check or growth that
-        reaches it raises, and leaves lam, gap and every coefficient as it
-        was; a growth short of it still equals the oracle."""
-        value = family[1]
-        drop = data.draw(st.sampled_from([0, Fraction(1, 3), 1]))
-
-        def broken(k):
-            return value(k) if k < bad else value(bad - 1) - drop
-
-        kern = LambdaSeq.custom(broken, name="broken").kernel
-        kern.grow(data.draw(st.integers(1, bad - 1)))
-        kern.check(data.draw(st.integers(1, bad - 1)))
-        before = _arrays(kern)
-        for step in (kern.check, kern.grow):
-            with pytest.raises(NotStrictlyIncreasing, match=f"lambda_{bad} "):
-                step(data.draw(st.integers(bad, 80)))
-            assert _arrays(kern) == before
-        kern.grow(bad - 1)
-        assert _arrays(kern) == _oracle_arrays(value, bad - 1)
+            kern.grow(m).read(n)
+        assert _arrays(kern) == _expected(value, m, max(n, m))
 
 
 class TestTrianglesAgainstOracles:
@@ -464,8 +421,7 @@ class TestTransformsFromKernel:
         """The transforms grow the kernel once, so the family function runs
         once per index instead of once per matrix entry."""
         calls = []
-        lam = LambdaSeq.custom(lambda n: calls.append(n) or n * n + 1, name="counting")
-        del calls[:]  # construction reads lambda_0 and lambda_1
+        lam = LambdaSeq("counting", (), lambda n: calls.append(n) or n * n + 1)
         n = 64
         x = _rational_window(5, n)
         y = forward_transform(x, lam)

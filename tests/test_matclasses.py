@@ -285,6 +285,18 @@ class TestSharedQuantities:
             assert cond == norm.verdict
             assert [v for _, v in cond.sweep] == sums
 
+    def test_row_l1_sup(self, name):
+        """(linf : linf) reads the row 1-norms, as the operator norm out of
+        the sup-normed space does."""
+        m = SHARED_CASES[name]
+        cond = dict(class_check(m, LIN, "linf", "linf", window=self.WINDOW).conditions)
+        cond = cond["row-l1-sup"]
+        norm = operator_norm(m, LIN, "inf", "linf", window=self.WINDOW)
+        if norm.kind == "exact":
+            assert cond.value == norm.value
+        else:
+            assert cond == norm.verdict
+
     def test_row_sweeps(self, name):
         m = SHARED_CASES[name]
         entry = dict(class_check(m, LIN, "l1", "linf", window=self.WINDOW).conditions)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibspaces.errors import (
     DomainError,
@@ -82,14 +84,10 @@ class TestLambdaSeq:
             "linear": lambda: LambdaSeq.linear(1, 1),
             "geometric": lambda: LambdaSeq.geometric(2, 1),
             "explicit": lambda: LambdaSeq.explicit([1, 2, 4]),
-            "custom": lambda: LambdaSeq.custom(lambda n: Fraction(2) ** n),
+            "custom": lambda: LambdaSeq("custom", (), lambda n: Fraction(2) ** n),
             "file": lambda: LambdaSeq.from_spec(f"file:{path}"),
         }[family]()
         assert lam.reciprocal_summable is summable
-
-    def test_custom_family_cannot_be_named_geometric(self):
-        with pytest.raises(DomainError):
-            LambdaSeq.custom(lambda n: Fraction(2) ** n, name="geometric")
 
     def test_explicit_tail(self):
         lam = LambdaSeq.explicit([1, 2, 4])
@@ -103,29 +101,15 @@ class TestLambdaSeq:
         with pytest.raises(NotStrictlyIncreasing, match="lambda_70 = 69 does not exceed"):
             LambdaSeq.explicit(list(range(1, 71)) + [69, 100])
 
-    def test_every_read_value_is_checked(self):
-        lam = LambdaSeq.custom(lambda n: n + 1 if n < 100 else 100)
-        assert lam.value(99) == 100
-        with pytest.raises(NotStrictlyIncreasing, match="lambda_100 = 100 does not exceed"):
-            lam.value(100)
-        with pytest.raises(NotStrictlyIncreasing):
-            lam.gap(120)
-
-    def test_failed_growth_leaves_the_kernel_unchanged(self):
-        lam = LambdaSeq.custom(lambda n: n + 1 if n < 10 else 5)
+    def test_reading_lambda_builds_no_other_coefficient(self):
+        lam = LambdaSeq.linear(1, 1)
         kern = lam.kernel.grow(6)
-        arrays = ("lam", "gap", "w", "col", "diag", "num")
-        before = {name: len(getattr(kern, name)) for name in arrays}
-        with pytest.raises(NotStrictlyIncreasing, match="lambda_10 = 5"):
-            kern.grow(20)
-        assert {name: len(getattr(kern, name)) for name in arrays} == before
-        # Reading lambda checks it without building the other coefficients.
         assert lam.value(9) == 10 and len(kern.lam) == 10 and len(kern.col) == 6
         assert len(kern.grow(9).col) == 9
 
     def test_each_value_is_read_once(self):
         calls = []
-        lam = LambdaSeq.custom(lambda n: calls.append(n) or n + 1)
+        lam = LambdaSeq("counting", (), lambda n: calls.append(n) or n + 1)
         for n in (5, 3, 5):
             assert lam.value(n) == n + 1 and lam.gap(n) == 1
         assert calls == list(range(6))
@@ -135,8 +119,6 @@ class TestLambdaSeq:
             LambdaSeq.linear(1, 0)
         with pytest.raises(NonPositiveStart):
             LambdaSeq.explicit([0, 1])
-        with pytest.raises(NonPositiveStart):
-            LambdaSeq.custom(lambda n: n - 1)
         with pytest.raises(NotStrictlyIncreasing):
             LambdaSeq.geometric(1, 1)
 
@@ -157,6 +139,86 @@ class TestLambdaSeq:
         lam = LambdaSeq.geometric(2, 1)
         # sum_{n > 3} 2^-n = 2^-3
         assert lam.reciprocal_tail_bound(3) == Fraction(1, 8)
+
+
+POSITIVE = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+NONPOSITIVE = st.fractions(min_value=-9, max_value=0, max_denominator=9)
+ANY = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def _increasing(steps) -> list[Fraction]:
+    return [1 + sum(steps[:i + 1]) for i in range(len(steps))]
+
+
+@st.composite
+def accepted_lambdas(draw):
+    """A LambdaSeq built by linear, geometric or explicit on input each accepts."""
+    kind = draw(st.sampled_from(["linear", "geometric", "explicit"]))
+    if kind == "linear":
+        return LambdaSeq.linear(draw(POSITIVE), draw(POSITIVE))
+    if kind == "geometric":
+        return LambdaSeq.geometric(1 + draw(POSITIVE), draw(POSITIVE))
+    return LambdaSeq.explicit(_increasing(draw(st.lists(POSITIVE, min_size=2, max_size=10))))
+
+
+@st.composite
+def refused_lambdas(draw):
+    """(build, error, message): ``build()`` calls a constructor on input it
+    refuses, and raises ``error`` with ``message``."""
+    kind = draw(st.sampled_from(["slope", "offset", "scale", "ratio", "start", "step", "short"]))
+    if kind == "slope":
+        a, b = draw(NONPOSITIVE), draw(ANY)
+        return (lambda: LambdaSeq.linear(a, b)), NotStrictlyIncreasing, \
+            f"linear slope must be positive, got {a}"
+    if kind == "offset":
+        a, b = draw(POSITIVE), draw(NONPOSITIVE)
+        return (lambda: LambdaSeq.linear(a, b)), NonPositiveStart, \
+            f"linear offset must be positive, got {b}"
+    if kind == "scale":
+        r, c = draw(ANY), draw(NONPOSITIVE)
+        return (lambda: LambdaSeq.geometric(r, c)), NonPositiveStart, \
+            f"geometric scale must be positive, got {c}"
+    if kind == "ratio":
+        r, c = 1 + draw(NONPOSITIVE), draw(POSITIVE)
+        return (lambda: LambdaSeq.geometric(r, c)), NotStrictlyIncreasing, \
+            f"geometric ratio must exceed 1, got {r}"
+    if kind == "short":
+        values = draw(st.lists(POSITIVE, max_size=1))
+        return (lambda: LambdaSeq.explicit(values)), ParseError, \
+            "explicit lambda needs at least two values"
+    # explicit: the first bad value, then anything; at least two values.
+    values = _increasing(draw(st.lists(POSITIVE, max_size=8)))
+    if kind == "start":
+        values.insert(0, draw(NONPOSITIVE))
+        error, message = NonPositiveStart, f"lambda_0 = {values[0]} must be positive"
+    else:
+        values = values or [Fraction(1)]
+        bad, prev = len(values), values[-1]
+        values.append(prev - draw(POSITIVE | st.just(Fraction(0))))
+        error = NotStrictlyIncreasing
+        message = f"lambda_{bad} = {values[bad]} does not exceed lambda_{bad - 1} = {prev}"
+    values += draw(st.lists(ANY, min_size=1, max_size=3))
+    return (lambda: LambdaSeq.explicit(values)), error, message
+
+
+class TestConstructorsCheckLambda:
+    """The constructors are the one place lambda is checked: the kernel
+    reads what they accept without comparing it."""
+
+    @given(lam=accepted_lambdas())
+    @settings(max_examples=30, deadline=None)
+    def test_every_value_read_is_positive_and_increasing(self, lam):
+        values = lam.kernel.read(300).lam
+        assert len(values) == 301 and values[0] > 0
+        assert all(prev < value for prev, value in zip(values, values[1:]))
+
+    @given(case=refused_lambdas())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_input_is_refused(self, case):
+        build, error, message = case
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestWitnesses:
@@ -273,9 +335,7 @@ class TestGenerators:
             parse_generator_spec("nonsense")
 
 
-def test_custom_lambda_oracle_validated():
-    lam = LambdaSeq.custom(lambda n: Fraction(n * n + 1), name="squares")
+def test_bare_family_function_is_read_as_given():
+    lam = LambdaSeq("squares", (), lambda n: Fraction(n * n + 1))
     assert lam.value(3) == 10
     assert lam.value(-1) == 0
-    with pytest.raises(NotStrictlyIncreasing):
-        LambdaSeq.custom(lambda n: Fraction(1))
