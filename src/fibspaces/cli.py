@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -54,7 +55,9 @@ _CONFIG_SKIP = ("fn", "out", "command")
 
 def _emit(text: str, out: str | None):
     if not out:
-        print(text)
+        # Flushed here, so that a reader that closed early raises
+        # BrokenPipeError inside main and not at interpreter exit.
+        print(text, flush=True)
         return
     try:
         with open(out, "w") as fh:
@@ -416,6 +419,12 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader of stdout closed early (`| head`).  Stdout is pointed at
+        # /dev/null so that the flush at exit cannot raise again, and the
+        # status is the one a shell reports for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

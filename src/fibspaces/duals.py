@@ -34,14 +34,24 @@ from .verdicts import (
 CONDITION_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
 
 
+def _reach(a_vals) -> int:
+    """One past the index of the last nonzero entry, 0 when there is none:
+    the depth to which a row or diagonal scaled by a_n reads the kernel."""
+    return next((n + 1 for n in range(len(a_vals) - 1, -1, -1) if a_vals[n]), 0)
+
+
 def _g_rows(a_vals, lam: LambdaSeq) -> list[list[Fraction]]:
     """Rows of the absolute-pairing triangle: inverse row n scaled by a_n,
     that is (a_n f_{n+1}^2) col_k below the diagonal and a_n diag_n on it,
-    one product per entry from a kernel grown once."""
-    kern = lam.kernel.grow(len(a_vals))
+    one product per entry from a kernel grown once, through the last
+    nonzero a_n.  A row with a_n = 0 is zeros and reads no coefficient."""
+    kern = lam.kernel.grow(_reach(a_vals))
     col, diag = kern.col, kern.diag
     rows = []
     for n, an in enumerate(a_vals):
+        if not an:
+            rows.append([Fraction(0)] * (n + 1))
+            continue
         scale = an * fib_sq(n + 1)
         rows.append([scale * col[k] for k in range(n)] + [an * diag[n]])
     return rows
@@ -161,6 +171,11 @@ def dual_condition(
     A finitely supported candidate is read past its support, where its
     rows, partial sums and column sums no longer change: every condition
     then holds exactly, except a d1 whose subset search did not settle.
+    Its work stops at its support s: the kernel is grown through about
+    s + 1 whatever the window, d5 reads the diagonal and d7 the column
+    coefficients only where they meet a nonzero factor, and d1 searches
+    once at the first sweep point at or past s and reuses that search at
+    every later point, whose added rows are zero.
     """
     if condition not in CONDITION_IDS:
         raise DomainError(f"unknown condition {condition!r}")
@@ -199,12 +214,17 @@ def dual_condition(
                 return abs(sums[2 * m] - sums[m])
 
         else:
+            # sum_{k<m} |col_k|, extended only for an m whose T_m - T_2m is
+            # nonzero: for a finite candidate, an m below its support.
             abs_col_sums = [Fraction(0)]
-            for c in lam.kernel.grow(deepest).col[:deepest // 2]:
-                abs_col_sums.append(abs_col_sums[-1] + abs(c))
 
             def distance(m: int) -> Fraction:
-                return abs(sums[m] - sums[2 * m]) * abs_col_sums[m]
+                gap = abs(sums[m] - sums[2 * m])
+                if not gap:
+                    return gap
+                for c in lam.kernel.grow(m).col[len(abs_col_sums) - 1:m]:
+                    abs_col_sums.append(abs_col_sums[-1] + abs(c))
+                return gap * abs_col_sums[m]
 
         dist = None
         for m in [m for m in points if 2 * m < deepest]:
@@ -224,11 +244,15 @@ def dual_condition(
         if condition in ("d1", "d2"):
             g_rows = _g_rows(a_deep, lam)
             col_sums: list[Fraction] = []
+            # Rows at or past a finite support are zero: they add nothing
+            # to a column sum and leave the subset search as it was.
+            nonzero_rows = a.support if finite else deepest
+            searched_support = False
         elif condition == "d4":
             sizes = [power_sum(row, q) for row in table]
         elif condition == "d5":
-            diag = lam.kernel.grow(deepest).diag
-            sizes = [abs(diag[n] * a_deep[n]) for n in range(deepest)]
+            diag = lam.kernel.grow(_reach(a_deep)).diag
+            sizes = [abs(diag[n] * an) if an else Fraction(0) for n, an in enumerate(a_deep)]
         elif condition == "d6":
             sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
         elif condition == "d8":
@@ -236,10 +260,12 @@ def dual_condition(
         value, done = CertifiedReal.exact(0), 0
         for w in points:
             if condition == "d1":
-                found, value = subset_power_sum(g_rows[:w], q)
-                lower_bound_only = not found.enumerated
+                if not searched_support:
+                    found, value = subset_power_sum(g_rows[:w], q)
+                    lower_bound_only = not found.enumerated
+                    searched_support = w >= nonzero_rows
             elif condition == "d2":
-                column_abs_sums(g_rows[done:w], col_sums)
+                column_abs_sums(g_rows[done:min(w, nonzero_rows)], col_sums)
                 value = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
             else:
                 value = CertifiedReal.max_of([value, *sizes[done:w]])

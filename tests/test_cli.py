@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +74,20 @@ class TestTransform:
 
 
 class TestExitCodes:
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        # 212 kB of output, more than a pipe buffers, so the write meets the
+        # closed pipe whatever the scheduling.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with open(tmp_path / "err", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "fibspaces.cli", "basis", "--k", "3", "-N", "1000"],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            assert proc.stdout.readline().strip() == b"0"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+        assert (tmp_path / "err").read_bytes() == b""
+
     def test_unknown_witness_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "transform", "--x", "witness:nope", "-N", "4")
         assert code == 3

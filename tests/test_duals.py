@@ -432,40 +432,97 @@ _DEPTH = 48
 
 
 def _grown_to(lam: LambdaSeq) -> int:
-    """The n of the kernel's deepest grow(n), once every array is seen to
-    hold what grow(n) makes and nothing past it."""
+    """The n of the kernel's deepest grow(n), -1 for a kernel never grown,
+    once every array is seen to hold what grow(n) makes and nothing past it."""
     kern = lam.kernel
     n = len(kern.w) - 1
     assert [len(getattr(kern, name)) for name in _LONG] == [n + 1] * len(_LONG)
-    assert [len(getattr(kern, name)) for name in _SHORT] == [n] * len(_SHORT)
+    assert [len(getattr(kern, name)) for name in _SHORT] == [max(n, 0)] * len(_SHORT)
     return n
 
 
+_SPACES = ["l1", "lp:3", "linf"]
+_KINDS = ["alpha", "beta", "gamma"]
+
+
+@pytest.mark.parametrize("depth", [_DEPTH, _DEPTH - 9])
 @pytest.mark.parametrize("a", [unit_seq(0), from_values([1, Fraction(-2, 3)]), zero_seq()],
                          ids=["unit", "values", "zero"])
+class TestKernelGrownToTheSupport:
+    """A finitely supported candidate's work stops at its support s: every
+    condition and every membership, as every command runs it, grows the
+    kernel through at most s + 1, whatever the window."""
+
+    @pytest.mark.parametrize("condition", duals.CONDITION_IDS)
+    def test_every_condition_stops_at_the_support(self, a, depth, condition):
+        lam = LambdaSeq.geometric(2, 1)
+        dual_condition(a, lam, condition, window=depth, p=Exponent.of(3))
+        assert _grown_to(lam) <= a.support + 1
+
+    @pytest.mark.parametrize("space", _SPACES)
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_every_membership_stops_at_the_support(self, a, depth, space, kind):
+        lam = LambdaSeq.geometric(2, 1)
+        dual_membership(a, lam, space, kind, window=depth)
+        assert _grown_to(lam) <= a.support + 1
+
+
+@pytest.mark.parametrize("depth", [_DEPTH, _DEPTH - 9])
 class TestKernelGrownToTheDepth:
-    """The kernel trusts lambda, so a condition grows it only as far as it
-    reads coefficients: d4, d6 and d8 through a finite candidate's distinct
-    rows 0..s, the others through the whole depth.  A membership, as every
-    command runs it, still grows the kernel through the whole depth."""
+    """An infinitely supported candidate reads the kernel through the whole
+    depth: every membership, and every condition but d3, which reads no
+    lambda, and d7, which reads the columns below its deepest m."""
 
-    # d3 is the weighted series of a alone and reads no lambda.
-    @pytest.mark.parametrize("condition", [c for c in duals.CONDITION_IDS if c != "d3"])
-    def test_every_condition_grows_to_what_it_reads(self, a, condition):
+    @pytest.mark.parametrize("condition", duals.CONDITION_IDS)
+    def test_every_condition_grows_to_what_it_reads(self, depth, condition):
         lam = LambdaSeq.geometric(2, 1)
-        dual_condition(a, lam, condition, window=_DEPTH, p=Exponent.of(3))
-        table = condition in ("d4", "d6", "d8")
-        assert _grown_to(lam) == (a.support + 1 if table else _DEPTH)
+        dual_condition(inv_fib_pow(3), lam, condition, window=depth, p=Exponent.of(3))
+        want = {"d3": -1, "d7": max(m for m in sweep_points(depth) if 2 * m < depth)}
+        assert _grown_to(lam) == want.get(condition, depth)
 
-    @pytest.mark.parametrize("space", ["l1", "lp:3", "linf"])
-    @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
-    def test_every_membership_grows_to_the_depth(self, a, space, kind):
+    @pytest.mark.parametrize("space", _SPACES)
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_every_membership_grows_to_the_depth(self, depth, space, kind):
         lam = LambdaSeq.geometric(2, 1)
-        dual_membership(a, lam, space, kind, window=_DEPTH)
-        assert _grown_to(lam) == _DEPTH
+        dual_membership(inv_fib_pow(3), lam, space, kind, window=depth)
+        assert _grown_to(lam) == depth
 
-    def test_a_shorter_window_grows_no_further(self, a):
-        for kind in ("alpha", "beta", "gamma"):
-            lam = LambdaSeq.geometric(2, 1)
-            dual_membership(a, lam, "lp:3", kind, window=_DEPTH - 9)
-            assert _grown_to(lam) == _DEPTH - 9
+
+_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+# supports 1..12: up to eleven rationals, then a nonzero last entry
+_supported = st.builds(lambda head, last: from_values(head + [last]),
+                       st.lists(_fracs, max_size=11), _fracs.filter(bool))
+
+
+class TestWorkStopsAtTheSupport:
+    """Past a finite support nothing a condition reads changes, so a report
+    does not depend on how deep the kernel was grown before, and the one d1
+    search at the support is the search at every later sweep point."""
+
+    @given(a=_supported, lam=_lambdas, window=st.integers(min_value=8, max_value=64),
+           space=st.sampled_from(["l1", "lp:3/2", "lp:2", "lp:3", "linf"]),
+           kind=st.sampled_from(_KINDS))
+    @settings(max_examples=40, deadline=None)
+    def test_membership_ignores_a_deeper_kernel(self, a, lam, window, space, kind):
+        fresh, grown = (LambdaSeq.from_spec(lam.describe()) for _ in range(2))
+        grown.kernel.grow(2 * window)
+        want = dual_membership(a, fresh, space, kind, window=window)
+        got = dual_membership(a, grown, space, kind, window=window)
+        assert got["verdict"].to_json() == want["verdict"].to_json()
+        for g, w in zip(got["conditions"], want["conditions"], strict=True):
+            _assert_same_report(g, w)
+
+    @given(a=_supported, lam=_lambdas, window=st.integers(min_value=8, max_value=64),
+           p=_exponents)
+    @settings(max_examples=40, deadline=None)
+    def test_reused_d1_is_a_fresh_search(self, a, lam, window, p):
+        report = dual_condition(a, lam, "d1", window=window, p=p)
+        q = conjugate(p).as_fraction()
+        rows = _g_rows([to_fraction(v) for v in a.prefix(max(window, a.support + 2))], lam)
+        past = [(w, v) for w, v in report.sweep if w >= a.support]
+        assert past
+        for w, v in past:
+            found, value = subset_power_sum(rows[:w], q)
+            assert (value.value, value.err) == (report.value.value, report.value.err)
+            assert v == to_float(value.value)
+            assert report.lower_bound_only == (not found.enumerated)
