@@ -34,24 +34,14 @@ from .verdicts import (
 CONDITION_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
 
 
-def _reach(a_vals) -> int:
-    """One past the index of the last nonzero entry, 0 when there is none:
-    the depth to which a row or diagonal scaled by a_n reads the kernel."""
-    return next((n + 1 for n in range(len(a_vals) - 1, -1, -1) if a_vals[n]), 0)
-
-
 def _g_rows(a_vals, lam: LambdaSeq) -> list[list[Fraction]]:
     """Rows of the absolute-pairing triangle: inverse row n scaled by a_n,
     that is (a_n f_{n+1}^2) col_k below the diagonal and a_n diag_n on it,
-    one product per entry from a kernel grown once, through the last
-    nonzero a_n.  A row with a_n = 0 is zeros and reads no coefficient."""
-    kern = lam.kernel.grow(_reach(a_vals))
+    one product per entry from a kernel grown once, through len(a_vals)."""
+    kern = lam.kernel.grow(len(a_vals))
     col, diag = kern.col, kern.diag
     rows = []
     for n, an in enumerate(a_vals):
-        if not an:
-            rows.append([Fraction(0)] * (n + 1))
-            continue
         scale = an * fib_sq(n + 1)
         rows.append([scale * col[k] for k in range(n)] + [an * diag[n]])
     return rows
@@ -165,29 +155,31 @@ def dual_condition(
     d3: convergence of the Fibonacci-square weighted series of a;
     d4: sup over n of the q-power row sums of abar;
     d5: sup of the scaled diagonal;   d6: sup of |abar| over all (n, k);
-    d7: the l1-distance between abar rows m and 2m tends to zero;
-    d8: sup over n of absolute abar row sums.
+    d7: the l1-distance between abar rows m and 2m tends to zero: d3's
+        distance |T_2m - T_m| times sum_{k<m} |col_k|;
+    d8: sup over n of absolute abar row sums, d4 at q = 1.
 
     A finitely supported candidate is read past its support, where its
     rows, partial sums and column sums no longer change: every condition
     then holds exactly, except a d1 whose subset search did not settle.
-    Its work stops at its support s: the kernel is grown through about
-    s + 1 whatever the window, d5 reads the diagonal and d7 the column
-    coefficients only where they meet a nonzero factor, and d1 searches
-    once at the first sweep point at or past s and reuses that search at
-    every later point, whose added rows are zero.
+    It is cut to its support s once: d1, d2 and d5 read only a_0..a_{s-1},
+    so the kernel is grown through about s + 1 whatever the window, and d1
+    searches through the first sweep point at or past s, the search every
+    later point would repeat.  d7 reads the column coefficients only where
+    the distance it multiplies is nonzero: for a finite candidate, below s.
     """
     if condition not in CONDITION_IDS:
         raise DomainError(f"unknown condition {condition!r}")
     if window < 4:
         raise DomainError("window must be >= 4")
-    q = None
+    q = Fraction(1) if condition == "d8" else None
     if condition in ("d1", "d4"):
         if p is None:
             raise DomainError(f"{condition} needs the space exponent p")
-        q = conjugate(p).as_fraction() if not conjugate(p).is_infinite else None
-        if q is None:
+        q = conjugate(p)
+        if q.is_infinite:
             raise DomainError(f"{condition} with q = inf is not a sum condition")
+        q = q.as_fraction()
 
     finite = a.support is not None
     # A finitely supported candidate is read at least two rows past its
@@ -195,6 +187,9 @@ def dual_condition(
     deepest = max(window, a.support + 2) if finite else window
     points = sweep_points(deepest)
     a_deep = [to_fraction(v) for v in a.prefix(deepest)]
+    # The entries that scale a row or a diagonal term: past a finite
+    # support those are zero.
+    live = a_deep[:a.support] if finite else a_deep
     if condition in ("d4", "d6", "d8"):
         # T_n is constant from n = s - 1 on for a candidate with support s,
         # so every row n >= s is row s padded with zeros: rows 0..s are the
@@ -207,28 +202,17 @@ def dual_condition(
         # Cauchy evidence: the distance between depths m and 2m, which is
         # exactly 0 once m clears a finite support.  Both read the prefix
         # sums T_n: d3 is |T_2m - T_m|, and since abar_k(m) - abar_k(2m) is
-        # col_k (T_m - T_2m), d7 is |T_m - T_2m| times sum_{k<m} |col_k|.
+        # col_k (T_m - T_2m), d7 is that times sum_{k<m} |col_k|, a running
+        # sum extended only for an m whose distance is nonzero.
         sums = lam.kernel.partial_sums(a_deep)
-        if condition == "d3":
-            def distance(m: int) -> Fraction:
-                return abs(sums[2 * m] - sums[m])
-
-        else:
-            # sum_{k<m} |col_k|, extended only for an m whose T_m - T_2m is
-            # nonzero: for a finite candidate, an m below its support.
-            abs_col_sums = [Fraction(0)]
-
-            def distance(m: int) -> Fraction:
-                gap = abs(sums[m] - sums[2 * m])
-                if not gap:
-                    return gap
-                for c in lam.kernel.grow(m).col[len(abs_col_sums) - 1:m]:
-                    abs_col_sums.append(abs_col_sums[-1] + abs(c))
-                return gap * abs_col_sums[m]
-
+        abs_col_sums = [Fraction(0)]
         dist = None
         for m in [m for m in points if 2 * m < deepest]:
-            dist = distance(m)
+            dist = abs(sums[2 * m] - sums[m])
+            if condition == "d7" and dist:
+                for c in lam.kernel.grow(m).col[len(abs_col_sums) - 1:m]:
+                    abs_col_sums.append(abs_col_sums[-1] + abs(c))
+                dist *= abs_col_sums[m]
             sweep.append((m, to_float(dist)))
         if condition == "d3":
             # the weighted series from j = 1: T_n less its j = 0 term
@@ -242,30 +226,24 @@ def dual_condition(
         # Each sweep point reads a prefix of these rows or per-row sizes;
         # d4..d8 take the supremum of the sizes as one running maximum.
         if condition in ("d1", "d2"):
-            g_rows = _g_rows(a_deep, lam)
+            g_rows = _g_rows(live, lam)
             col_sums: list[Fraction] = []
-            # Rows at or past a finite support are zero: they add nothing
-            # to a column sum and leave the subset search as it was.
-            nonzero_rows = a.support if finite else deepest
-            searched_support = False
-        elif condition == "d4":
+        elif condition in ("d4", "d8"):
             sizes = [power_sum(row, q) for row in table]
         elif condition == "d5":
-            diag = lam.kernel.grow(_reach(a_deep)).diag
-            sizes = [abs(diag[n] * an) if an else Fraction(0) for n, an in enumerate(a_deep)]
+            diag = lam.kernel.grow(len(live)).diag
+            sizes = [abs(diag[n] * an) for n, an in enumerate(live)]
         elif condition == "d6":
             sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
-        elif condition == "d8":
-            sizes = [sum((abs(v) for v in row), Fraction(0)) for row in table]
         value, done = CertifiedReal.exact(0), 0
         for w in points:
             if condition == "d1":
-                if not searched_support:
+                # a later point adds no row past a finite support
+                if done < len(g_rows):
                     found, value = subset_power_sum(g_rows[:w], q)
                     lower_bound_only = not found.enumerated
-                    searched_support = w >= nonzero_rows
             elif condition == "d2":
-                column_abs_sums(g_rows[done:min(w, nonzero_rows)], col_sums)
+                column_abs_sums(g_rows[done:w], col_sums)
                 value = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
             else:
                 value = CertifiedReal.max_of([value, *sizes[done:w]])
@@ -294,7 +272,7 @@ def dual_condition(
 _BETA_TABLE = {
     "lp": ("d3", "d4", "d5"),
     "l1": ("d3", "d5", "d6"),
-    "linf": ("d4", "d7", "d8"),
+    "linf": ("d7", "d8"),
 }
 _GAMMA_TABLE = {
     "l1": ("d5", "d6"),
@@ -329,8 +307,8 @@ def dual_membership(
     else:
         raise ParseError(f"unknown dual kind {kind!r}")
 
-    # d1/d4 consume the conjugate exponent: only lp and linf ask for them,
-    # and q = 1 for the sup-normed space.
+    # d1/d4 consume the conjugate exponent: lp asks for both, linf for d1
+    # alone, with q = 1 for the sup-normed space.
     p_for_q = p_norm if p_norm is not None else Exponent.infinity()
     reports = [
         dual_condition(a, lam, cond, window=window,

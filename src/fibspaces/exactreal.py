@@ -225,11 +225,11 @@ class CertifiedReal:
 
     @property
     def lo(self) -> Fraction:
-        return self.value - self.err
+        return self.value - self.err if self.err else self.value
 
     @property
     def hi(self) -> Fraction:
-        return self.value + self.err
+        return self.value + self.err if self.err else self.value
 
     @property
     def is_exact(self) -> bool:
@@ -455,19 +455,26 @@ def power_sum(values, p, precision: int = DEFAULT_PRECISION) -> CertifiedReal:
     Equal, value and error, to adding the :func:`rpow` terms one by one:
     the interval of the summed endpoints has the summed midpoints as its
     value and the summed half-widths as its error.  Exact zeros contribute
-    [0, 0] for p > 0 and are skipped.
+    [0, 0] for p > 0 and are skipped, and a rational to an integer power
+    is an exact term, added once.
     """
     p = _checked_exponent(p, precision)
     skip_zero = p > 0
-    lo = hi = Fraction(0)
+    power = p.numerator if p.denominator == 1 else None
+    exact = lo = hi = Fraction(0)
     for v in values:
         v = abs(v)
         if skip_zero and v == 0:
             continue
-        t_lo, t_hi = _pow_interval(v, p, precision)
-        lo += t_lo
-        hi += t_hi
-    return CertifiedReal.from_interval(lo, hi)
+        if power is not None and isinstance(v, Fraction):
+            exact += v if power == 1 else v ** power
+        else:
+            t_lo, t_hi = _pow_interval(v, p, precision)
+            lo += t_lo
+            hi += t_hi
+    if not (lo or hi):
+        return CertifiedReal(exact)
+    return CertifiedReal.from_interval(exact + lo, exact + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,13 @@ def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision: int = DEFAULT_PRECI
     return lambda n: rpow(power_sum(hat.row(n), q, precision), inv_q, precision)
 
 
-def _column_sum_sup(hat: HatMatrix, bound: int):
-    """The (k, column sum) sweep over rows n < bound and the Verdict on its
-    supremum over k."""
-    sums = column_abs_sums(hat.row(n) for n in range(bound))
-    sweep = tuple((k, to_float(s)) for k, s in enumerate(sums))
+def _column_sum_sup(hat: HatMatrix, bound: int, power):
+    """The (k, sum_n |hat(n, k)|^power) sweep over rows n < bound and the
+    Verdict on its supremum over k."""
+    totals = [power_sum(col, power) for col in _columns(hat, bound)]
+    sweep = tuple((k, to_float(t.value)) for k, t in enumerate(totals))
     if hat.finite_rows:
-        best = max(sums, default=Fraction(0))
-        return sweep, Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(best))
+        return sweep, Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.max_of(totals))
     return sweep, classify_growth([(k + 1, v) for k, v in sweep])
 
 
@@ -313,17 +312,9 @@ def _evaluate_class_condition(
         p = P_ONE if cid == "entry-sup" else P_INF
         return _sup_condition(hat, bound, _row_quantity_fn(hat, p))[1]
 
-    if cid == "column-sum-sup":
-        return _column_sum_sup(hat, bound)[1]
-
-    if cid == "column-pnorm-sup":
-        power = tp_norm.as_fraction()
-        totals = [power_sum(col, power) for col in _columns(hat, bound)]
-        if not totals:
-            return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(0))
-        if hat.finite_rows:
-            return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.max_of(totals))
-        return classify_growth([(k + 1, to_float(t.value)) for k, t in enumerate(totals)])
+    if cid in ("column-sum-sup", "column-pnorm-sup"):
+        power = 1 if cid == "column-sum-sup" else tp_norm.as_fraction()
+        return _column_sum_sup(hat, bound, power)[1]
 
     if cid == "partial-uniform":
         # D(m) = sum_n sum_k |hat(n,k; m) - hat(n,k)| over every row n < bound
@@ -444,7 +435,7 @@ def operator_norm(
     if target in ("linf", "c", "c0"):
         sweep, verdict = _sup_condition(hat, bound, _row_quantity_fn(hat, p, precision))
     elif target == "l1" and p == P_ONE:
-        sweep, verdict = _column_sum_sup(hat, bound)
+        sweep, verdict = _column_sum_sup(hat, bound, 1)
     elif target == "l1":
         q_frac = conjugate(p).as_fraction()
         found, total = subset_power_sum(

@@ -113,12 +113,11 @@ def space_norm(
     image = forward_transform(x, lam)
     value = window_norm(image.values, p, precision)
     n = len(image)
+    sizes = [abs(CertifiedReal.wrap(v).value) for v in image.values]
     if p.is_infinite:
-        sups = [abs(CertifiedReal.wrap(v).value) for v in image.values]
-        best = max(range(n), key=lambda i: sups[i])
+        best = max(range(n), key=lambda i: sizes[i])
         return NormEstimate(value, n, sup_index=best)
     pf = p.as_fraction()
-    sizes = [abs(CertifiedReal.wrap(v).value) for v in image.values]
     # The fraction is scale-free; scale only when a power could overflow.
     shift = _scale_shift(sizes, float(pf))
     if shift:
@@ -158,13 +157,13 @@ def parallelogram_check(
     lhs = sq_norm(plus) + sq_norm(minus)
     rhs = (sq_norm(u) + sq_norm(v)) * Fraction(2)
     equal = lhs.agrees_with(rhs) and lhs.is_exact and rhs.is_exact
-    separated = lhs.distance_from(rhs) > 0
+    separation = lhs.distance_from(rhs)
     return {
         "p": str(p),
         "lhs": lhs,
         "rhs": rhs,
-        "equal": bool(equal and not separated),
-        "separation": lhs.distance_from(rhs),
+        "equal": bool(equal and not separation > 0),
+        "separation": separation,
     }
 
 

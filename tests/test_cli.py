@@ -534,6 +534,14 @@ class TestVerifySuite:
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
 
+    def test_manifest_names_every_snapshot_once(self):
+        # An orphaned snapshot would be compared by nothing, a duplicated
+        # line would pin one file twice.
+        names = [name for name, _ in _pinned_commands()]
+        assert len(names) == len(set(names))
+        files = {p.name for p in DATA.iterdir()} - {"verify_paper.json", "pinned_commands.txt"}
+        assert set(names) == files
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify-paper", "--only", "inverse-oracle", "--seed", "7")
         _, second, _ = run_cli(capsys, "verify-paper", "--only", "inverse-oracle", "--seed", "7")

@@ -254,7 +254,7 @@ class TestDualMembership:
             ("linf", "alpha"): ["d1"],
             ("lp", "beta"): ["d3", "d4", "d5"],
             ("l1", "beta"): ["d3", "d5", "d6"],
-            ("linf", "beta"): ["d4", "d7", "d8"],
+            ("linf", "beta"): ["d7", "d8"],
             ("l1", "gamma"): ["d5", "d6"],
             ("lp", "gamma"): ["d5", "d8"],
             ("linf", "gamma"): ["d5", "d8"],
@@ -526,3 +526,20 @@ class TestWorkStopsAtTheSupport:
             assert (value.value, value.err) == (report.value.value, report.value.err)
             assert v == to_float(value.value)
             assert report.lower_bound_only == (not found.enumerated)
+
+
+class TestD4AtQOneIsD8:
+    """For the sup-normed space q = 1, and d4's q-power row sum is d8's
+    absolute row sum term for term: the linf beta-dual reads d8 alone."""
+
+    @given(a=st.one_of(_supported, st.integers(min_value=0, max_value=40).map(unit_seq),
+                       st.sampled_from([zero_seq(), ones_seq(), inv_fib_pow(3)])),
+           lam=_lambdas, window=st.integers(min_value=4, max_value=48))
+    @settings(max_examples=60, deadline=None)
+    def test_same_report(self, a, lam, window):
+        d4 = dual_condition(a, lam, "d4", window=window, p=Exponent.infinity())
+        d8 = dual_condition(a, lam, "d8", window=window)
+        assert d4.sweep == d8.sweep
+        assert (d4.value.value, d4.value.err) == (d8.value.value, d8.value.err)
+        assert d4.verdict.to_json() == d8.verdict.to_json()
+        assert d4.lower_bound_only == d8.lower_bound_only

@@ -14,10 +14,11 @@ from fibspaces.errors import (
     UnsupportedPair,
     UnsupportedTarget,
 )
-from fibspaces.exactreal import Exponent
+from fibspaces.exactreal import CertifiedReal, Exponent, to_float
 from fibspaces.matclasses import (
     HatMatrix,
     MncEstimate,
+    _column_sum_sup,
     _tail_sweep,
     class_check,
     compactness_verdict,
@@ -26,13 +27,15 @@ from fibspaces.matclasses import (
     operator_norm,
 )
 from fibspaces.sequences import LambdaSeq
+from fibspaces.subsetsup import column_abs_sums
 from fibspaces.triangles import (
     RowWindowedMatrix,
     Triangle,
     e_matrix,
+    fhat_matrix,
     identity_triangle,
 )
-from fibspaces.verdicts import Status, Verdict
+from fibspaces.verdicts import Status, Verdict, classify_growth
 
 LIN = LambdaSeq.linear(1, 1)
 GEO = LambdaSeq.geometric(2, 1)
@@ -310,6 +313,62 @@ class TestSharedQuantities:
         else:
             assert entry == sup_norm.verdict
         assert [v for _, v in row_l1.sweep] == [v for _, v in l1_norm.sweep]
+
+
+def _column_abs_sum_sup(hat: HatMatrix, bound: int):
+    """The column-sum supremum read from plain absolute column sums: the
+    (k, sum_n |hat(n, k)|) sweep and the Verdict on its supremum."""
+    sums = column_abs_sums(hat.row(n) for n in range(bound))
+    sweep = tuple((k, to_float(s)) for k, s in enumerate(sums))
+    if hat.finite_rows:
+        best = CertifiedReal.exact(max(sums, default=Fraction(0)))
+        return sweep, Verdict(Status.HOLDS_EXACTLY, value=best)
+    return sweep, classify_growth([(k + 1, v) for k, v in sweep])
+
+
+class TestColumnSumSup:
+    """column-sum-sup is column-pnorm-sup at power 1: the power sums of
+    the columns at power 1 are their absolute sums."""
+
+    @staticmethod
+    def _assert_same(hat, bound):
+        sweep, verdict = _column_sum_sup(hat, bound, 1)
+        want_sweep, want = _column_abs_sum_sup(hat, bound)
+        assert sweep == want_sweep
+        assert verdict.to_json() == want.to_json()
+        if want.value is not None:
+            assert (verdict.value.value, verdict.value.err) == (want.value.value, want.value.err)
+
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           rows=st.integers(min_value=0, max_value=8),
+           cols=st.integers(min_value=1, max_value=8),
+           lam=st.sampled_from([LIN, GEO]))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_matrices(self, seed, rows, cols, lam):
+        m = _random_matrix(random.Random(seed), rows, cols)
+        hat = HatMatrix(m, lam)
+        self._assert_same(hat, hat.effective_bound(0))
+
+    @given(which=st.sampled_from(["E", "fhat", "identity"]),
+           window=st.integers(min_value=1, max_value=24),
+           lam=st.sampled_from([LIN, GEO]))
+    @settings(max_examples=30, deadline=None)
+    def test_triangle_windows(self, which, window, lam):
+        m = {"E": lambda: e_matrix(lam), "fhat": fhat_matrix,
+             "identity": identity_triangle}[which]()
+        self._assert_same(HatMatrix(m, lam), window)
+
+    def test_zero_triangle_window_is_no_evidence(self):
+        # An infinite triangle whose hat rows are all zero in the window
+        # gives an empty column sweep: both column conditions read it as
+        # inconclusive, while a finite zero matrix holds exactly with 0.
+        zero = Triangle(lambda n, k: 0, "zero")
+        for target, cid in (("l1", "column-sum-sup"), ("lp:2", "column-pnorm-sup")):
+            verdict = dict(class_check(zero, LIN, "l1", target, window=8).conditions)[cid]
+            assert verdict.status is Status.INCONCLUSIVE, target
+            verdict = dict(class_check(ZERO, LIN, "l1", target, window=8).conditions)[cid]
+            assert verdict.status is Status.HOLDS_EXACTLY, target
+            assert verdict.value.value == 0
 
 
 class TestOperatorNorm:
