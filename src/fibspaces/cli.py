@@ -18,10 +18,11 @@ from .duals import dual_membership
 from .errors import DomainError, ParseError
 from .exactreal import (
     DEFAULT_PRECISION,
+    MIN_PRECISION,
+    PRECISION_LIMIT,
     CertifiedReal,
     Exponent,
     format_rational,
-    parse_rational,
     to_float,
 )
 from .golden import run_checks
@@ -227,7 +228,7 @@ def cmd_verify_paper(args) -> int:
             raise DomainError(f"window size -N must be >= 1, got {args.n}")
         config["n"] = args.n
     if args.p is not None:
-        config["p"] = Exponent(parse_rational(args.p)).value
+        config["p"] = Exponent.parse(args.p).as_fraction()
     results = run_checks(only=args.only, **config)
     if not results:
         raise ParseError(f"no checks match {args.only!r}")
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
     if extras:  # the full parser words the error, listing every command
         args = build_parser().parse_args(argv)
     try:
+        if "precision" in args and not MIN_PRECISION <= args.precision <= PRECISION_LIMIT:
+            raise ParseError(f"precision must be between {MIN_PRECISION} and "
+                             f"{PRECISION_LIMIT} bits, got {args.precision}")
         if "lam" in args:
             return args.fn(args, LambdaSeq.from_spec(args.lam))
         return args.fn(args)

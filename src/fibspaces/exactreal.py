@@ -20,6 +20,13 @@ from .errors import NegativeBaseError, ParseError
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
+# Largest command-line precision: `norm --x witness:power-law -N 32 --p
+# 100/99` takes 1.8 s at 256 bits and 15 s at 1024 (2-CPU x86-64 host).
+PRECISION_LIMIT = 1024
+# Largest numerator and denominator of an exponent a/b read from text: x ** a
+# is formed exactly, so p = 1e40 never ends, and `dual --a inv-fib-pow:3
+# --space lp:<p> --window 32` takes 6.6 s at p = 100 and 12 s at p = 128.
+EXPONENT_TERM_LIMIT = 100
 DECIMAL_DIGITS = 24
 
 RationalLike = Union[int, Fraction]
@@ -113,10 +120,16 @@ class Exponent:
 
     @classmethod
     def parse(cls, text: str) -> "Exponent":
+        """"inf", or a rational p >= 1 whose numerator and denominator are
+        at most ``EXPONENT_TERM_LIMIT``."""
         text = text.strip().lower()
         if text in ("inf", "infinity", "oo"):
             return cls.infinity()
-        return cls(parse_rational(text))
+        p = cls(parse_rational(text))
+        if max(p.value.numerator, p.value.denominator) > EXPONENT_TERM_LIMIT:
+            raise ParseError(f"exponent {text!r} has a numerator or denominator "
+                             f"past {EXPONENT_TERM_LIMIT}")
+        return p
 
     @property
     def is_infinite(self) -> bool:

@@ -38,7 +38,7 @@ from .exactreal import (
 )
 from .sequences import LambdaSeq
 from .spaces import normalize_space
-from .subsetsup import column_abs_sums, subset_power_sum
+from .subsetsup import NODE_LIMIT, column_abs_sums, subset_power_sum
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
     Status,
@@ -74,26 +74,16 @@ class HatMatrix:
         cached = self._rows.get(n)
         if cached is not None:
             return cached
+        if n < 0:
+            raise DomainError(f"row index must be >= 0, got {n}")
         # Row n is finitely supported, so the series over j > k truncates.
-        entries = self.lam.kernel.limit_row(self._source_row(n))
+        entries = self.lam.kernel.limit_row(
+            [self.source.entry(n, j) for j in range(self.source.row_support(n))])
         while entries and entries[-1] == 0:
             entries.pop()
         row = tuple(entries)
         self._rows[n] = row
         return row
-
-    def _source_row(self, n: int) -> list[Fraction]:
-        if n < 0:
-            raise DomainError(f"row index must be >= 0, got {n}")
-        return [self.source.entry(n, j) for j in range(self.source.row_support(n))]
-
-    def partial_row(self, n: int, m: int) -> list[Fraction]:
-        """Row n with every inner sum stopped at j = m: the limit row of the
-        entries through j = m, then a_nk diag_k (an empty inner sum) past it."""
-        values = self._source_row(n)
-        kern = self.lam.kernel.grow(len(values))
-        head = kern.limit_row(values[:max(m + 1, 0)])
-        return head + [values[k] * kern.diag[k] for k in range(len(head), len(values))]
 
     def entry(self, n: int, k: int) -> Fraction:
         _check_column(k)
@@ -182,10 +172,26 @@ def _columns(hat: HatMatrix, bound: int) -> list[list[Fraction]]:
     return [[row[k] if k < len(row) else Fraction(0) for row in rows] for k in range(width)]
 
 
-def _subset_status(found, hat: HatMatrix) -> Status:
-    if found.enumerated and hat.finite_rows:
-        return Status.HOLDS_EXACTLY
-    return Status.EVIDENCE_BOUNDED
+def _subset_sup(hat: HatMatrix, bound: int, rows_at, q, precision: int = DEFAULT_PRECISION):
+    """The subset K that :func:`subset_power_sum` finds among the vectors
+    ``rows_at(w)`` read from hat rows n < w, its power sum, and the Verdict
+    on their supremum.  Finitely many rows take one search at the bound,
+    exact when it settles.  A triangle takes one at each point w of
+    ``sweep_points(bound)``, classified by growth as d1 is, and returns the
+    last one's K and sum; each takes an even part of the node budget the
+    ones before it left, so the sweep costs about one search."""
+    if hat.finite_rows:
+        found, value = subset_power_sum(rows_at(bound), q, precision)
+        verdict = Verdict(Status.HOLDS_EXACTLY if found.enumerated else Status.EVIDENCE_BOUNDED)
+    else:
+        points, sweep, budget = sweep_points(bound), [], NODE_LIMIT
+        for i, w in enumerate(points):
+            found, value = subset_power_sum(rows_at(w), q, precision, budget // (len(points) - i))
+            budget -= found.nodes
+            sweep.append((w, to_float(value.value)))
+        verdict = classify_growth(sweep)
+    verdict.detail["enumerated"] = found.enumerated
+    return found, value, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +274,7 @@ def class_check(
     conditions: list[tuple[str, Verdict]] = []
     for cid in _CLASS_TABLE[key]:
         conditions.append((cid, _evaluate_class_condition(
-            cid, hat, lam, bound, window,
-            q_frac=q_frac, tp_norm=tp_norm,
+            cid, hat, lam, bound, q_frac=q_frac, tp_norm=tp_norm,
         )))
     overall = conjunction([v for _, v in conditions], label=f"{src}->{tgt}")
     return ClassReport(
@@ -280,22 +285,22 @@ def class_check(
     )
 
 
-def _evaluate_class_condition(
-    cid, hat: HatMatrix, lam, bound, window, *, q_frac, tp_norm
-) -> Verdict:
+def _evaluate_class_condition(cid, hat: HatMatrix, lam, bound, *, q_frac, tp_norm) -> Verdict:
     src_matrix = hat.source
 
-    if cid in ("row-series-exists", "row-abs-converges", "rows-in-beta-dual"):
+    if cid in ("row-series-exists", "row-abs-converges", "rows-in-beta-dual",
+               "partial-uniform"):
         # Every accepted source has finitely supported rows.  A finitely
         # supported row pairs with every x in a finite sum, so its weighted
         # series truncates and it lies in the beta-dual of every sequence
-        # space; this holds structurally for all rows.
+        # space.  Row n's partial rows equal row n once the stop m reaches
+        # its support, so partial-uniform holds row by row; it asks for no
+        # uniformity in n (E's distance at m = n - 1 grows with n).
         return Verdict(Status.HOLDS_EXACTLY,
                        detail={"reason": "rows finitely supported"})
 
-    supports = [src_matrix.row_support(n) for n in range(bound)]
-
     if cid == "row-diag-scaled-bounded":
+        supports = [src_matrix.row_support(n) for n in range(bound)]
         diag = lam.kernel.grow(max(supports, default=0)).diag
         worst = max(
             (abs(diag[k] * src_matrix.entry(n, k))
@@ -316,25 +321,6 @@ def _evaluate_class_condition(
         power = 1 if cid == "column-sum-sup" else tp_norm.as_fraction()
         return _column_sum_sup(hat, bound, power)[1]
 
-    if cid == "partial-uniform":
-        # D(m) = sum_n sum_k |hat(n,k; m) - hat(n,k)| over every row n < bound
-        # and every column k; it vanishes once m clears every row support.
-        max_support = max(supports, default=0)
-        points = []
-        exact_zero_seen = False
-        for m in sweep_points(max(window, max_support + 2)):
-            total = Fraction(0)
-            for n in range(bound):
-                row = hat.row(n)
-                partial = hat.partial_row(n, m)
-                for k in range(len(row)):
-                    total += abs(partial[k] - row[k])
-            points.append((m, to_float(total)))
-            if m >= max_support and total == 0:
-                exact_zero_seen = True
-        stabilized = hat.finite_rows and exact_zero_seen
-        return classify_to_zero(points, stabilized_exactly=stabilized)
-
     if cid in ("column-limits", "column-limits-zero"):
         if hat.finite_rows:
             # All columns are eventually zero, so the limits exist (and are 0).
@@ -353,12 +339,13 @@ def _evaluate_class_condition(
 
     if cid in ("row-subset-sup", "column-subset-sup"):
         if cid == "row-subset-sup":
-            found, val = subset_power_sum((hat.row(n) for n in range(bound)), q_frac)
+            rows_at, q = (lambda w: map(hat.row, range(w))), q_frac
         else:
-            found, val = subset_power_sum(_columns(hat, bound), tp_norm.as_fraction())
-        return Verdict(_subset_status(found, hat), value=val,
-                       detail={"enumerated": found.enumerated,
-                               "subset": found.subset})
+            rows_at, q = (lambda w: _columns(hat, w)), tp_norm.as_fraction()
+        found, value, verdict = _subset_sup(hat, bound, rows_at, q)
+        verdict.value = value
+        verdict.detail["subset"] = found.subset
+        return verdict
 
     raise DomainError(f"unknown condition {cid!r}")
 
@@ -438,16 +425,15 @@ def operator_norm(
         sweep, verdict = _column_sum_sup(hat, bound, 1)
     elif target == "l1":
         q_frac = conjugate(p).as_fraction()
-        found, total = subset_power_sum(
-            (hat.row(n) for n in range(bound)), q_frac, precision
+        _, total, verdict = _subset_sup(
+            hat, bound, lambda w: map(hat.row, range(w)), q_frac, precision
         )
         value = rpow(total, 1 / q_frac, precision)
         return OpNormResult(
             kind="bracket",
             bracket=(value, value * Fraction(4)),
             value=value,
-            verdict=Verdict(_subset_status(found, hat),
-                            detail={"enumerated": found.enumerated}),
+            verdict=verdict,
         )
     else:
         raise UnsupportedTarget(f"no operator-norm formula for target {target!r}")

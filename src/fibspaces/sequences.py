@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (
-    DivergentTail,
     DomainError,
     NonPositiveStart,
     NotStrictlyIncreasing,
@@ -62,7 +61,7 @@ class LambdaSeq:
 
     @property
     def reciprocal_summable(self) -> bool:
-        """Whether sum 1/lambda_n converges with a certified tail."""
+        """Whether sum 1/lambda_n converges: the geometric family."""
         return self.family == "geometric"
 
     def value(self, n: int) -> Fraction:
@@ -77,19 +76,6 @@ class LambdaSeq:
         if n < 0:
             raise DomainError(f"lambda gap index must be >= 0, got {n}")
         return self.kernel.read(n).gap[n]
-
-    def reciprocal_tail_bound(self, after: int) -> Fraction:
-        """Certified upper bound of sum_{n > after} 1/lambda_n.
-
-        Only families with a closed-form geometric tail support this.
-        """
-        if not self.reciprocal_summable:
-            raise DivergentTail(
-                f"no certified reciprocal tail for family {self.family!r}"
-            )
-        r, c = self.params
-        # sum_{n > N} 1/(c r^n) = r**-(N+1) / (c (1 - 1/r))
-        return Fraction(1) / (c * r ** (after + 1) * (1 - Fraction(1) / r))
 
     def describe(self) -> str:
         return f"{self.family}:{','.join(str(p) for p in self.params)}"

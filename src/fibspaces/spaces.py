@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivergentTail, DomainError, ParseError
+from .errors import DivergentTail, ParseError
 from .exactreal import (
     DEFAULT_PRECISION,
     P_INF,
@@ -33,8 +33,6 @@ DEFAULT_SWEEP = (8, 12, 16, 24, 32, 48, 64)
 SPACE_KINDS = ("l1", "lp", "linf", "c", "c0")
 # Float powers are kept below 2 ** FLOAT_SCORE_BITS (floats overflow past 2 ** 1024).
 FLOAT_SCORE_BITS = 1000
-# tail_constant stops each inner sum once its certified tail is below this.
-TAIL_TOL = Fraction(1, 10**30)
 
 
 def _scale_shift(values, q: float) -> int:
@@ -167,48 +165,17 @@ def parallelogram_check(
     }
 
 
-def tail_constant(lam: LambdaSeq, k_max: int = 32) -> Verdict:
-    """The supremum over k of gap(k) * sum_{n >= k} 1/lambda_n.
-
-    Each inner sum is truncated once the certified tail bound drops below
-    ``TAIL_TOL``; the returned value is an enclosure of the sup over
-    k <= k_max.  Only reciprocal-summable weight families are accepted.
-    """
-    if k_max < 2:
-        raise DomainError("sweep depth must be >= 2")
+def tail_constant(lam: LambdaSeq) -> Verdict:
+    """sup_k gap(k) * sum_{n >= k} 1/lambda_n for the one reciprocal-summable
+    family, lambda_n = c r^n: the tail sum is r^(1-k) / (c (r - 1)), so the
+    product is r/(r - 1) at k = 0 and 1 at every k >= 1."""
     if not lam.reciprocal_summable:
         raise DivergentTail(
             f"reciprocals of family {lam.family!r} are not summable"
         )
-    enclosures = []
-    sweep = []
-    # prefix[n] = sum_{m < n} 1/lambda_m and tails[n] = the tail bound after
-    # n, both extended only as far as some k reads them.
-    prefix = [Fraction(0)]
-    tails: list[Fraction] = []
-    for k in range(k_max + 1):
-        gap = lam.gap(k)
-        n = k
-        while True:
-            if n == len(tails):
-                prefix.append(prefix[-1] + 1 / lam.value(n))
-                tails.append(lam.reciprocal_tail_bound(n))
-            tail = tails[n]
-            if gap * tail < TAIL_TOL:
-                break
-            n += 1
-        partial = prefix[n + 1] - prefix[k]
-        low = gap * partial
-        high = gap * (partial + tail)
-        enclosures.append(CertifiedReal.from_interval(low, high))
-        sweep.append((k, float(low)))
-    best = CertifiedReal.max_of(enclosures)
-    return Verdict(
-        Status.EVIDENCE_BOUNDED,
-        tuple(sweep),
-        value=best,
-        detail={"k_max": k_max, "tol": str(TAIL_TOL)},
-    )
+    r, _ = lam.params
+    return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(r / (r - 1)),
+                   detail={"reason": "geometric closed form"})
 
 
 def inclusion_bounds_check(

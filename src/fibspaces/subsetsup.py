@@ -21,9 +21,9 @@ rows are merged first: for q >= 1 the sum is convex along a row's
 multiple, so a maximizer may take all copies of a row or none.
 
 The search bounds at most ``NODE_LIMIT`` nodes, enough for the whole tree
-of 16 rows.  When it stops short, or two leaves cannot be told apart, the
-best subset found is returned with ``enumerated=False``: its value is then
-a lower bound.
+of 16 rows, or fewer when the caller says so.  When it stops short, or two
+leaves cannot be told apart, the best subset found is returned with
+``enumerated=False``: its value is then a lower bound.
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ ENCLOSURE_BITS = 64
 
 @dataclass
 class SubsetSup:
-    """Best subset found, its exact column sums, and whether the search
-    settled the supremum (value exact) or not (lower bound)."""
+    """Best subset found, its exact column sums, whether the search
+    settled the supremum (value exact) or not (lower bound), and the number
+    of nodes it bounded."""
 
     subset: tuple[int, ...]
     column_sums: tuple[Fraction, ...]
     enumerated: bool
+    nodes: int = 0
 
 
 def _column_sums(rows: Sequence[Sequence[Fraction]], subset) -> tuple[Fraction, ...]:
@@ -77,8 +79,9 @@ def _merged_rows(rows, width) -> list[tuple[tuple[int, ...], list[int]]]:
     return merged
 
 
-def subset_sup(rows: Sequence[Sequence[Fraction]], q) -> SubsetSup:
-    """The subset maximizing sum_k |sum_{n in K} rows[n][k]| ** q (q >= 1)."""
+def subset_sup(rows: Sequence[Sequence[Fraction]], q, node_limit: int | None = None) -> SubsetSup:
+    """The subset maximizing sum_k |sum_{n in K} rows[n][k]| ** q (q >= 1),
+    searched over at most ``node_limit`` nodes (default ``NODE_LIMIT``)."""
     q = Fraction(q)
     if q < 1:
         raise DomainError(f"subset suprema need q >= 1, got {q}")
@@ -123,7 +126,8 @@ def subset_sup(rows: Sequence[Sequence[Fraction]], q) -> SubsetSup:
     best_sums, best_mask = (0,) * cols, 0
     stack = [(bound(0, best_sums)[1], 0, best_sums, 0)]
     nodes = 1
-    while stack and nodes + 2 <= NODE_LIMIT:
+    node_limit = NODE_LIMIT if node_limit is None else node_limit
+    while stack and nodes + 2 <= node_limit:
         hi, i, s, mask = stack.pop()
         if hi <= best_lo:
             continue
@@ -147,13 +151,13 @@ def subset_sup(rows: Sequence[Sequence[Fraction]], q) -> SubsetSup:
     settled = open_hi <= best_lo
     subset = tuple(sorted(n for i, (_, idx) in enumerate(merged) if best_mask >> i & 1
                           for n in idx))
-    return SubsetSup(subset, _column_sums(rows, subset), settled)
+    return SubsetSup(subset, _column_sums(rows, subset), settled, nodes)
 
 
-def subset_power_sum(rows, q, precision: int = DEFAULT_PRECISION):
+def subset_power_sum(rows, q, precision: int = DEFAULT_PRECISION, node_limit: int | None = None):
     """The subset K of the rows that :func:`subset_sup` finds for
     sup_K sum_k |sum_{n in K} rows[n][k]| ** q, and that power sum certified."""
-    found = subset_sup(list(rows), q)
+    found = subset_sup(list(rows), q, node_limit)
     return found, power_sum(found.column_sums, q, precision)
 
 

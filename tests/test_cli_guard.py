@@ -8,6 +8,7 @@ import io
 import json
 import re
 import sys
+import time
 import traceback
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fibspaces.cli import main
+from fibspaces.errors import ParseError
+from fibspaces.exactreal import EXPONENT_TERM_LIMIT, MIN_PRECISION, PRECISION_LIMIT, Exponent
 from fibspaces.sequences import INV_FIB_POW_LIMIT, MATRIX_INDEX_LIMIT, parse_generator_spec
 
 ALLOWED = {0, 2, 3}
@@ -174,6 +177,73 @@ def test_inv_fib_pow_past_the_limit_is_a_parse_error():
         ):
             code, _, err = run(argv)
             assert code == 2 and "Traceback" not in err, (argv, code, err)
+
+
+def run_fast(argv) -> tuple[int, str, str]:
+    """``run``, asserting that the command returns within two seconds."""
+    start = time.perf_counter()
+    result = run(argv)
+    assert time.perf_counter() - start < 2, argv
+    return result
+
+
+def test_exponent_terms_up_to_the_limit_parse():
+    top = EXPONENT_TERM_LIMIT
+    assert Exponent.parse(f"{top}/{top - 1}").value == Fraction(top, top - 1)
+    assert Exponent.parse(f" {2 * top}/2 ").value == top
+    for text in (f"{top + 1}", f"{top + 1}/{top}", "1e40"):
+        with pytest.raises(ParseError, match="numerator or denominator"):
+            Exponent.parse(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--x", "e", "-N", "8", "--p", "1e40"],
+    ["norm", "--x", "e", "-N", "8", "--p", "100001"],
+    ["norm", "--x", "e", "-N", "32", "--p", "1000/999"],
+    ["transform", "--x", "witness:power-law", "-N", "8", "--p", "1e40"],
+    ["opnorm", "--A", "E", "--p", "1e40"],
+    ["mnc", "--A", "E", "--p", "1e40"],
+    ["plot-data", "--quantity", "norm", "--p", "1e40"],
+    ["class", "--A", "E", "--X", "lp:1e40", "--Y", "linf"],
+    ["dual", "--a", "e", "--space", "lp:1e40"],
+    ["verify-paper", "--only", "parallelogram", "--p", "1e40"],
+])
+def test_exponent_past_the_limit_is_a_fast_parse_error(argv):
+    """An exponent a/b is worked with as x ** a and b-th roots, so a short
+    spec could ask for numbers of about 1e40 bits."""
+    code, out, err = run_fast(argv)
+    assert (code, out) == (2, ""), (argv, code, err)
+    assert err.startswith("input error: exponent ") and "Traceback" not in err, err
+
+
+def test_verify_paper_refuses_an_infinite_exponent():
+    code, out, err = run_fast(["verify-paper", "--only", "parallelogram", "--p", "inf"])
+    assert (code, out, err) == (2, "", "input error: infinite exponent has no rational value\n")
+
+
+@pytest.mark.parametrize("precision", [MIN_PRECISION - 1, PRECISION_LIMIT + 1, 10**7])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--x", "e", "-N", "3"],
+    ["norm", "--x", "witness:power-law", "--p", "3/2", "-N", "8"],
+    ["opnorm", "--A", "E"],
+    ["mnc", "--A", "E"],
+    ["plot-data", "--quantity", "norm"],
+])
+def test_precision_out_of_range_is_a_fast_parse_error(argv, precision):
+    """Every command that takes --precision checks it, whether or not its
+    inputs would reach a certified power."""
+    code, out, err = run_fast(argv + ["--precision", str(precision)])
+    assert (code, out) == (2, ""), (argv, code, err)
+    assert err == (f"input error: precision must be between {MIN_PRECISION} and "
+                   f"{PRECISION_LIMIT} bits, got {precision}\n")
+
+
+@pytest.mark.parametrize("precision", [MIN_PRECISION, PRECISION_LIMIT])
+def test_precision_at_the_limits_is_accepted(precision):
+    argv = ["norm", "--x", "witness:power-law", "--p", "3/2", "-N", "8", "--mode", "float"]
+    code, out, err = run_fast(argv + ["--precision", str(precision)])
+    assert code == 0 and not err, err
+    assert json.loads(out)["result"]["value"] == json.loads(run(argv)[1])["result"]["value"]
 
 
 @pytest.mark.parametrize("argv", [

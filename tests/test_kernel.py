@@ -18,7 +18,7 @@ from fibspaces.duals import (
 from fibspaces.errors import DomainError
 from fibspaces.exactreal import CertifiedReal
 from fibspaces import matclasses
-from fibspaces.matclasses import HatMatrix, noncompactness_estimate
+from fibspaces.matclasses import noncompactness_estimate
 from fibspaces.sequences import Kernel, LambdaSeq, fib, from_values, inv_fib_pow
 from fibspaces.triangles import (
     RowWindowedMatrix,
@@ -215,31 +215,6 @@ class TestIntegerKernel:
         assert got == [row[k] * kern.diag[k] + kern.col[k] * (sums[-1] - sums[k])
                        for k in range(len(row))]
         assert all(type(v) is Fraction for v in got)
-
-    @given(
-        family=lambda_families(),
-        row=st.lists(st.one_of(st.just(Fraction(0)), SMALL_RATIONALS.map(lambda v: -v),
-                               BIG_RATIONALS), min_size=1, max_size=24),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_partial_row_on_a_fresh_kernel_is_the_per_term_oracle(self, family, row, data):
-        """partial_row on a weight sequence no earlier call has grown: the
-        kernel must be grown through the whole row, not only through the
-        stop, before the diagonal past the stop is read."""
-        make, value = family
-        m = data.draw(st.integers(0, len(row) + 2))
-        got = HatMatrix(RowWindowedMatrix([row]), make()).partial_row(0, m)
-        want = _oracle_arrays(value, len(row))
-        diag, col = want["diag"], want["col"]
-        stop = min(m, len(row) - 1)
-        sums = [sum((fib(j + 1) ** 2 * row[j] for j in range(n + 1)), Fraction(0))
-                for n in range(len(row))]
-        # The source row drops its trailing zeros, whose entries here are 0.
-        assert got + [0] * (len(row) - len(got)) == [
-            row[k] * diag[k] + (col[k] * (sums[stop] - sums[k]) if k <= stop else 0)
-            for k in range(len(row))
-        ]
 
     @given(family=lambda_families(), n=st.integers(0, 64), m=st.integers(0, 64),
            read_first=st.booleans())
@@ -557,21 +532,6 @@ class TestSharedWork:
         limits = LIN.kernel.limit_row(window[:8])
         for k in range(8):
             assert limits[k] == abar(window, LIN, k, 11)
-
-    def test_partial_hat_entries_are_abar_of_the_row(self):
-        rng = random.Random(3)
-        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)]
-                for _ in range(3)]
-        source = RowWindowedMatrix(rows)
-        hat = HatMatrix(source, GEO)
-        for n in range(3):
-            row = [source.entry(n, j) for j in range(source.row_support(n))]
-            for m in range(8):
-                stop = min(m, len(row) - 1)
-                for k in range(len(row)):
-                    want = (abar(row, GEO, k, stop) if k < stop
-                            else GEO.kernel.grow(k + 1).diag[k] * row[k])
-                    assert hat.partial_row(n, m)[k] == want
 
 
 def test_growing_tail_sweep_is_a_domain_error(monkeypatch):

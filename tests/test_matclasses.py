@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibspaces import duals
+from fibspaces import duals, matclasses, subsetsup
 from fibspaces.errors import (
     AlphaLimitUndetermined,
     DomainError,
@@ -34,8 +34,9 @@ from fibspaces.triangles import (
     e_matrix,
     fhat_matrix,
     identity_triangle,
+    lambda_matrix,
 )
-from fibspaces.verdicts import Status, Verdict, classify_growth
+from fibspaces.verdicts import Status, Verdict, classify_growth, sweep_points
 
 LIN = LambdaSeq.linear(1, 1)
 GEO = LambdaSeq.geometric(2, 1)
@@ -65,12 +66,6 @@ def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
     )
 
 
-def partial_entry(hat: HatMatrix, n: int, k: int, m: int) -> Fraction:
-    """Entry k of ``hat.partial_row(n, m)``, 0 past the row."""
-    row = hat.partial_row(n, m)
-    return row[k] if k < len(row) else Fraction(0)
-
-
 class TestHatEntries:
     def test_identity_diagonal(self):
         assert hat_entry(identity_triangle(), LIN, 1, 1) == 4
@@ -88,11 +83,9 @@ class TestHatEntries:
         RowWindowedMatrix([[1, 2, 3]]), identity_triangle(), e_matrix(GEO),
     ], ids=["rows", "identity", "E"])
     @pytest.mark.parametrize("n, k", [(0, -1), (-1, 0), (-1, -1), (2, -3)])
-    @pytest.mark.parametrize("m", [None, 0, 4])
-    def test_negative_indices_are_domain_errors(self, source, n, k, m):
+    def test_negative_indices_are_domain_errors(self, source, n, k):
         """A negative index is refused, as Triangle.entry and
-        RowWindowedMatrix.entry refuse it, not read from the end of a row;
-        a partial row stopped at any horizon m refuses a negative row."""
+        RowWindowedMatrix.entry refuse it, not read from the end of a row."""
         with pytest.raises(DomainError):
             hat_entry(source, LIN, n, k)
         hat = HatMatrix(source, LIN)
@@ -101,18 +94,6 @@ class TestHatEntries:
         if n < 0:
             with pytest.raises(DomainError):
                 hat.row(n)
-            with pytest.raises(DomainError):
-                hat.partial_row(n, 4 if m is None else m)
-
-    def test_partial_entries_reach_full(self):
-        rng = random.Random(12)
-        m = _random_matrix(rng, 6, 6)
-        hat = HatMatrix(m, LIN)
-        for n in range(6):
-            for k in range(6):
-                assert partial_entry(hat, n, k, 8) == hat.entry(n, k)
-                # horizon m = k leaves an empty inner sum: only the head term
-                assert partial_entry(hat, n, k, k) == LIN.kernel.grow(k + 1).diag[k] * m.entry(n, k)
 
     def test_consistency_of_both_routes(self):
         rng = random.Random(13)
@@ -203,6 +184,18 @@ class TestClassCheck:
             "partial-uniform", "row-subset-sup",
         ]
 
+    @pytest.mark.parametrize("source", [
+        RowWindowedMatrix([[Fraction(1), Fraction(-2)], [], [Fraction(3, 4)]]), e_matrix(GEO),
+    ], ids=["rows", "E"])
+    @pytest.mark.parametrize("target", ["linf", "c0", "l1"])
+    def test_partial_uniform_holds_by_finite_row_support(self, source, target):
+        """Row n's partial rows equal row n once the stop reaches its
+        support, so the condition holds exactly, row by row."""
+        cond = dict(class_check(source, LIN, "linf", target, window=12).conditions)
+        verdict = cond["partial-uniform"]
+        assert verdict.status is Status.HOLDS_EXACTLY
+        assert verdict.detail == {"reason": "rows finitely supported"}
+
     def test_random_finite_matrices_fully_determined(self):
         rng = random.Random(14)
         m = _random_matrix(rng, 8, 8)
@@ -220,6 +213,68 @@ class TestClassCheck:
         norm = operator_norm(m, LIN, 2, "linf").value
         assert (norm * norm).agrees_with(qsup)
 
+
+# The closed-form truth of the builtin matrices: E's hat matrix is the
+# identity and fhat's is bidiagonal with rows (-1, 2) for geometric:2,1, so
+# both are bounded both ways and map linf into linf but not into c0, l1 or
+# lp:2, nor lp:2 into l1.  Linear fhat's rows (-n, n+1), and the hat matrices
+# of identity and lambda-matrix, are unbounded, so those map nowhere here.
+BUILTINS = {
+    "E": e_matrix,
+    "fhat": lambda lam: fhat_matrix(),
+    "identity": lambda lam: identity_triangle(),
+    "lambda-matrix": lambda_matrix,
+}
+
+
+@pytest.mark.parametrize("source, target", [
+    ("linf", "linf"), ("linf", "c0"), ("linf", "l1"), ("lp:2", "l1"), ("linf", "lp:2"),
+])
+@pytest.mark.parametrize("lam", [LIN, GEO], ids=["linear", "geometric"])
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtin_verdicts_agree_with_the_closed_form(name, lam, source, target):
+    """No decisive verdict contradicts the truth; inconclusive is allowed."""
+    holds = (name == "E" or (name == "fhat" and lam is GEO)) and (source, target) == (
+        "linf", "linf")
+    status = class_check(BUILTINS[name](lam), lam, source, target, window=24).verdict.status
+    if holds:
+        assert status is not Status.EVIDENCE_DIVERGING
+    else:
+        assert status not in (Status.HOLDS_EXACTLY, Status.EVIDENCE_BOUNDED)
+
+
+def test_subset_sup_on_a_triangle_sweeps_nested_windows():
+    """One search per sweep point, the last at the window itself; the
+    value and subset are the last search's."""
+    cond = dict(class_check(e_matrix(LIN), LIN, "lp:2", "l1", window=16).conditions)
+    verdict = cond["row-subset-sup"]
+    assert [w for w, _ in verdict.sweep] == sweep_points(16)
+    # E's hat matrix is the identity: every unit row is taken.
+    assert [v for _, v in verdict.sweep] == [float(w) for w in sweep_points(16)]
+    assert verdict.value.value == 16 and verdict.detail["subset"] == tuple(range(16))
+    assert verdict.status is Status.EVIDENCE_DIVERGING
+    norm = operator_norm(e_matrix(LIN), LIN, 2, "l1", window=16)
+    assert norm.verdict.sweep == verdict.sweep and norm.verdict.status is verdict.status
+
+
+def test_subset_sweep_on_a_triangle_shares_one_node_budget(monkeypatch):
+    """The searches of one sweep bound at most NODE_LIMIT nodes together,
+    so the sweep costs about one search at the window."""
+    spent = []
+    search = subsetsup.subset_sup
+
+    def counted(rows, q, node_limit=None):
+        found = search(rows, q, node_limit)
+        spent.append(found.nodes)
+        return found
+
+    monkeypatch.setattr(subsetsup, "subset_sup", counted)
+    monkeypatch.setattr(matclasses, "NODE_LIMIT", 600)
+    cond = dict(class_check(fhat_matrix(), GEO, "lp:2", "l1", window=16).conditions)
+    verdict = cond["row-subset-sup"]
+    assert len(spent) == len(sweep_points(16)) and sum(spent) <= 600
+    assert verdict.detail["enumerated"] is False
+    assert verdict.status is Status.EVIDENCE_DIVERGING
 
 def _shrinking_rows(lam):
     """Row n of E scaled by 1/(n+1): E's hat matrix is the identity, so this

@@ -135,11 +135,6 @@ class TestLambdaSeq:
         assert lam.value(1) == Fraction(3, 2)
         assert lam.value(5) == Fraction(2) + 3 * Fraction(1, 2)
 
-    def test_reciprocal_tail_bound(self):
-        lam = LambdaSeq.geometric(2, 1)
-        # sum_{n > 3} 2^-n = 2^-3
-        assert lam.reciprocal_tail_bound(3) == Fraction(1, 8)
-
 
 POSITIVE = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
 NONPOSITIVE = st.fractions(min_value=-9, max_value=0, max_denominator=9)

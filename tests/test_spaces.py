@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibspaces.errors import DivergentTail, DomainError, ParseError
 from fibspaces.exactreal import (
@@ -26,7 +28,6 @@ from fibspaces.sequences import (
 )
 from fibspaces.spaces import (
     DEFAULT_SWEEP,
-    TAIL_TOL,
     NormEstimate,
     _scale_shift,
     inclusion_bounds_check,
@@ -172,51 +173,38 @@ class TestParallelogram:
 
 
 class TestTailConstant:
-    def test_geometric_two_matches_closed_form(self):
-        # Closed-form oracle: sup_k gap(k) sum_{n>=k} 1/lam_n = r/(r-1).
-        verdict = tail_constant(GEO, k_max=16)
-        m = verdict.value
-        assert abs(m.value - 2) <= m.err + Fraction(1, 10**20)
-
-    def test_geometric_three_matches_closed_form(self):
-        lam = LambdaSeq.geometric(3, 1)
-        verdict = tail_constant(lam, k_max=16)
-        oracle = Fraction(3, 2)
-        assert abs(verdict.value.value - oracle) <= verdict.value.err + Fraction(1, 10**20)
+    @given(
+        r=st.fractions(min_value=1, max_value=8, max_denominator=16).filter(lambda r: r > 1),
+        c=st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16),
+    )
+    def test_value_is_r_over_r_minus_one(self, r, c):
+        verdict = tail_constant(LambdaSeq.geometric(r, c))
+        assert verdict.status is Status.HOLDS_EXACTLY
+        assert verdict.value.is_exact and verdict.value.value == r / (r - 1)
 
     def test_linear_rejected(self):
         with pytest.raises(DivergentTail):
             tail_constant(LIN)
 
-    def test_inner_sums(self):
-        verdict = tail_constant(GEO, k_max=8)
-        sweep = dict(verdict.sweep)
-        assert abs(sweep[0] - 2.0) < 1e-12
-        assert abs(sweep[3] - 1.0) < 1e-12
-
     @pytest.mark.parametrize("k_max", [2, 8, 32])
     @pytest.mark.parametrize("r, c", [(2, 1), (Fraction(3, 2), 1), (3, 2)])
-    def test_matches_the_restarted_sums(self, r, c, k_max):
-        # Oracle: every inner sum restarted at n = k, each tail bound recomputed.
+    def test_closed_form_lies_in_the_restarted_sums(self, r, c, k_max):
+        # Oracle: for each k <= k_max, the inner sum restarted at n = k and
+        # stopped once gap(k) times its tail bound
+        # sum_{n > N} 1/(c r^n) = 1/(c r^N (r - 1)) drops below 1e-30.
         lam = LambdaSeq.geometric(r, c)
-        enclosures, sweep = [], []
+        r, c = Fraction(r), Fraction(c)
+        enclosures = []
         for k in range(k_max + 1):
-            gap = lam.gap(k)
-            partial = Fraction(0)
-            n = k
+            gap, partial, n = lam.gap(k), Fraction(0), k
             while True:
                 partial += 1 / lam.value(n)
-                tail = lam.reciprocal_tail_bound(n)
-                if gap * tail < TAIL_TOL:
+                tail = 1 / (c * r**n * (r - 1))
+                if gap * tail < Fraction(1, 10**30):
                     break
                 n += 1
-            low, high = gap * partial, gap * (partial + tail)
-            enclosures.append(CertifiedReal.from_interval(low, high))
-            sweep.append((k, float(low)))
-        best = CertifiedReal.max_of(enclosures)
-        verdict = tail_constant(LambdaSeq.geometric(r, c), k_max=k_max)
-        assert (verdict.value.value, verdict.value.err) == (best.value, best.err)
-        assert verdict.sweep == tuple(sweep)
+            enclosures.append(CertifiedReal.from_interval(gap * partial, gap * (partial + tail)))
+        assert CertifiedReal.max_of(enclosures).contains(tail_constant(lam).value.value)
 
 
 class TestInclusionBounds:
