@@ -11,12 +11,12 @@ For the matrices accepted here (row-windowed, or triangles) every row is
 finitely supported, so the inner series truncates and each hat entry is an
 exact rational.  When the whole matrix has finitely many nonzero rows,
 every mapping criterion, norm and noncompactness quantity below is finitely
-determined; a triangle source instead yields sweep-based evidence.
+determined; a triangle source instead yields nested-window evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -86,16 +86,12 @@ class HatMatrix:
         return row
 
     def entry(self, n: int, k: int) -> Fraction:
-        _check_column(k)
+        if k < 0:
+            raise DomainError(f"column index must be >= 0, got {k}")
         row = self.row(n)
         if k >= len(row):
             return Fraction(0)
         return row[k]
-
-
-def _check_column(k: int):
-    if k < 0:
-        raise DomainError(f"column index must be >= 0, got {k}")
 
 
 def _check_window(window: int):
@@ -114,28 +110,35 @@ def hat_entry(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
 # Hat-matrix quantities shared by the class checks, norms and tail sweeps
 
 
-def _row_sweep(hat: HatMatrix, bound: int, per_row):
-    """A per-row certified quantity for n < bound, and its (n, value) sweep."""
-    values = [CertifiedReal.wrap(per_row(n)) for n in range(bound)]
-    return values, tuple((n, to_float(v.value)) for n, v in enumerate(values))
+def _evidence(hat: HatMatrix, bound: int, value_at, *, to_zero=False) -> Verdict:
+    """The Verdict on a condition whose value at depth w is ``value_at(w)``,
+    a certified real, on its supremum or, with ``to_zero``, on its limit 0.
 
-
-def _sup_condition(hat: HatMatrix, bound: int, per_row, *, to_zero=False):
-    """The sweep of a per-row quantity and the Verdict on its sup_n (or, with
-    ``to_zero``, on its limit zero); finitely determined when the matrix
-    has finitely many nonzero rows."""
-    values, sweep = _row_sweep(hat, bound, per_row)
+    Finitely many nonzero rows take one exact evaluation at the bound, and
+    a limit is then exactly 0.  A triangle is read on the nested windows w
+    of ``sweep_points(bound)``.  A sup-type value is the supremum over hat
+    rows n < w, so it never decreases in w; its growth is classified.  A
+    limit-type value reads row w - 1 against row w // 2, or against zero,
+    and a column condition only the columns k <= w / 4, which are already
+    in their tail; its decay is classified.  No value reads an index that
+    runs into the window edge."""
     if hat.finite_rows:
-        # Rows vanish beyond the bound, so the limit is exactly zero.
-        value = CertifiedReal.exact(0) if to_zero else CertifiedReal.max_of(values)
-        return sweep, Verdict(Status.HOLDS_EXACTLY, sweep, value=value)
-    if to_zero:
-        return sweep, classify_to_zero([(n + 1, v) for n, v in sweep])
-    running, cur = [], 0.0
-    for n, v in sweep:
-        cur = max(cur, v)
-        running.append((n + 1, cur))
-    return sweep, classify_growth(running)
+        value = CertifiedReal.exact(0) if to_zero else value_at(bound)
+        return Verdict(Status.HOLDS_EXACTLY, ((bound, to_float(value.value)),), value=value)
+    sweep = [(w, to_float(value_at(w).value)) for w in sweep_points(bound)]
+    return (classify_to_zero if to_zero else classify_growth)(sweep)
+
+
+def _row_sup(per_row):
+    """``value_at`` for sup_{n < w} per_row(n), a running maximum over rows read once."""
+    best, done = [], [0]
+
+    def value_at(w):
+        best[:] = [CertifiedReal.max_of(best + [per_row(n) for n in range(done[0], w)])]
+        done[0] = w
+        return best[0]
+
+    return value_at
 
 
 def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision: int = DEFAULT_PRECISION):
@@ -145,51 +148,64 @@ def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision: int = DEFAULT_PRECI
         return lambda n: CertifiedReal.exact(
             sum((abs(v) for v in hat.row(n)), Fraction(0))
         )
-    pf = p.as_fraction()
-    if pf == 1:
+    if p == P_ONE:
         return lambda n: CertifiedReal.exact(
             max((abs(v) for v in hat.row(n)), default=Fraction(0))
         )
     q = conjugate(p).as_fraction()
     inv_q = 1 / q
-
     return lambda n: rpow(power_sum(hat.row(n), q, precision), inv_q, precision)
 
 
-def _column_sum_sup(hat: HatMatrix, bound: int, power):
-    """The (k, sum_n |hat(n, k)|^power) sweep over rows n < bound and the
-    Verdict on its supremum over k."""
-    totals = [power_sum(col, power) for col in _columns(hat, bound)]
-    sweep = tuple((k, to_float(t.value)) for k, t in enumerate(totals))
-    if hat.finite_rows:
-        return sweep, Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.max_of(totals))
-    return sweep, classify_growth([(k + 1, v) for k, v in sweep])
+def _column_power_sup(hat: HatMatrix, power):
+    """``value_at`` for sup_k sum_{n < w} |hat(n, k)|^power: each column's
+    sum runs on from the last w, adding the power sum of its new rows."""
+    sums, done = {}, [0]
+
+    def value_at(w):
+        for k, col in enumerate(_columns(hat, w, done[0])):
+            sums[k] = sums.get(k, 0) + power_sum(col, power)
+        done[0] = w
+        return CertifiedReal.max_of(sums.values())
+
+    return value_at
 
 
-def _columns(hat: HatMatrix, bound: int) -> list[list[Fraction]]:
-    rows = [hat.row(n) for n in range(bound)]
+def _columns(hat: HatMatrix, bound: int, start: int = 0) -> list[list[Fraction]]:
+    rows = [hat.row(n) for n in range(start, bound)]
     width = max((len(row) for row in rows), default=0)
     return [[row[k] if k < len(row) else Fraction(0) for row in rows] for k in range(width)]
 
 
+def _gap(hat: HatMatrix, w: int, *, cauchy: bool, columns: bool) -> CertifiedReal:
+    """The distance a limit condition reads at depth w: row w - 1 against
+    row w // 2 (``cauchy``) or against zero, as its largest entry over the
+    columns k <= w / 4 (``columns``) or as its l1 norm over the whole row."""
+    gaps = [abs(hat.entry(w - 1, k) - (hat.entry(w // 2, k) if cauchy else 0))
+            for k in range(w // 4 + 1 if columns else w)]
+    return CertifiedReal.exact(max(gaps) if columns else sum(gaps, Fraction(0)))
+
+
 def _subset_sup(hat: HatMatrix, bound: int, rows_at, q, precision: int = DEFAULT_PRECISION):
     """The subset K that :func:`subset_power_sum` finds among the vectors
-    ``rows_at(w)`` read from hat rows n < w, its power sum, and the Verdict
-    on their supremum.  Finitely many rows take one search at the bound,
-    exact when it settles.  A triangle takes one at each point w of
-    ``sweep_points(bound)``, classified by growth as d1 is, and returns the
-    last one's K and sum; each takes an even part of the node budget the
-    ones before it left, so the sweep costs about one search."""
-    if hat.finite_rows:
-        found, value = subset_power_sum(rows_at(bound), q, precision)
-        verdict = Verdict(Status.HOLDS_EXACTLY if found.enumerated else Status.EVIDENCE_BOUNDED)
-    else:
-        points, sweep, budget = sweep_points(bound), [], NODE_LIMIT
-        for i, w in enumerate(points):
-            found, value = subset_power_sum(rows_at(w), q, precision, budget // (len(points) - i))
-            budget -= found.nodes
-            sweep.append((w, to_float(value.value)))
-        verdict = classify_growth(sweep)
+    ``rows_at(w)`` read from hat rows n < w, its power sum, and the
+    :func:`_evidence` Verdict on their supremum; K and the sum are those of
+    the search at the bound.  Each search takes an even part of the node
+    budget the ones before it left, so a triangle's sweep costs about one
+    search and finitely many rows keep the whole budget.  A search that
+    did not settle gives a lower bound, never an exact value."""
+    points, searches = sweep_points(bound), []
+
+    def value_at(w):
+        budget = NODE_LIMIT - sum(found.nodes for found, _ in searches)
+        searches.append(subset_power_sum(
+            rows_at(w), q, precision, budget // sum(1 for later in points if later >= w)))
+        return searches[-1][1]
+
+    verdict = _evidence(hat, bound, value_at)
+    found, value = searches[-1]
+    if verdict.is_exact and not found.enumerated:
+        verdict.status = Status.EVIDENCE_BOUNDED
     verdict.detail["enumerated"] = found.enumerated
     return found, value, verdict
 
@@ -226,12 +242,14 @@ _CLASS_TABLE = {
     ("l1", "linf"): ("row-series-exists", "row-diag-scaled-bounded", "entry-sup"),
     ("linf", "linf"): ("row-series-exists", "row-diag-scaled-bounded",
                        "row-l1-sup", "partial-uniform"),
-    ("l1", "c"): ("row-series-exists", "row-diag-scaled-bounded", "column-limits"),
+    ("l1", "c"): ("row-series-exists", "row-diag-scaled-bounded", "entry-sup",
+                  "column-limits"),
     ("lp", "c"): ("row-series-exists", "row-diag-scaled-bounded", "row-qnorm-sup",
                   "rows-in-beta-dual", "column-limits"),
     ("linf", "c"): ("row-series-exists", "row-diag-scaled-bounded",
                     "partial-uniform", "row-l1-to-alpha"),
-    ("l1", "c0"): ("row-series-exists", "row-diag-scaled-bounded", "column-limits-zero"),
+    ("l1", "c0"): ("row-series-exists", "row-diag-scaled-bounded", "entry-sup",
+                   "column-limits-zero"),
     ("lp", "c0"): ("row-series-exists", "row-diag-scaled-bounded", "row-qnorm-sup",
                    "rows-in-beta-dual", "column-limits-zero"),
     ("linf", "c0"): ("row-series-exists", "row-diag-scaled-bounded",
@@ -311,31 +329,22 @@ def _evaluate_class_condition(cid, hat: HatMatrix, lam, bound, *, q_frac, tp_nor
                        detail={"reason": "per-row finite support"})
 
     if cid == "row-qnorm-sup":
-        return _sup_condition(hat, bound, lambda n: power_sum(hat.row(n), q_frac))[1]
+        return _evidence(hat, bound, _row_sup(lambda n: power_sum(hat.row(n), q_frac)))
 
     if cid in ("entry-sup", "row-l1-sup"):
         p = P_ONE if cid == "entry-sup" else P_INF
-        return _sup_condition(hat, bound, _row_quantity_fn(hat, p))[1]
+        return _evidence(hat, bound, _row_sup(_row_quantity_fn(hat, p)))
 
     if cid in ("column-sum-sup", "column-pnorm-sup"):
         power = 1 if cid == "column-sum-sup" else tp_norm.as_fraction()
-        return _column_sum_sup(hat, bound, power)[1]
+        return _evidence(hat, bound, _column_power_sup(hat, power))
 
-    if cid in ("column-limits", "column-limits-zero"):
-        if hat.finite_rows:
-            # All columns are eventually zero, so the limits exist (and are 0).
-            return Verdict(Status.HOLDS_EXACTLY, value=CertifiedReal.exact(0),
-                           detail={"alpha": "zero beyond row bound"})
-        if cid == "column-limits-zero":
-            return _sup_condition(hat, bound, _row_quantity_fn(hat, P_ONE), to_zero=True)[1]
-        return _column_cauchy_condition(hat, bound)
-
-    if cid in ("row-l1-to-alpha", "row-l1-limit-zero"):
-        # The column limits alpha are exactly zero when finitely many rows
-        # are nonzero, so both conditions ask for row l1 sums tending to 0.
-        if cid == "row-l1-to-alpha" and not hat.finite_rows:
-            raise AlphaLimitUndetermined("column limits need finitely supported columns")
-        return _sup_condition(hat, bound, _row_quantity_fn(hat, P_INF), to_zero=True)[1]
+    if cid in ("column-limits", "column-limits-zero", "row-l1-to-alpha", "row-l1-limit-zero"):
+        # The column limits alpha, and Schur's row distance to them, are
+        # read in Cauchy form; into c0 both are read against zero.
+        cauchy, columns = not cid.endswith("zero"), cid.startswith("column")
+        return _evidence(hat, bound, lambda w: _gap(hat, w, cauchy=cauchy, columns=columns),
+                         to_zero=True)
 
     if cid in ("row-subset-sup", "column-subset-sup"):
         if cid == "row-subset-sup":
@@ -348,29 +357,6 @@ def _evaluate_class_condition(cid, hat: HatMatrix, lam, bound, *, q_frac, tp_nor
         return verdict
 
     raise DomainError(f"unknown condition {cid!r}")
-
-
-def _column_cauchy_condition(hat: HatMatrix, bound: int) -> Verdict:
-    """Cauchy-style evidence for column limits: entrywise distance between
-    rows n and 2n."""
-    points = []
-    for n in range(1, bound):
-        if 2 * n >= bound:
-            break
-        row, far = hat.row(n), hat.row(2 * n)
-        width = max(len(row), len(far))
-        dist = max(
-            (
-                abs(
-                    (row[k] if k < len(row) else Fraction(0))
-                    - (far[k] if k < len(far) else Fraction(0))
-                )
-                for k in range(width)
-            ),
-            default=Fraction(0),
-        )
-        points.append((n + 1, to_float(dist)))
-    return classify_to_zero(points)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +406,9 @@ def operator_norm(
     bound = hat.effective_bound(window)
 
     if target in ("linf", "c", "c0"):
-        sweep, verdict = _sup_condition(hat, bound, _row_quantity_fn(hat, p, precision))
+        verdict = _evidence(hat, bound, _row_sup(_row_quantity_fn(hat, p, precision)))
     elif target == "l1" and p == P_ONE:
-        sweep, verdict = _column_sum_sup(hat, bound, 1)
+        verdict = _evidence(hat, bound, _column_power_sup(hat, 1))
     elif target == "l1":
         q_frac = conjugate(p).as_fraction()
         _, total, verdict = _subset_sup(
@@ -433,13 +419,13 @@ def operator_norm(
             kind="bracket",
             bracket=(value, value * Fraction(4)),
             value=value,
-            verdict=verdict,
+            verdict=replace(verdict, value=None),  # it rates the power sum, not the norm
         )
     else:
         raise UnsupportedTarget(f"no operator-norm formula for target {target!r}")
     if hat.finite_rows:
-        return OpNormResult(kind="exact", value=verdict.value, sweep=sweep)
-    return OpNormResult(kind="evidence", verdict=verdict, sweep=sweep)
+        return OpNormResult(kind="exact", value=verdict.value, sweep=verdict.sweep)
+    return OpNormResult(kind="evidence", verdict=verdict, sweep=verdict.sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +478,8 @@ def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int
     if target in ("c0", "c"):
         # Column limits are exactly zero in the finite case, so both targets
         # share the same tail quantity.
-        values, _ = _row_sweep(hat, bound, _row_quantity_fn(hat, p, precision))
+        per_row = _row_quantity_fn(hat, p, precision)
+        values = [per_row(n) for n in range(bound)]
         suffix: list[CertifiedReal] = [CertifiedReal.exact(0)] * (bound + 1)
         for n in range(bound - 1, -1, -1):
             suffix[n] = CertifiedReal.max_of((values[n], suffix[n + 1]))

@@ -1,5 +1,7 @@
 """Mapping classes, operator norms, and noncompactness estimates."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +20,8 @@ from fibspaces.exactreal import CertifiedReal, Exponent, to_float
 from fibspaces.matclasses import (
     HatMatrix,
     MncEstimate,
-    _column_sum_sup,
+    _column_power_sup,
+    _evidence,
     _tail_sweep,
     class_check,
     compactness_verdict,
@@ -215,32 +218,77 @@ class TestClassCheck:
 
 
 # The closed-form truth of the builtin matrices: E's hat matrix is the
-# identity and fhat's is bidiagonal with rows (-1, 2) for geometric:2,1, so
-# both are bounded both ways and map linf into linf but not into c0, l1 or
-# lp:2, nor lp:2 into l1.  Linear fhat's rows (-n, n+1), and the hat matrices
-# of identity and lambda-matrix, are unbounded, so those map nowhere here.
+# identity and geometric:2,1 fhat's is 2I - S, both bounded both ways.  So
+# each maps l1 into every target, lp:2 into linf, c and c0 but not l1, and
+# linf into linf only (not into lp:2: the sum of the first N columns has N
+# rows of size 1).  Linear fhat's rows (-n, n+1), and the hat matrices of
+# identity and lambda-matrix, are unbounded, so those map nowhere here.
 BUILTINS = {
     "E": e_matrix,
     "fhat": lambda lam: fhat_matrix(),
     "identity": lambda lam: identity_triangle(),
     "lambda-matrix": lambda_matrix,
 }
+LAMBDAS = {"linear": LIN, "geometric": GEO}
+GRID_SOURCES = ("l1", "lp:2", "linf")
+GRID_TARGETS = ("l1", "c0", "c", "linf")  # each space lies in the next
+HOLDS = {("l1", y) for y in GRID_TARGETS} | {("lp:2", "c0"), ("lp:2", "c"), ("lp:2", "linf"),
+                                             ("linf", "linf")}
+FAILS = (Status.EVIDENCE_DIVERGING,)
+CLAIMS = (Status.HOLDS_EXACTLY, Status.EVIDENCE_BOUNDED)
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_status(name, lam, source, target, window):
+    matrix = BUILTINS[name](LAMBDAS[lam])
+    return class_check(matrix, LAMBDAS[lam], source, target, window=window).verdict.status
+
+
+@pytest.mark.parametrize("window", [16, 24])
 @pytest.mark.parametrize("source, target", [
-    ("linf", "linf"), ("linf", "c0"), ("linf", "l1"), ("lp:2", "l1"), ("linf", "lp:2"),
+    *itertools.product(GRID_SOURCES, GRID_TARGETS),
+    # Off the lattice grid: the triangle path of column-subset-sup.
+    ("linf", "lp:2"),
 ])
-@pytest.mark.parametrize("lam", [LIN, GEO], ids=["linear", "geometric"])
+@pytest.mark.parametrize("lam", list(LAMBDAS))
 @pytest.mark.parametrize("name", list(BUILTINS))
-def test_builtin_verdicts_agree_with_the_closed_form(name, lam, source, target):
-    """No decisive verdict contradicts the truth; inconclusive is allowed."""
-    holds = (name == "E" or (name == "fhat" and lam is GEO)) and (source, target) == (
-        "linf", "linf")
-    status = class_check(BUILTINS[name](lam), lam, source, target, window=24).verdict.status
-    if holds:
-        assert status is not Status.EVIDENCE_DIVERGING
-    else:
-        assert status not in (Status.HOLDS_EXACTLY, Status.EVIDENCE_BOUNDED)
+def test_builtin_verdicts_agree_with_the_closed_form(name, lam, source, target, window):
+    """No decisive verdict contradicts the truth and no cell raises (the
+    CLI's exit 3); inconclusive is allowed."""
+    bounded = name == "E" or (name, lam) == ("fhat", "geometric")
+    holds = bounded and (source, target) in HOLDS
+    assert _grid_status(name, lam, source, target, window) not in (FAILS if holds else CLAIMS)
+
+
+@pytest.mark.parametrize("window", [16, 24])
+@pytest.mark.parametrize("lam", list(LAMBDAS))
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtin_verdicts_respect_the_inclusion_lattice(name, lam, window):
+    """(X : l1) in (X : c0) in (X : c) in (X : linf), and (X_inf : Y) in
+    (X_2 : Y) in (X_1 : Y): a decisive claim on a smaller class never meets
+    evidence against the larger one."""
+    def status(source, target):
+        return _grid_status(name, lam, source, target, window)
+
+    for source in GRID_SOURCES:
+        for small, large in zip(GRID_TARGETS, GRID_TARGETS[1:]):
+            assert not (status(source, small) in CLAIMS and status(source, large) in FAILS)
+    for target in GRID_TARGETS:
+        for small, large in (("linf", "lp:2"), ("lp:2", "l1")):
+            assert not (status(small, target) in CLAIMS and status(large, target) in FAILS)
+
+
+def test_limits_read_row_w_minus_1_against_row_half_w():
+    """Schur's (linf : c) condition in Cauchy form: E's hat rows w - 1 and
+    w // 2 are distinct unit vectors, at l1 distance 2 at every sweep
+    point.  Its column limits, read on the columns k <= w / 4 of the same
+    rows, are all 0."""
+    cond = dict(class_check(e_matrix(LIN), LIN, "linf", "c", window=16).conditions)
+    assert cond["row-l1-to-alpha"].sweep == tuple((float(w), 2.0) for w in sweep_points(16))
+    assert cond["row-l1-to-alpha"].status is Status.EVIDENCE_DIVERGING
+    cond = dict(class_check(e_matrix(LIN), LIN, "l1", "c", window=16).conditions)
+    assert cond["column-limits"].sweep == tuple((float(w), 0.0) for w in sweep_points(16))
+    assert cond["column-limits"].status is Status.EVIDENCE_BOUNDED
 
 
 def test_subset_sup_on_a_triangle_sweeps_nested_windows():
@@ -284,20 +332,19 @@ def _shrinking_rows(lam):
 
 
 class TestSupEvidence:
-    """Growth evidence for sup_n on a triangle source is the running maximum
-    of the per-row sizes, not the sizes themselves."""
+    """Growth evidence for sup_n on a triangle source is the supremum over
+    the rows n < w at each sweep point w, not the sizes themselves."""
 
     def test_class_condition_sweeps_the_running_maximum(self):
         cond = dict(class_check(_shrinking_rows(LIN), LIN, "l1", "linf", window=8).conditions)
         entry = cond["entry-sup"]
-        assert entry.sweep == tuple((float(n + 1), 1.0) for n in range(8))
+        assert entry.sweep == tuple((float(w), 1.0) for w in sweep_points(8))
         assert entry.status is Status.EVIDENCE_BOUNDED
 
-    def test_operator_norm_keeps_both_sweeps(self):
+    def test_operator_norm_prints_the_nested_sweep(self):
         r = operator_norm(_shrinking_rows(LIN), LIN, 1, "linf", window=8)
         assert r.kind == "evidence"
-        assert r.sweep == tuple((n, 1 / (n + 1)) for n in range(8))
-        assert r.verdict.sweep == tuple((float(n + 1), 1.0) for n in range(8))
+        assert r.sweep == r.verdict.sweep == tuple((float(w), 1.0) for w in sweep_points(8))
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_empty_window_is_a_domain_error(self, window):
@@ -356,6 +403,10 @@ class TestSharedQuantities:
             assert cond == norm.verdict
 
     def test_row_sweeps(self, name):
+        """entry-sup reads the operator norm's row sups out of X_1.
+        row-l1-limit-zero reads row w - 1's l1 norm at each point of the
+        row-l1 norm's sweep, and is exactly 0 when finitely many rows are
+        nonzero."""
         m = SHARED_CASES[name]
         entry = dict(class_check(m, LIN, "l1", "linf", window=self.WINDOW).conditions)
         row_l1 = dict(class_check(m, LIN, "linf", "c0", window=self.WINDOW).conditions)
@@ -364,21 +415,20 @@ class TestSharedQuantities:
         entry, row_l1 = entry["entry-sup"], row_l1["row-l1-limit-zero"]
         if sup_norm.kind == "exact":
             assert entry.sweep == sup_norm.sweep and entry.value == sup_norm.value
-            assert row_l1.sweep == l1_norm.sweep
+            assert row_l1.is_exact and row_l1.value.value == 0
         else:
             assert entry == sup_norm.verdict
-        assert [v for _, v in row_l1.sweep] == [v for _, v in l1_norm.sweep]
+            # Every hat row of E has l1 norm 1, so the last row's norm is
+            # the supremum's.
+            assert row_l1.sweep == l1_norm.sweep
+            assert row_l1.status is Status.EVIDENCE_DIVERGING
 
 
-def _column_abs_sum_sup(hat: HatMatrix, bound: int):
-    """The column-sum supremum read from plain absolute column sums: the
-    (k, sum_n |hat(n, k)|) sweep and the Verdict on its supremum."""
-    sums = column_abs_sums(hat.row(n) for n in range(bound))
-    sweep = tuple((k, to_float(s)) for k, s in enumerate(sums))
-    if hat.finite_rows:
-        best = CertifiedReal.exact(max(sums, default=Fraction(0)))
-        return sweep, Verdict(Status.HOLDS_EXACTLY, value=best)
-    return sweep, classify_growth([(k + 1, v) for k, v in sweep])
+def _column_abs_sum_sup(hat: HatMatrix):
+    """The column-sum supremum over rows n < w read from plain absolute
+    column sums, as a value_at for _evidence."""
+    return lambda w: CertifiedReal.exact(
+        max(column_abs_sums(hat.row(n) for n in range(w)), default=Fraction(0)))
 
 
 class TestColumnSumSup:
@@ -387,12 +437,12 @@ class TestColumnSumSup:
 
     @staticmethod
     def _assert_same(hat, bound):
-        sweep, verdict = _column_sum_sup(hat, bound, 1)
-        want_sweep, want = _column_abs_sum_sup(hat, bound)
-        assert sweep == want_sweep
+        for w in sweep_points(bound):
+            got, want = _column_power_sup(hat, 1)(w), _column_abs_sum_sup(hat)(w)
+            assert (got.value, got.err) == (want.value, want.err)
+        verdict = _evidence(hat, bound, _column_power_sup(hat, 1))
+        want = _evidence(hat, bound, _column_abs_sum_sup(hat))
         assert verdict.to_json() == want.to_json()
-        if want.value is not None:
-            assert (verdict.value.value, verdict.value.err) == (want.value.value, want.value.err)
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            rows=st.integers(min_value=0, max_value=8),
@@ -413,14 +463,15 @@ class TestColumnSumSup:
              "identity": identity_triangle}[which]()
         self._assert_same(HatMatrix(m, lam), window)
 
-    def test_zero_triangle_window_is_no_evidence(self):
-        # An infinite triangle whose hat rows are all zero in the window
-        # gives an empty column sweep: both column conditions read it as
-        # inconclusive, while a finite zero matrix holds exactly with 0.
+    def test_zero_triangle_is_bounded_evidence(self):
+        # An infinite triangle whose hat rows are all zero reads 0 at every
+        # sweep point, bounded evidence for both column conditions, while a
+        # finite zero matrix holds exactly with 0.
         zero = Triangle(lambda n, k: 0, "zero")
         for target, cid in (("l1", "column-sum-sup"), ("lp:2", "column-pnorm-sup")):
             verdict = dict(class_check(zero, LIN, "l1", target, window=8).conditions)[cid]
-            assert verdict.status is Status.INCONCLUSIVE, target
+            assert verdict.status is Status.EVIDENCE_BOUNDED, target
+            assert verdict.sweep == tuple((float(w), 0.0) for w in sweep_points(8))
             verdict = dict(class_check(ZERO, LIN, "l1", target, window=8).conditions)[cid]
             assert verdict.status is Status.HOLDS_EXACTLY, target
             assert verdict.value.value == 0
@@ -439,6 +490,9 @@ class TestOperatorNorm:
         r = operator_norm(TWO, LIN, 2, "l1")
         lo, hi = r.bracket
         assert lo.value == 2 and hi.value == 8
+        # The verdict rates the power sum v^2 = 4; only the norm v is printed.
+        assert r.verdict.is_exact and r.verdict.value is None
+        assert r.verdict.sweep == ((2, 4.0),)
 
     def test_p_one_l1_target_exact(self):
         r = operator_norm(TWO, LIN, 1, "l1")
