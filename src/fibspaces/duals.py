@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .errors import DomainError, ParseError
 from .exactreal import CertifiedReal, Exponent, conjugate, dot, power_sum, to_float, to_fraction
@@ -122,8 +123,9 @@ class DualReport:
 
 def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     """abar_k(n) for all k < n < w, in O(w^2) operations: w rows, row n
-    holding n entries.  The conditions ask for all rows of the window, or
-    for rows 0..s of a candidate with support s (see :func:`dual_condition`).
+    holding n entries.  :func:`beta_matrix` and d4 at a non-integer q read
+    it; d4 at an integer q, d6 and d8 take their row sizes from
+    :func:`_rank_one_sizes` instead.
 
     With the prefix sums T_n = sum_{j<=n} f_{j+1}^2 a_j, abar_k(n) is
     base_k + col_k T_n, where base_k = a_k diag_k - col_k T_k.
@@ -138,6 +140,58 @@ def _abar_table(a_vals, lam, w) -> list[list[Fraction]]:
     return [[base[k] + col[k] * sums[n] for k in range(n)] for n in range(w)]
 
 
+def _rank_one_sizes(a_vals, lam, w, q: int | None) -> list[Fraction]:
+    """The size of each abar row n < w without building the row: the power
+    sum sum_{k<n} |abar_k(n)|^q at an integer q >= 1, or max_{k<n}
+    |abar_k(n)| for q None.  Each is the rational the table gives.
+
+    Entry k of every row is base_k + col_k T_n (see :func:`_abar_table`).
+    Over one positive denominator D_k, base_k = B_k / D_k and col_k =
+    C_k / D_k, so at T_n = t/u the entry is (B_k u + C_k t) / (D_k u): its
+    sign, and its size against another entry, are integer products.  The
+    power sum is sum_i M_i(n) T_n^i, with the moments M_i(n) = sum_{k<n}
+    s_k C(q,i) base_k^(q-i) col_k^i kept as running sums.  An even q needs
+    no sign s_k; at an odd q a term moves the moments only when its sign
+    flips, and a zero entry keeps its sign, since its term is 0 either way.
+    """
+    kern = lam.kernel.grow(w)
+    a = [to_fraction(v) for v in a_vals[:w]]
+    sums = kern.partial_sums(a)
+    ints, shares, positive = [], [], []
+    moments = [Fraction(0)] * (q + 1) if q else []
+    sizes = [Fraction(0)]
+    for n in range(1, w):
+        col = kern.col[n - 1]
+        base = a[n - 1] * kern.diag[n - 1] - col * sums[n - 1]
+        d = lcm(base.denominator, col.denominator)
+        ints.append((base.numerator * (d // base.denominator),
+                     col.numerator * (d // col.denominator), d))
+        t, u = sums[n].numerator, sums[n].denominator
+        if q is None:
+            top, bottom = 0, 1
+            for b, c, den in ints:
+                v = abs(b * u + c * t)
+                if v * bottom > top * den:
+                    top, bottom = v, den
+            sizes.append(Fraction(top, bottom * u))
+            continue
+        shares.append([comb(q, i) * base ** (q - i) * col ** i for i in range(q + 1)])
+        positive.append(True)
+        moments = [m + s for m, s in zip(moments, shares[-1])]
+        if q % 2:
+            for k, (b, c, _) in enumerate(ints):
+                v = b * u + c * t
+                if v and (v > 0) != positive[k]:
+                    positive[k] = v > 0
+                    step = 2 if positive[k] else -2
+                    moments = [m + step * s for m, s in zip(moments, shares[k])]
+        size = Fraction(0)
+        for m in reversed(moments):
+            size = size * sums[n] + m
+        sizes.append(size)
+    return sizes
+
+
 def dual_condition(
     a: PrefixGenerator,
     lam: LambdaSeq,
@@ -148,7 +202,9 @@ def dual_condition(
     """Evaluate one membership condition over a deepening window.
 
     d4, d6 and d8 take one size per distinct abar row of the candidate;
-    each later row has the size of its last row.
+    each later row has the size of its last row.  d6, d8 and d4 at an
+    integer q read the sizes from the rows' rank-one form
+    (:func:`_rank_one_sizes`); only d4 at a non-integer q builds the rows.
 
     d1: subset-sup of column sums of the absolute-pairing triangle (needs q);
     d2: sup over columns of absolute column sums of the same triangle;
@@ -193,8 +249,14 @@ def dual_condition(
     if condition in ("d4", "d6", "d8"):
         # T_n is constant from n = s - 1 on for a candidate with support s,
         # so every row n >= s is row s padded with zeros: rows 0..s are the
-        # distinct ones.
-        table = _abar_table(a_deep, lam, a.support + 1 if finite else deepest)
+        # distinct ones.  Only a non-integer q builds them.
+        rows = a.support + 1 if finite else deepest
+        if condition == "d6":
+            sizes = _rank_one_sizes(a_deep, lam, rows, None)
+        elif q.denominator == 1:
+            sizes = _rank_one_sizes(a_deep, lam, rows, q.numerator)
+        else:
+            sizes = [power_sum(row, q) for row in _abar_table(a_deep, lam, rows)]
 
     sweep: list[tuple[int, float]] = []
     lower_bound_only = False
@@ -228,13 +290,9 @@ def dual_condition(
         if condition in ("d1", "d2"):
             g_rows = _g_rows(live, lam)
             col_sums: list[Fraction] = []
-        elif condition in ("d4", "d8"):
-            sizes = [power_sum(row, q) for row in table]
         elif condition == "d5":
             diag = lam.kernel.grow(len(live)).diag
             sizes = [abs(diag[n] * an) for n, an in enumerate(live)]
-        elif condition == "d6":
-            sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
         value, done = CertifiedReal.exact(0), 0
         for w in points:
             if condition == "d1":

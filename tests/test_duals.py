@@ -12,6 +12,7 @@ from fibspaces.duals import (
     DualReport,
     _abar_table,
     _g_rows,
+    _rank_one_sizes,
     abar,
     alpha_matrix,
     apply_dense_row,
@@ -28,6 +29,7 @@ from fibspaces.sequences import (
     from_values,
     inv_fib_pow,
     ones_seq,
+    parse_generator_spec,
     unit_seq,
     zero_seq,
 )
@@ -38,6 +40,7 @@ from fibspaces.verdicts import (
     Verdict,
     classify_growth,
     classify_to_zero,
+    conjunction,
     sweep_points,
 )
 
@@ -403,17 +406,25 @@ class TestFullDepthRoute:
             )
 
     def test_finite_candidate_builds_rows_through_its_support_only(self, monkeypatch):
+        # The depth the row sizes are read to, by the rank-one route (d4 at
+        # an integer q, d6, d8) and by the table (d4 at q = 3/2).
         asked = []
 
-        def recording(a_vals, lam, w):
+        def recording_sizes(a_vals, lam, w, q):
+            asked.append(w)
+            return _rank_one_sizes(a_vals, lam, w, q)
+
+        def recording_table(a_vals, lam, w):
             asked.append(w)
             return _abar_table(a_vals, lam, w)
 
-        monkeypatch.setattr(duals, "_abar_table", recording)
+        monkeypatch.setattr(duals, "_rank_one_sizes", recording_sizes)
+        monkeypatch.setattr(duals, "_abar_table", recording_table)
         dual_membership(unit_seq(5), LIN, "linf", "beta", window=64)
         for condition in ("d4", "d6", "d8"):
             dual_condition(unit_seq(5), LIN, condition, window=64, p=Exponent.of(2))
-        assert asked and max(asked) <= 7
+        dual_condition(unit_seq(5), LIN, "d4", window=64, p=Exponent.of(3))
+        assert len(asked) == 5 and max(asked) <= 7
 
     @pytest.mark.parametrize("gen", [unit_seq(5), inv_fib_pow(3)], ids=["unit", "inv-fib-pow"])
     def test_d7_alone_builds_no_table(self, monkeypatch, gen):
@@ -422,6 +433,63 @@ class TestFullDepthRoute:
 
         monkeypatch.setattr(duals, "_abar_table", refuse)
         dual_condition(gen, LIN, "d7", window=64)
+
+    @pytest.mark.parametrize("condition, p", [
+        ("d4", Exponent.of(2)), ("d4", Exponent.of(Fraction(3, 2))), ("d6", None), ("d8", None),
+    ], ids=["d4-q2", "d4-q3", "d6", "d8"])
+    def test_rank_one_conditions_build_no_table(self, monkeypatch, condition, p):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{condition} built an abar table")
+
+        monkeypatch.setattr(duals, "_abar_table", refuse)
+        dual_condition(inv_fib_pow(3), LIN, condition, window=64, p=p)
+
+
+# An explicit lambda whose gaps shrink (9 then 1, 28 then 1) makes col_1 and
+# col_4 negative, so a term's sign need not follow T_n's.
+_SHRINKING = LambdaSeq.explicit([1, 10, 11, 12, 40, 41, 42])
+
+
+class TestRankOneSizes:
+    """d4 at an integer q, d6 and d8 size each abar row from its rank-one
+    form; every size must be the one read from the table's row."""
+
+    @given(values=st.lists(st.one_of(st.just(Fraction(0)), _small, _small.map(lambda v: -v)),
+                           min_size=1, max_size=24),
+           lam=st.one_of(_lambdas, st.just(_SHRINKING)),
+           q=st.sampled_from([1, 2, 3, 4, None]))
+    @settings(max_examples=150, deadline=None)
+    def test_sizes_match_the_table_rows(self, values, lam, q):
+        table = _abar_table(values, lam, len(values))
+        if q is None:
+            want = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
+        else:
+            want = [power_sum(row, q).value for row in table]
+        assert _rank_one_sizes(values, lam, len(values), q) == want
+
+    def test_shrinking_gaps_give_negative_columns(self):
+        col = _SHRINKING.kernel.grow(6).col
+        assert col[1] < 0 and col[4] < 0 and col[0] > 0
+
+
+class TestGammaDualOfLp:
+    """The classical (l_p : l_inf) condition on the partial-sum triangle is
+    d4 with d5; the gamma-dual of lp reads d5 with d8.  The two give the
+    same overall status on these candidates.  This does not decide which
+    one the paper states."""
+
+    @pytest.mark.parametrize("spec", ["inv-fib-pow:2", "inv-fib-pow:3", "e", "unit:3",
+                                      "values:1,-1,2"])
+    @pytest.mark.parametrize("window", [32, 64])
+    @pytest.mark.parametrize("lam_spec", ["linear:1,1", "geometric:2,1"])
+    @pytest.mark.parametrize("p", ["2", "3/2"])
+    def test_q_norm_and_row_sums_agree(self, spec, window, lam_spec, p):
+        a, lam = parse_generator_spec(spec), LambdaSeq.from_spec(lam_spec)
+        gamma = dual_membership(a, lam, f"lp:{p}", "gamma", window=window)
+        assert [r.condition for r in gamma["conditions"]] == ["d5", "d8"]
+        d5 = gamma["conditions"][0].verdict
+        d4 = dual_condition(a, lam, "d4", window=window, p=Exponent.of(Fraction(p))).verdict
+        assert conjunction([d4, d5]).status is gamma["verdict"].status
 
 
 # Every kernel array; after grow(n) the LONG ones hold indices 0..n and
