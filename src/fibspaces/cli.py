@@ -31,7 +31,7 @@ from .matclasses import (
     noncompactness_estimate,
     operator_norm,
 )
-from .sequences import LambdaSeq, SeqWindow, parse_generator_spec, parse_index
+from .sequences import MATRIX_INDEX_LIMIT, LambdaSeq, SeqWindow, parse_generator_spec, parse_index
 from .spaces import space_norm
 from .triangles import (
     RowWindowedMatrix,
@@ -414,6 +414,12 @@ def main(argv=None) -> int:
         if "precision" in args and not MIN_PRECISION <= args.precision <= PRECISION_LIMIT:
             raise ParseError(f"precision must be between {MIN_PRECISION} and "
                              f"{PRECISION_LIMIT} bits, got {args.precision}")
+        # A window size is bounded as a unit index is, so a short input cannot
+        # ask for a prefix of millions of entries.
+        for dest, flag in (("n", "-N"), ("window", "--window"), ("rmax", "--rmax")):
+            if (getattr(args, dest, None) or 0) > MATRIX_INDEX_LIMIT:
+                raise ParseError(f"{flag} must be at most {MATRIX_INDEX_LIMIT}, "
+                                 f"got {getattr(args, dest)}")
         if "lam" in args:
             return args.fn(args, LambdaSeq.from_spec(args.lam))
         return args.fn(args)

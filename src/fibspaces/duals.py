@@ -6,9 +6,10 @@ into a triangle acting on the image y = Ex.  Two triangles appear: one for
 absolute summability of (a_k x_k) (entries are inverse-column entries
 scaled by a_n) and one for convergence of the partial sums (its kernel is
 the quantity abar_k(n) below).  The conditions d1..d8 are suprema, series
-and limits built from those triangles; each is evaluated over a deepening
-window and classified by the verdict machinery, exactly when the candidate
-is finitely supported.
+and limits built from those triangles.  This module gives each one's value
+at depth w; :func:`~fibspaces.matclasses._evidence`, the rule the class
+conditions use, decides it: exactly at support + 1 for a finitely
+supported candidate, else over nested windows up to the window.
 """
 
 from __future__ import annotations
@@ -18,19 +19,12 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import DomainError, ParseError
-from .exactreal import CertifiedReal, Exponent, conjugate, dot, power_sum, to_float, to_fraction
+from .exactreal import CertifiedReal, Exponent, conjugate, dot, power_sum, to_fraction
+from .matclasses import _column_power_sup, _evidence, _row_sup, _subset_sup
 from .sequences import LambdaSeq, PrefixGenerator, fib_sq
 from .spaces import normalize_space
-from .subsetsup import column_abs_sums, subset_power_sum
 from .triangles import DenseWindow
-from .verdicts import (
-    Status,
-    Verdict,
-    classify_growth,
-    classify_to_zero,
-    conjunction,
-    sweep_points,
-)
+from .verdicts import Verdict, conjunction
 
 CONDITION_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
 
@@ -199,30 +193,29 @@ def dual_condition(
     window: int = 32,
     p=None,
 ) -> DualReport:
-    """Evaluate one membership condition over a deepening window.
+    """Evaluate one membership condition by the rule of
+    :func:`~fibspaces.matclasses._evidence`; this function gives only each
+    condition's value at depth w, read from rows n < w of the pairing
+    triangles.
 
-    d4, d6 and d8 take one size per distinct abar row of the candidate;
-    each later row has the size of its last row.  d6, d8 and d4 at an
-    integer q read the sizes from the rows' rank-one form
-    (:func:`_rank_one_sizes`); only d4 at a non-integer q builds the rows.
-
-    d1: subset-sup of column sums of the absolute-pairing triangle (needs q);
-    d2: sup over columns of absolute column sums of the same triangle;
-    d3: convergence of the Fibonacci-square weighted series of a;
+    d1: subset-sup of column sums of the absolute-pairing triangle G (needs q);
+    d2: sup over columns of absolute column sums of G;
+    d3: convergence of the Fibonacci-square weighted series of a, read as
+        the distance |T_{w-1} - T_{w//2}| between its partial sums;
     d4: sup over n of the q-power row sums of abar;
     d5: sup of the scaled diagonal;   d6: sup of |abar| over all (n, k);
-    d7: the l1-distance between abar rows m and 2m tends to zero: d3's
-        distance |T_2m - T_m| times sum_{k<m} |col_k|;
+    d7: the l1-distance between abar rows w - 1 and w // 2 tends to zero:
+        d3's distance times sum_{k<w//2} |col_k|;
     d8: sup over n of absolute abar row sums, d4 at q = 1.
 
-    A finitely supported candidate is read past its support, where its
-    rows, partial sums and column sums no longer change: every condition
-    then holds exactly, except a d1 whose subset search did not settle.
-    It is cut to its support s once: d1, d2 and d5 read only a_0..a_{s-1},
-    so the kernel is grown through about s + 1 whatever the window, and d1
-    searches through the first sweep point at or past s, the search every
-    later point would repeat.  d7 reads the column coefficients only where
-    the distance it multiplies is nonzero: for a finite candidate, below s.
+    A candidate with finite support s is read to s + 1 whatever the window:
+    past s the rows of G are zero and every abar row is row s padded with
+    zeros, so each condition takes one exact evaluation there and holds
+    exactly, except a d1 whose subset search did not settle.  Any other
+    candidate is read on nested windows up to the window, and its d1
+    searches share one node budget.  d6, d8 and d4 at an integer q take
+    the abar row sizes from their rank-one form (:func:`_rank_one_sizes`);
+    only d4 at a non-integer q builds the rows.
     """
     if condition not in CONDITION_IDS:
         raise DomainError(f"unknown condition {condition!r}")
@@ -238,89 +231,37 @@ def dual_condition(
         q = q.as_fraction()
 
     finite = a.support is not None
-    # A finitely supported candidate is read at least two rows past its
-    # support, where every condition is decided by the finite computation.
-    deepest = max(window, a.support + 2) if finite else window
-    points = sweep_points(deepest)
-    a_deep = [to_fraction(v) for v in a.prefix(deepest)]
-    # The entries that scale a row or a diagonal term: past a finite
-    # support those are zero.
-    live = a_deep[:a.support] if finite else a_deep
-    if condition in ("d4", "d6", "d8"):
-        # T_n is constant from n = s - 1 on for a candidate with support s,
-        # so every row n >= s is row s padded with zeros: rows 0..s are the
-        # distinct ones.  Only a non-integer q builds them.
-        rows = a.support + 1 if finite else deepest
-        if condition == "d6":
-            sizes = _rank_one_sizes(a_deep, lam, rows, None)
-        elif q.denominator == 1:
-            sizes = _rank_one_sizes(a_deep, lam, rows, q.numerator)
-        else:
-            sizes = [power_sum(row, q) for row in _abar_table(a_deep, lam, rows)]
-
-    sweep: list[tuple[int, float]] = []
-    lower_bound_only = False
+    bound = a.support + 1 if finite else window
+    vals = [to_fraction(v) for v in a.prefix(bound)]
+    params = {"lambda": lam.describe(), "window": window, "p": p}
+    if condition == "d1":
+        g_rows = _g_rows(vals, lam)
+        found, value, verdict = _subset_sup(finite, bound, lambda w: g_rows[:w], q)
+        return DualReport(condition, verdict, verdict.sweep, value, not found.enumerated, params)
     if condition in ("d3", "d7"):
-        # Cauchy evidence: the distance between depths m and 2m, which is
-        # exactly 0 once m clears a finite support.  Both read the prefix
-        # sums T_n: d3 is |T_2m - T_m|, and since abar_k(m) - abar_k(2m) is
-        # col_k (T_m - T_2m), d7 is that times sum_{k<m} |col_k|, a running
-        # sum extended only for an m whose distance is nonzero.
-        sums = lam.kernel.partial_sums(a_deep)
-        abs_col_sums = [Fraction(0)]
-        dist = None
-        for m in [m for m in points if 2 * m < deepest]:
-            dist = abs(sums[2 * m] - sums[m])
-            if condition == "d7" and dist:
-                for c in lam.kernel.grow(m).col[len(abs_col_sums) - 1:m]:
-                    abs_col_sums.append(abs_col_sums[-1] + abs(c))
-                dist *= abs_col_sums[m]
-            sweep.append((m, to_float(dist)))
-        if condition == "d3":
-            # the weighted series from j = 1: T_n less its j = 0 term
-            value = CertifiedReal.exact(sums[-1] - sums[0])
-        elif finite:
-            value = CertifiedReal.exact(0)
-        else:
-            value = CertifiedReal.exact(dist) if dist is not None else None
-        classify = classify_to_zero
-    else:
-        # Each sweep point reads a prefix of these rows or per-row sizes;
-        # d4..d8 take the supremum of the sizes as one running maximum.
-        if condition in ("d1", "d2"):
-            g_rows = _g_rows(live, lam)
-            col_sums: list[Fraction] = []
-        elif condition == "d5":
-            diag = lam.kernel.grow(len(live)).diag
-            sizes = [abs(diag[n] * an) for n, an in enumerate(live)]
-        value, done = CertifiedReal.exact(0), 0
-        for w in points:
-            if condition == "d1":
-                # a later point adds no row past a finite support
-                if done < len(g_rows):
-                    found, value = subset_power_sum(g_rows[:w], q)
-                    lower_bound_only = not found.enumerated
-            elif condition == "d2":
-                column_abs_sums(g_rows[done:w], col_sums)
-                value = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
-            else:
-                value = CertifiedReal.max_of([value, *sizes[done:w]])
-            done = w
-            sweep.append((w, to_float(value.value)))
-        classify = classify_growth
+        sums = lam.kernel.partial_sums(vals)
 
-    if finite and lower_bound_only:
-        verdict = Verdict(Status.EVIDENCE_BOUNDED, tuple(sweep))
+        def value_at(w):
+            dist = abs(sums[w - 1] - sums[w // 2])
+            if condition == "d7":
+                dist *= sum(map(abs, lam.kernel.grow(w // 2).col[:w // 2]), Fraction(0))
+            return CertifiedReal.exact(dist)
+    elif condition == "d2":
+        value_at = _column_power_sup(_g_rows(vals, lam).__getitem__, 1)
     else:
-        verdict = classify(sweep, stabilized_exactly=finite)
-    return DualReport(
-        condition=condition,
-        verdict=verdict,
-        sweep=tuple(sweep),
-        value=value,
-        lower_bound_only=lower_bound_only,
-        params={"lambda": lam.describe(), "window": window, "p": p},
-    )
+        if condition == "d5":
+            diag = lam.kernel.grow(bound).diag
+            sizes = [abs(diag[n] * an) for n, an in enumerate(vals)]
+        elif condition == "d6" or q.denominator == 1:
+            sizes = _rank_one_sizes(vals, lam, bound, None if condition == "d6" else q.numerator)
+        else:
+            sizes = [power_sum(row, q) for row in _abar_table(vals, lam, bound)]
+        value_at = _row_sup(sizes.__getitem__)
+    verdict = _evidence(finite, bound, value_at, to_zero=condition in ("d3", "d7"))
+    # d3 reports the weighted series from j = 1: T_n less its j = 0 term
+    value = (CertifiedReal.exact(sums[-1] - sums[0]) if condition == "d3"
+             else verdict.value if finite else value_at(bound))
+    return DualReport(condition, verdict, verdict.sweep, value, False, params)
 
 
 # ---------------------------------------------------------------------------

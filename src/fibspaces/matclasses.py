@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from . import subsetsup
 from .errors import (
     AlphaLimitUndetermined,
     DomainError,
@@ -38,7 +39,7 @@ from .exactreal import (
 )
 from .sequences import LambdaSeq
 from .spaces import normalize_space
-from .subsetsup import NODE_LIMIT, column_abs_sums, subset_power_sum
+from .subsetsup import column_abs_sums, subset_power_sum
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
     Status,
@@ -110,19 +111,21 @@ def hat_entry(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
 # Hat-matrix quantities shared by the class checks, norms and tail sweeps
 
 
-def _evidence(hat: HatMatrix, bound: int, value_at, *, to_zero=False) -> Verdict:
+def _evidence(finite: bool, bound: int, value_at, *, to_zero=False) -> Verdict:
     """The Verdict on a condition whose value at depth w is ``value_at(w)``,
     a certified real, on its supremum or, with ``to_zero``, on its limit 0.
 
-    Finitely many nonzero rows take one exact evaluation at the bound, and
-    a limit is then exactly 0.  A triangle is read on the nested windows w
-    of ``sweep_points(bound)``.  A sup-type value is the supremum over hat
-    rows n < w, so it never decreases in w; its growth is classified.  A
+    A ``finite`` source, whose rows past row bound - 1 are zero or repeat
+    it (finitely many nonzero hat rows, a finitely supported dual
+    candidate), takes one exact evaluation at the bound, and a limit is
+    then exactly 0.  Any other source is read on the nested windows w of
+    ``sweep_points(bound)``.  A sup-type value is the supremum over rows
+    n < w, so it never decreases in w; its growth is classified.  A
     limit-type value reads row w - 1 against row w // 2, or against zero,
     and a column condition only the columns k <= w / 4, which are already
     in their tail; its decay is classified.  No value reads an index that
     runs into the window edge."""
-    if hat.finite_rows:
+    if finite:
         value = CertifiedReal.exact(0) if to_zero else value_at(bound)
         return Verdict(Status.HOLDS_EXACTLY, ((bound, to_float(value.value)),), value=value)
     sweep = [(w, to_float(value_at(w).value)) for w in sweep_points(bound)]
@@ -157,13 +160,13 @@ def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision: int = DEFAULT_PRECI
     return lambda n: rpow(power_sum(hat.row(n), q, precision), inv_q, precision)
 
 
-def _column_power_sup(hat: HatMatrix, power):
-    """``value_at`` for sup_k sum_{n < w} |hat(n, k)|^power: each column's
+def _column_power_sup(row, power):
+    """``value_at`` for sup_k sum_{n < w} |row(n)[k]|^power: each column's
     sum runs on from the last w, adding the power sum of its new rows."""
     sums, done = {}, [0]
 
     def value_at(w):
-        for k, col in enumerate(_columns(hat, w, done[0])):
+        for k, col in enumerate(_columns(row, w, done[0])):
             sums[k] = sums.get(k, 0) + power_sum(col, power)
         done[0] = w
         return CertifiedReal.max_of(sums.values())
@@ -171,8 +174,9 @@ def _column_power_sup(hat: HatMatrix, power):
     return value_at
 
 
-def _columns(hat: HatMatrix, bound: int, start: int = 0) -> list[list[Fraction]]:
-    rows = [hat.row(n) for n in range(start, bound)]
+def _columns(row, bound: int, start: int = 0) -> list[list[Fraction]]:
+    """Columns of the rows ``row(n)`` for start <= n < bound, zero-padded."""
+    rows = [row(n) for n in range(start, bound)]
     width = max((len(row) for row in rows), default=0)
     return [[row[k] if k < len(row) else Fraction(0) for row in rows] for k in range(width)]
 
@@ -186,23 +190,24 @@ def _gap(hat: HatMatrix, w: int, *, cauchy: bool, columns: bool) -> CertifiedRea
     return CertifiedReal.exact(max(gaps) if columns else sum(gaps, Fraction(0)))
 
 
-def _subset_sup(hat: HatMatrix, bound: int, rows_at, q, precision: int = DEFAULT_PRECISION):
+def _subset_sup(finite: bool, bound: int, rows_at, q, precision: int = DEFAULT_PRECISION):
     """The subset K that :func:`subset_power_sum` finds among the vectors
-    ``rows_at(w)`` read from hat rows n < w, its power sum, and the
+    ``rows_at(w)`` read from rows n < w, its power sum, and the
     :func:`_evidence` Verdict on their supremum; K and the sum are those of
     the search at the bound.  Each search takes an even part of the node
-    budget the ones before it left, so a triangle's sweep costs about one
-    search and finitely many rows keep the whole budget.  A search that
-    did not settle gives a lower bound, never an exact value."""
+    budget (``subsetsup.NODE_LIMIT``, read at each call) the ones before it
+    left, so a triangle's sweep costs about one search and a finite source
+    keeps the whole budget.  A search that did not settle gives a lower
+    bound, never an exact value."""
     points, searches = sweep_points(bound), []
 
     def value_at(w):
-        budget = NODE_LIMIT - sum(found.nodes for found, _ in searches)
+        budget = subsetsup.NODE_LIMIT - sum(found.nodes for found, _ in searches)
         searches.append(subset_power_sum(
             rows_at(w), q, precision, budget // sum(1 for later in points if later >= w)))
         return searches[-1][1]
 
-    verdict = _evidence(hat, bound, value_at)
+    verdict = _evidence(finite, bound, value_at)
     found, value = searches[-1]
     if verdict.is_exact and not found.enumerated:
         verdict.status = Status.EVIDENCE_BOUNDED
@@ -329,29 +334,30 @@ def _evaluate_class_condition(cid, hat: HatMatrix, lam, bound, *, q_frac, tp_nor
                        detail={"reason": "per-row finite support"})
 
     if cid == "row-qnorm-sup":
-        return _evidence(hat, bound, _row_sup(lambda n: power_sum(hat.row(n), q_frac)))
+        return _evidence(hat.finite_rows, bound,
+                         _row_sup(lambda n: power_sum(hat.row(n), q_frac)))
 
     if cid in ("entry-sup", "row-l1-sup"):
         p = P_ONE if cid == "entry-sup" else P_INF
-        return _evidence(hat, bound, _row_sup(_row_quantity_fn(hat, p)))
+        return _evidence(hat.finite_rows, bound, _row_sup(_row_quantity_fn(hat, p)))
 
     if cid in ("column-sum-sup", "column-pnorm-sup"):
         power = 1 if cid == "column-sum-sup" else tp_norm.as_fraction()
-        return _evidence(hat, bound, _column_power_sup(hat, power))
+        return _evidence(hat.finite_rows, bound, _column_power_sup(hat.row, power))
 
     if cid in ("column-limits", "column-limits-zero", "row-l1-to-alpha", "row-l1-limit-zero"):
         # The column limits alpha, and Schur's row distance to them, are
         # read in Cauchy form; into c0 both are read against zero.
         cauchy, columns = not cid.endswith("zero"), cid.startswith("column")
-        return _evidence(hat, bound, lambda w: _gap(hat, w, cauchy=cauchy, columns=columns),
-                         to_zero=True)
+        return _evidence(hat.finite_rows, bound,
+                         lambda w: _gap(hat, w, cauchy=cauchy, columns=columns), to_zero=True)
 
     if cid in ("row-subset-sup", "column-subset-sup"):
         if cid == "row-subset-sup":
             rows_at, q = (lambda w: map(hat.row, range(w))), q_frac
         else:
-            rows_at, q = (lambda w: _columns(hat, w)), tp_norm.as_fraction()
-        found, value, verdict = _subset_sup(hat, bound, rows_at, q)
+            rows_at, q = (lambda w: _columns(hat.row, w)), tp_norm.as_fraction()
+        found, value, verdict = _subset_sup(hat.finite_rows, bound, rows_at, q)
         verdict.value = value
         verdict.detail["subset"] = found.subset
         return verdict
@@ -406,13 +412,14 @@ def operator_norm(
     bound = hat.effective_bound(window)
 
     if target in ("linf", "c", "c0"):
-        verdict = _evidence(hat, bound, _row_sup(_row_quantity_fn(hat, p, precision)))
+        verdict = _evidence(hat.finite_rows, bound,
+                            _row_sup(_row_quantity_fn(hat, p, precision)))
     elif target == "l1" and p == P_ONE:
-        verdict = _evidence(hat, bound, _column_power_sup(hat, 1))
+        verdict = _evidence(hat.finite_rows, bound, _column_power_sup(hat.row, 1))
     elif target == "l1":
         q_frac = conjugate(p).as_fraction()
         _, total, verdict = _subset_sup(
-            hat, bound, lambda w: map(hat.row, range(w)), q_frac, precision
+            hat.finite_rows, bound, lambda w: map(hat.row, range(w)), q_frac, precision
         )
         value = rpow(total, 1 / q_frac, precision)
         return OpNormResult(

@@ -187,6 +187,27 @@ def run_fast(argv) -> tuple[int, str, str]:
     return result
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["dual", "--a", "e", "--window"], "--window"),
+    (["class", "--A", "E", "--window"], "--window"),
+    (["opnorm", "--A", "E", "--window"], "--window"),
+    (["transform", "--x", "e", "-N"], "-N"),
+    (["basis", "--k", "1", "-N"], "-N"),
+    (["verify-paper", "--only", "inverse-identity", "-N"], "-N"),
+    (["mnc", "--A", "E", "--rmax"], "--rmax"),
+    (["plot-data", "--quantity", "mnc", "--rmax"], "--rmax"),
+])
+def test_window_size_past_the_limit_is_a_fast_parse_error(argv, flag):
+    """-N, --window and --rmax are bounded as a unit index is, so a short
+    input cannot ask for a prefix of 10**9 entries."""
+    for size in (MATRIX_INDEX_LIMIT + 1, 10**9):
+        assert run_fast(argv + [str(size)]) == (
+            2, "", f"input error: {flag} must be at most {MATRIX_INDEX_LIMIT}, got {size}\n")
+    # The limit itself is accepted: a finite candidate is read to its support.
+    code, _, err = run_fast(["dual", "--a", "unit:0", "--window", str(MATRIX_INDEX_LIMIT)])
+    assert (code, err) == (0, "")
+
+
 def test_exponent_terms_up_to_the_limit_parse():
     top = EXPONENT_TERM_LIMIT
     assert Exponent.parse(f"{top}/{top - 1}").value == Fraction(top, top - 1)

@@ -290,61 +290,60 @@ class TestDualMembership:
 def _full_depth_report(a, lam, condition, window, p=None) -> DualReport:
     """dual_condition the long way: every abar row built to the depth, one
     size per row, d3 from its own partial sums and d7 summed entry by entry
-    over the rows m and 2m."""
+    over the rows w - 1 and w // 2.  A candidate with finite support s is
+    one exact evaluation at depth s + 1; any other is swept to the window,
+    its d1 searches splitting one node budget."""
     q = None if p is None else conjugate(p).as_fraction()
     finite = a.support is not None
-    deepest = window if a.support is None else max(window, a.support + 2)
-    points = sweep_points(deepest)
-    a_deep = [to_fraction(v) for v in a.prefix(deepest)]
-    table = _abar_table(a_deep, lam, deepest)
-    sweep, lower_bound_only = [], False
-    if condition in ("d3", "d7"):
-        partials = [Fraction(0)]
-        for j in range(1, deepest):
-            partials.append(partials[-1] + a_deep[j] * fib_sq(j + 1))
-        dist = None
-        for m in [m for m in points if 2 * m < deepest]:
+    depth = a.support + 1 if finite else window
+    vals = [to_fraction(v) for v in a.prefix(depth)]
+    table, g_rows = _abar_table(vals, lam, depth), _g_rows(vals, lam)
+    diag = lam.kernel.grow(depth).diag
+    partials = [Fraction(0)]
+    for j in range(1, depth):
+        partials.append(partials[-1] + vals[j] * fib_sq(j + 1))
+    points = [depth] if finite else sweep_points(depth)
+    searches = []
+
+    def at(w):
+        if condition == "d1":
+            budget = subsetsup.NODE_LIMIT - sum(found.nodes for found, _ in searches)
+            budget //= sum(1 for later in points if later >= w)
+            searches.append(subset_power_sum(g_rows[:w], q, node_limit=budget))
+            return searches[-1][1]
+        if condition == "d2":
+            return CertifiedReal.exact(max(column_abs_sums(g_rows[:w]), default=Fraction(0)))
+        if condition in ("d3", "d7"):
             if condition == "d3":
-                dist = abs(partials[2 * m] - partials[m])
+                dist = abs(partials[w - 1] - partials[w // 2])
             else:
-                dist = sum((abs(table[m][k] - table[2 * m][k]) for k in range(m)), Fraction(0))
-            sweep.append((m, to_float(dist)))
-        if condition == "d3":
-            value = CertifiedReal.exact(partials[-1])
-        elif finite:
-            value = CertifiedReal.exact(0)
-        else:
-            value = CertifiedReal.exact(dist) if dist is not None else None
-        classify = classify_to_zero
+                dist = sum((abs(table[w - 1][k] - table[w // 2][k]) for k in range(w // 2)),
+                           Fraction(0))
+            return CertifiedReal.exact(dist)
+        sizes = {
+            "d4": lambda n: power_sum(table[n], q),
+            "d5": lambda n: abs(diag[n] * vals[n]),
+            "d6": lambda n: max((abs(v) for v in table[n]), default=Fraction(0)),
+            "d8": lambda n: sum((abs(v) for v in table[n]), Fraction(0)),
+        }[condition]
+        return CertifiedReal.max_of([sizes(n) for n in range(w)])
+
+    to_zero = condition in ("d3", "d7")
+    if finite:
+        value = CertifiedReal.exact(0) if to_zero else at(depth)
+        verdict = Verdict(Status.HOLDS_EXACTLY, ((depth, to_float(value.value)),), value=value)
     else:
-        g_rows, col_sums = _g_rows(a_deep, lam), []
-        if condition == "d4":
-            sizes = [power_sum(row, q) for row in table]
-        elif condition == "d5":
-            diag = lam.kernel.grow(deepest).diag
-            sizes = [abs(diag[n] * a_deep[n]) for n in range(deepest)]
-        elif condition == "d6":
-            sizes = [max((abs(v) for v in row), default=Fraction(0)) for row in table]
-        elif condition == "d8":
-            sizes = [sum((abs(v) for v in row), Fraction(0)) for row in table]
-        value, done = CertifiedReal.exact(0), 0
-        for w in points:
-            if condition == "d1":
-                found, value = subset_power_sum(g_rows[:w], q)
-                lower_bound_only = not found.enumerated
-            elif condition == "d2":
-                column_abs_sums(g_rows[done:w], col_sums)
-                value = CertifiedReal.exact(max(col_sums, default=Fraction(0)))
-            else:
-                value = CertifiedReal.max_of([value, *sizes[done:w]])
-            done = w
-            sweep.append((w, to_float(value.value)))
-        classify = classify_growth
-    if finite and lower_bound_only:
-        verdict = Verdict(Status.EVIDENCE_BOUNDED, tuple(sweep))
-    else:
-        verdict = classify(sweep, stabilized_exactly=finite)
-    return DualReport(condition, verdict, tuple(sweep), value, lower_bound_only,
+        sweep = [(w, to_float(at(w).value)) for w in points]
+        verdict = (classify_to_zero if to_zero else classify_growth)(sweep)
+        value = searches[-1][1] if searches else at(depth)
+    if condition == "d3":
+        value = CertifiedReal.exact(partials[-1])
+    lower_bound_only = bool(searches) and not searches[-1][0].enumerated
+    if searches:
+        verdict.detail["enumerated"] = not lower_bound_only
+        if finite and lower_bound_only:
+            verdict.status = Status.EVIDENCE_BOUNDED
+    return DualReport(condition, verdict, verdict.sweep, value, lower_bound_only,
                       {"lambda": lam.describe(), "window": window, "p": p})
 
 
@@ -539,13 +538,13 @@ class TestKernelGrownToTheSupport:
 class TestKernelGrownToTheDepth:
     """An infinitely supported candidate reads the kernel through the whole
     depth: every membership, and every condition but d3, which reads no
-    lambda, and d7, which reads the columns below its deepest m."""
+    lambda, and d7, which reads the columns below w // 2 at the window."""
 
     @pytest.mark.parametrize("condition", duals.CONDITION_IDS)
     def test_every_condition_grows_to_what_it_reads(self, depth, condition):
         lam = LambdaSeq.geometric(2, 1)
         dual_condition(inv_fib_pow(3), lam, condition, window=depth, p=Exponent.of(3))
-        want = {"d3": -1, "d7": max(m for m in sweep_points(depth) if 2 * m < depth)}
+        want = {"d3": -1, "d7": depth // 2}
         assert _grown_to(lam) == want.get(condition, depth)
 
     @pytest.mark.parametrize("space", _SPACES)
@@ -564,8 +563,8 @@ _supported = st.builds(lambda head, last: from_values(head + [last]),
 
 class TestWorkStopsAtTheSupport:
     """Past a finite support nothing a condition reads changes, so a report
-    does not depend on how deep the kernel was grown before, and the one d1
-    search at the support is the search at every later sweep point."""
+    does not depend on how deep the kernel was grown before, and d1 is one
+    search over the rows through the support s, read at s + 1."""
 
     @given(a=_supported, lam=_lambdas, window=st.integers(min_value=8, max_value=64),
            space=st.sampled_from(["l1", "lp:3/2", "lp:2", "lp:3", "linf"]),
@@ -586,14 +585,11 @@ class TestWorkStopsAtTheSupport:
     def test_reused_d1_is_a_fresh_search(self, a, lam, window, p):
         report = dual_condition(a, lam, "d1", window=window, p=p)
         q = conjugate(p).as_fraction()
-        rows = _g_rows([to_fraction(v) for v in a.prefix(max(window, a.support + 2))], lam)
-        past = [(w, v) for w, v in report.sweep if w >= a.support]
-        assert past
-        for w, v in past:
-            found, value = subset_power_sum(rows[:w], q)
-            assert (value.value, value.err) == (report.value.value, report.value.err)
-            assert v == to_float(value.value)
-            assert report.lower_bound_only == (not found.enumerated)
+        rows = _g_rows([to_fraction(v) for v in a.prefix(a.support + 1)], lam)
+        found, value = subset_power_sum(rows, q)
+        assert (value.value, value.err) == (report.value.value, report.value.err)
+        assert report.sweep == ((a.support + 1, to_float(value.value)),)
+        assert report.lower_bound_only == (not found.enumerated)
 
 
 class TestD4AtQOneIsD8:

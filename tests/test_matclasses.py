@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibspaces import duals, matclasses, subsetsup
+from fibspaces import duals, subsetsup
 from fibspaces.errors import (
     AlphaLimitUndetermined,
     DomainError,
@@ -306,8 +306,8 @@ def test_subset_sup_on_a_triangle_sweeps_nested_windows():
 
 
 def test_subset_sweep_on_a_triangle_shares_one_node_budget(monkeypatch):
-    """The searches of one sweep bound at most NODE_LIMIT nodes together,
-    so the sweep costs about one search at the window."""
+    """The searches of one sweep bound at most subsetsup.NODE_LIMIT nodes
+    together, so the sweep costs about one search at the window."""
     spent = []
     search = subsetsup.subset_sup
 
@@ -317,7 +317,7 @@ def test_subset_sweep_on_a_triangle_shares_one_node_budget(monkeypatch):
         return found
 
     monkeypatch.setattr(subsetsup, "subset_sup", counted)
-    monkeypatch.setattr(matclasses, "NODE_LIMIT", 600)
+    monkeypatch.setattr(subsetsup, "NODE_LIMIT", 600)
     cond = dict(class_check(fhat_matrix(), GEO, "lp:2", "l1", window=16).conditions)
     verdict = cond["row-subset-sup"]
     assert len(spent) == len(sweep_points(16)) and sum(spent) <= 600
@@ -438,10 +438,10 @@ class TestColumnSumSup:
     @staticmethod
     def _assert_same(hat, bound):
         for w in sweep_points(bound):
-            got, want = _column_power_sup(hat, 1)(w), _column_abs_sum_sup(hat)(w)
+            got, want = _column_power_sup(hat.row, 1)(w), _column_abs_sum_sup(hat)(w)
             assert (got.value, got.err) == (want.value, want.err)
-        verdict = _evidence(hat, bound, _column_power_sup(hat, 1))
-        want = _evidence(hat, bound, _column_abs_sum_sup(hat))
+        verdict = _evidence(hat.finite_rows, bound, _column_power_sup(hat.row, 1))
+        want = _evidence(hat.finite_rows, bound, _column_abs_sum_sup(hat))
         assert verdict.to_json() == want.to_json()
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
