@@ -276,8 +276,8 @@ def cmd_plot_data(args, lam: LambdaSeq) -> int:
         est = noncompactness_estimate(
             matrix, lam, p, args.target, r_max=args.rmax, precision=args.precision,
         )
-        header = "r,s"
-        rows = [f"{int(r)},{v!r}" for r, v in est.sweep]
+        header = "w,s"
+        rows = [f"{int(w)},{v!r}" for w, v in est.sweep]
     else:
         raise ParseError(f"unknown quantity {args.quantity!r}")
     _emit("\n".join([header] + rows), args.out)
@@ -310,7 +310,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if window:
             p.add_argument("--window", type=int, default=32)
         if rmax:
-            p.add_argument("--rmax", type=int, default=32)
+            p.add_argument("--rmax", type=int, default=32,
+                           help="depth of a triangle's sweep: hat rows n < rmax + 8")
         if matrix:
             p.add_argument("--A", dest="matrix", required=True,
                            help="matrix: JSON file path, or E | fhat | "

@@ -16,6 +16,7 @@ determined; a triangle source instead yields nested-window evidence.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from .exactreal import (
 )
 from .sequences import LambdaSeq
 from .spaces import normalize_space
-from .subsetsup import column_abs_sums, subset_power_sum
+from .subsetsup import subset_power_sum
 from .triangles import RowWindowedMatrix, Triangle
 from .verdicts import (
     Status,
@@ -108,7 +109,7 @@ def hat_entry(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Hat-matrix quantities shared by the class checks, norms and tail sweeps
+# Hat-matrix quantities shared by the class checks, norms and noncompactness
 
 
 def _evidence(finite: bool, bound: int, value_at, *, to_zero=False) -> Verdict:
@@ -118,12 +119,13 @@ def _evidence(finite: bool, bound: int, value_at, *, to_zero=False) -> Verdict:
     A ``finite`` source, whose rows past row bound - 1 are zero or repeat
     it (finitely many nonzero hat rows, a finitely supported dual
     candidate), takes one exact evaluation at the bound, and a limit is
-    then exactly 0.  Any other source is read on the nested windows w of
-    ``sweep_points(bound)``.  A sup-type value is the supremum over rows
-    n < w, so it never decreases in w; its growth is classified.  A
-    limit-type value reads row w - 1 against row w // 2, or against zero,
-    and a column condition only the columns k <= w / 4, which are already
-    in their tail; its decay is classified.  No value reads an index that
+    then exactly 0 and reads no value at all.  Any other source is read on
+    the nested windows w of ``sweep_points(bound)``.  A sup-type value is
+    the supremum over rows n < w, so it never decreases in w; its growth is
+    classified.  A limit-type value reads row w - 1 against row w // 2, or
+    against zero, a column condition only the columns k <= w / 4, which are
+    already in their tail, and a noncompactness tail the norm of the rows
+    w // 2 <= n < w; its decay is classified.  No value reads an index that
     runs into the window edge."""
     if finite:
         value = CertifiedReal.exact(0) if to_zero else value_at(bound)
@@ -132,16 +134,11 @@ def _evidence(finite: bool, bound: int, value_at, *, to_zero=False) -> Verdict:
     return (classify_to_zero if to_zero else classify_growth)(sweep)
 
 
-def _row_sup(per_row):
-    """``value_at`` for sup_{n < w} per_row(n), a running maximum over rows read once."""
-    best, done = [], [0]
-
-    def value_at(w):
-        best[:] = [CertifiedReal.max_of(best + [per_row(n) for n in range(done[0], w)])]
-        done[0] = w
-        return best[0]
-
-    return value_at
+def _row_sup(per_row, *, tail=False):
+    """``value_at`` for sup per_row(n) over the rows n < w or, with
+    ``tail``, over w // 2 <= n < w; each row's size is computed once."""
+    size = functools.cache(per_row)
+    return lambda w: CertifiedReal.max_of(map(size, range(w // 2 if tail else 0, w)))
 
 
 def _row_quantity_fn(hat: HatMatrix, p: Exponent, precision: int = DEFAULT_PRECISION):
@@ -190,15 +187,14 @@ def _gap(hat: HatMatrix, w: int, *, cauchy: bool, columns: bool) -> CertifiedRea
     return CertifiedReal.exact(max(gaps) if columns else sum(gaps, Fraction(0)))
 
 
-def _subset_sup(finite: bool, bound: int, rows_at, q, precision: int = DEFAULT_PRECISION):
-    """The subset K that :func:`subset_power_sum` finds among the vectors
-    ``rows_at(w)`` read from rows n < w, its power sum, and the
-    :func:`_evidence` Verdict on their supremum; K and the sum are those of
-    the search at the bound.  Each search takes an even part of the node
-    budget (``subsetsup.NODE_LIMIT``, read at each call) the ones before it
-    left, so a triangle's sweep costs about one search and a finite source
-    keeps the whole budget.  A search that did not settle gives a lower
-    bound, never an exact value."""
+def _subset_searches(bound: int, rows_at, q, precision: int = DEFAULT_PRECISION):
+    """``value_at`` for the power sum of the subset K that
+    :func:`subset_power_sum` finds among the vectors ``rows_at(w)``, and
+    the list of its (K, power sum) searches.  Each search takes an even
+    part of the node budget (``subsetsup.NODE_LIMIT``, read at each call)
+    the ones before it left, so a triangle's sweep costs about one search
+    and a single search at the bound keeps the whole budget.  A search that
+    did not settle gives a lower bound, never an exact value."""
     points, searches = sweep_points(bound), []
 
     def value_at(w):
@@ -207,6 +203,14 @@ def _subset_sup(finite: bool, bound: int, rows_at, q, precision: int = DEFAULT_P
             rows_at(w), q, precision, budget // sum(1 for later in points if later >= w)))
         return searches[-1][1]
 
+    return value_at, searches
+
+
+def _subset_sup(finite: bool, bound: int, rows_at, q, precision: int = DEFAULT_PRECISION):
+    """The subset K found among the vectors ``rows_at(w)`` read from rows
+    n < w, its power sum, and the :func:`_evidence` Verdict on their
+    supremum; K and the sum are those of the search at the bound."""
+    value_at, searches = _subset_searches(bound, rows_at, q, precision)
     verdict = _evidence(finite, bound, value_at)
     found, value = searches[-1]
     if verdict.is_exact and not found.enumerated:
@@ -438,7 +442,7 @@ def operator_norm(
 # ---------------------------------------------------------------------------
 # Hausdorff measure of noncompactness
 
-# The compactness label of each status of the tail-sweep verdict.
+# The compactness label of each status of the noncompactness verdict.
 _COMPACTNESS = {
     Status.HOLDS_EXACTLY: "compact",
     Status.EVIDENCE_BOUNDED: "evidence-compact",
@@ -451,7 +455,7 @@ _COMPACTNESS = {
 class MncEstimate:
     target: str
     p: str
-    sweep: tuple  # (r, s(r)) pairs
+    sweep: tuple  # (w, tail norm of the rows w // 2 <= n < w) pairs
     limit: CertifiedReal | None
     bracket: tuple[CertifiedReal, CertifiedReal] | None
     exact: bool
@@ -473,47 +477,10 @@ class MncEstimate:
     def compactness(self) -> Verdict:
         """Compactness of the matrix operator: exactly compact when the
         noncompactness measure is exactly zero, otherwise labelled from the
-        verdict on the tail sweep."""
+        verdict on its sweep."""
         inner = self.verdict
         return Verdict(inner.status, self.sweep, label=_COMPACTNESS[inner.status],
                        value=inner.value, growth=inner.growth)
-
-
-def _tail_sweep(hat: HatMatrix, p: Exponent, target: str, bound: int, r_max: int,
-                precision: int) -> list[tuple[int, float]]:
-    """The pairs (r, s(r)) for r <= r_max."""
-    if target in ("c0", "c"):
-        # Column limits are exactly zero in the finite case, so both targets
-        # share the same tail quantity.
-        per_row = _row_quantity_fn(hat, p, precision)
-        values = [per_row(n) for n in range(bound)]
-        suffix: list[CertifiedReal] = [CertifiedReal.exact(0)] * (bound + 1)
-        for n in range(bound - 1, -1, -1):
-            suffix[n] = CertifiedReal.max_of((values[n], suffix[n + 1]))
-        return [(r, to_float(suffix[min(r, bound)].value)) for r in range(r_max + 1)]
-    if p == P_ONE:
-        # Add the rows from the bottom up: after row r the sums are s(r)'s.
-        sums: list[Fraction] = []
-        tops = [Fraction(0)] * (r_max + 1)
-        for r in range(bound - 1, -1, -1):
-            column_abs_sums((hat.row(r),), sums)
-            if r <= r_max:
-                tops[r] = max(sums, default=Fraction(0))
-        return [(r, to_float(top)) for r, top in enumerate(tops)]
-    q_frac = conjugate(p).as_fraction()
-    sweep = []
-    for r in range(r_max + 1):
-        _, total = subset_power_sum(
-            (hat.row(n) for n in range(r, bound)), q_frac, precision
-        )
-        sweep.append((r, to_float(rpow(total, 1 / q_frac, precision).value)))
-    # A subset feasible at r+1 is feasible at r, so tightening each lower
-    # bound left by a search cut short by its successors keeps it a valid
-    # lower bound and restores the monotonicity the true s(r) has.
-    for i in range(len(sweep) - 2, -1, -1):
-        r, v = sweep[i]
-        sweep[i] = (r, max(v, sweep[i + 1][1]))
-    return sweep
 
 
 def noncompactness_estimate(
@@ -524,13 +491,21 @@ def noncompactness_estimate(
     r_max: int = 32,
     precision: int = DEFAULT_PRECISION,
 ) -> MncEstimate:
-    """Sweep of the tail quantity s(r) whose limit is (or brackets) the
-    Hausdorff measure of noncompactness of the matrix operator.
+    """Sweep of the tail quantity whose limit is (or brackets) the Hausdorff
+    measure of noncompactness of the matrix operator, and the
+    :func:`_evidence` Verdict that it tends to zero.
 
-    Targets: "c0" (limit equals the measure), "c" (limit brackets it within
-    a factor of two; needs exact column limits, available only for finitely
-    supported matrices), "l1" (p = 1 exact; p > 1 brackets within a factor
-    of four via the subset supremum).
+    At each depth w of ``sweep_points(r_max + 8)`` the quantity is the
+    operator norm of :func:`operator_norm` for the same p and target, read
+    on the hat rows w // 2 <= n < w alone: the largest row size into "c0"
+    and "c", the largest absolute column sum into "l1" at p = 1, and the
+    q-th root of the subset supremum into "l1" at p > 1.  Its limit is the
+    measure into "c0", brackets it within a factor of two into "c" (which
+    needs exact column limits, available only for finitely supported
+    matrices), is the measure into "l1" at p = 1, and brackets it within a
+    factor of four at p > 1.  A matrix with finitely many nonzero rows has
+    a tail that vanishes past them: its limit is exactly 0, and its sweep
+    is the one point (row bound, 0).
     """
     if r_max < 4:
         raise DomainError("r_max must be >= 4")
@@ -545,26 +520,26 @@ def noncompactness_estimate(
             "target 'c' needs exact column limits (finitely supported matrix)"
         )
 
-    sweep = _tail_sweep(hat, p, target, bound, r_max, precision)
-    # Tail suprema cannot grow as the tail shrinks.
-    for (_, a), (_, b) in zip(sweep, sweep[1:]):
-        if b > a + 1e-12:
-            raise DomainError(f"tail sweep grows from {a!r} to {b!r}")
-
-    # s(r) = 0 once r clears the last nonzero row: the limit is exactly 0,
-    # and so are both ends of a bracket [limit / 2, limit] or [limit, 4 limit].
-    exact = hat.finite_rows
-    limit = CertifiedReal.exact(0) if exact else None
-    if exact:
-        verdict = Verdict(Status.HOLDS_EXACTLY, tuple(sweep),
-                          value=limit, label="tail vanishes")
+    if target in ("c0", "c"):
+        value_at = _row_sup(_row_quantity_fn(hat, p, precision), tail=True)
+    elif p == P_ONE:
+        def value_at(w):
+            return CertifiedReal.max_of(power_sum(col, 1) for col in _columns(hat.row, w, w // 2))
     else:
-        verdict = classify_to_zero(sweep)
+        q_frac = conjugate(p).as_fraction()
+        power_sum_at, _ = _subset_searches(
+            bound, lambda w: map(hat.row, range(w // 2, w)), q_frac, precision)
+
+        def value_at(w):
+            return rpow(power_sum_at(w), 1 / q_frac, precision)
+    verdict = _evidence(hat.finite_rows, bound, value_at, to_zero=True)
+
+    exact = verdict.is_exact
+    limit = verdict.value  # exactly 0 for a finite matrix, else None
     brackets = exact and (target == "c" or (target == "l1" and p != P_ONE))
-    bracket = (limit, limit) if brackets else None
     return MncEstimate(
-        target=target, p=str(p), sweep=tuple(sweep),
-        limit=limit, bracket=bracket, exact=exact, verdict=verdict,
+        target=target, p=str(p), sweep=verdict.sweep, limit=limit,
+        bracket=(limit, limit) if brackets else None, exact=exact, verdict=verdict,
     )
 
 

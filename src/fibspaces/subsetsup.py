@@ -159,14 +159,3 @@ def subset_power_sum(rows, q, precision: int = DEFAULT_PRECISION, node_limit: in
     sup_K sum_k |sum_{n in K} rows[n][k]| ** q, and that power sum certified."""
     found = subset_sup(list(rows), q, node_limit)
     return found, power_sum(found.column_sums, q, precision)
-
-
-def column_abs_sums(rows, sums: list[Fraction] | None = None) -> list[Fraction]:
-    """sum_n |rows[n][k]| over the rows, one entry per column k, added into
-    ``sums`` when given."""
-    sums = [] if sums is None else sums
-    for row in rows:
-        sums.extend([Fraction(0)] * (len(row) - len(sums)))
-        for k, v in enumerate(row):
-            sums[k] += abs(v)
-    return sums

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 _acceptance_lines: list[str] = []
@@ -21,3 +23,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in sorted(set(_acceptance_lines)):
             terminalreporter.write_line(line)
+
+
+def column_abs_sums(rows) -> list[Fraction]:
+    """sum_n |rows[n][k]| over the rows, one entry per column k: the plain
+    oracle of the column-sum conditions."""
+    sums: list[Fraction] = []
+    for row in rows:
+        sums.extend([Fraction(0)] * (len(row) - len(sums)))
+        for k, v in enumerate(row):
+            sums[k] += abs(v)
+    return sums

@@ -1,6 +1,7 @@
 """CLI behaviour: output formats, exit codes, determinism."""
 
 import argparse
+import collections
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from fibspaces import cli, subsetsup
 from fibspaces.cli import build_parser, main
 from fibspaces.exactreal import DEFAULT_PRECISION, Exponent, to_float
+from fibspaces.matclasses import HatMatrix
 from fibspaces.sequences import LambdaSeq
 from fibspaces.spaces import space_norm
 from fibspaces.triangles import MATRIX_INDEX_LIMIT
@@ -444,22 +446,22 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["result"]["exact"] is True
         assert doc["result"]["compactness"]["label"] == "compact"
-        assert doc["result"]["sweep"][1] == [1, 0.0]
+        assert doc["result"]["sweep"] == [[1, 0.0]]
 
-    def test_mnc_runs_one_tail_sweep(self, capsys, monkeypatch):
-        from fibspaces import matclasses
+    def test_mnc_reads_each_row_once_within_its_bound(self, capsys, monkeypatch):
+        """A triangle's sweep reads only the hat rows n < rmax + 8 and
+        computes each row's size once, though the windows overlap."""
+        reads = collections.Counter()
+        row = HatMatrix.row
 
-        calls = []
-        sweep = matclasses._tail_sweep
+        def counting(self, n):
+            reads[n] += 1
+            return row(self, n)
 
-        def counting(*args):
-            calls.append(args)
-            return sweep(*args)
-
-        monkeypatch.setattr(matclasses, "_tail_sweep", counting)
+        monkeypatch.setattr(HatMatrix, "row", counting)
         code, out, _ = run_cli(capsys, "mnc", "--A", "E", "--p", "2", "--rmax", "6")
         assert code == 0
-        assert len(calls) == 1
+        assert max(reads) < 6 + 8 and set(reads.values()) == {1}
         assert json.loads(out)["result"]["compactness"]["label"] == "evidence-noncompact"
 
     def test_plot_data_mnc(self, capsys, single_row):
@@ -468,9 +470,7 @@ class TestCommands:
             "--p", "2", "--Y", "c0", "--rmax", "4",
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "r,s"
-        assert lines[2] == "1,0.0"
+        assert out.strip().splitlines() == ["w,s", "1,0.0"]
 
     def test_plot_data_norm_sweep_increases(self, capsys):
         code, out, _ = run_cli(

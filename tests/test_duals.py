@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import column_abs_sums
 from fibspaces import duals, subsetsup
 from fibspaces.duals import (
     DualReport,
@@ -33,7 +34,7 @@ from fibspaces.sequences import (
     unit_seq,
     zero_seq,
 )
-from fibspaces.subsetsup import column_abs_sums, subset_power_sum
+from fibspaces.subsetsup import subset_power_sum
 from fibspaces.triangles import e_inverse_matrix, forward_transform
 from fibspaces.verdicts import (
     Status,

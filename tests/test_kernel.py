@@ -17,11 +17,8 @@ from fibspaces.duals import (
 )
 from fibspaces.errors import DomainError
 from fibspaces.exactreal import CertifiedReal
-from fibspaces import matclasses
-from fibspaces.matclasses import noncompactness_estimate
 from fibspaces.sequences import Kernel, LambdaSeq, fib, from_values, inv_fib_pow
 from fibspaces.triangles import (
-    RowWindowedMatrix,
     apply_triangle,
     compose,
     e_inverse_matrix,
@@ -533,9 +530,3 @@ class TestSharedWork:
         for k in range(8):
             assert limits[k] == abar(window, LIN, k, 11)
 
-
-def test_growing_tail_sweep_is_a_domain_error(monkeypatch):
-    monkeypatch.setattr(matclasses, "_tail_sweep", lambda *args: [(0, 1.0), (1, 2.0)])
-    single = RowWindowedMatrix([[Fraction(1)]])
-    with pytest.raises(DomainError, match="tail sweep grows"):
-        noncompactness_estimate(single, LIN, 2, "c0", r_max=4)

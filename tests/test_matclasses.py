@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import column_abs_sums
 from fibspaces import duals, subsetsup
 from fibspaces.errors import (
     AlphaLimitUndetermined,
@@ -22,7 +23,6 @@ from fibspaces.matclasses import (
     MncEstimate,
     _column_power_sup,
     _evidence,
-    _tail_sweep,
     class_check,
     compactness_verdict,
     hat_entry,
@@ -30,7 +30,6 @@ from fibspaces.matclasses import (
     operator_norm,
 )
 from fibspaces.sequences import LambdaSeq
-from fibspaces.subsetsup import column_abs_sums
 from fibspaces.triangles import (
     RowWindowedMatrix,
     Triangle,
@@ -57,6 +56,32 @@ def _random_matrix(rng, rows, cols):
         ],
         name="random",
     )
+
+
+def _diagonal_hat(power):
+    """A triangle whose hat is diag(1/(n+1)**power): row n of the hat is
+    linear in row n of the matrix, and the hat of E is the identity, so
+    E's rows scaled by 1/(n+1)**power give it."""
+    def build(lam):
+        def fn(n, k):
+            return lam.kernel.e_entry(n, k) / (n + 1) ** power
+        return Triangle(fn, f"E/(n+1)^{power}")
+    return build
+
+
+# The builtin sources, as functions of lambda, and two compact positives.
+# The hat of E is the identity, that of fhat is the inverse of the
+# bidiagonal lambda-difference matrix (rows (-n, n+1) for linear:1,1,
+# (-1, 2) for geometric:2,1), and those of identity and lambda-matrix are
+# unbounded (E's inverse and a positive multiple of it): each keeps a tail
+# norm bounded away from zero from every X_p into c0 and into l1.
+BUILTINS = {
+    "E": e_matrix,
+    "fhat": lambda lam: fhat_matrix(),
+    "identity": lambda lam: identity_triangle(),
+    "lambda-matrix": lambda_matrix,
+}
+COMPACT = {"diag-1/(n+1)": _diagonal_hat(1), "diag-1/(n+1)^2": _diagonal_hat(2)}
 
 
 def hat_entry_via_inverse(source, lam: LambdaSeq, n: int, k: int) -> Fraction:
@@ -366,29 +391,21 @@ SHARED_CASES = {
 
 @pytest.mark.parametrize("name", SHARED_CASES)
 class TestSharedQuantities:
-    """Class conditions, operator norms and tail sweeps that read the same
-    hat-matrix quantity agree.  The window equals the mnc row bound
-    r_max + 8, so every route reads the same rows of E."""
+    """Class conditions and operator norms that read the same hat-matrix
+    quantity agree."""
 
-    WINDOW, R_MAX = 12, 4
+    WINDOW = 12
 
     def test_column_sum_sup(self, name):
         m = SHARED_CASES[name]
         cond = dict(class_check(m, LIN, "l1", "l1", window=self.WINDOW).conditions)
         cond = cond["column-sum-sup"]
         norm = operator_norm(m, LIN, 1, "l1", window=self.WINDOW)
-        tail = noncompactness_estimate(m, LIN, 1, "l1", r_max=self.R_MAX).sweep
-        sums = [v for _, v in norm.sweep]
-        assert tail[0] == (0, max(sums, default=0.0))
         if norm.kind == "exact":
-            assert cond.value == norm.value and float(norm.value.value) == tail[0][1]
-            # s(r) is the column-sum norm of the rows from r on.
-            for r, s in tail:
-                rest = RowWindowedMatrix([()] * r + list(m.rows[r:]))
-                assert s == float(operator_norm(rest, LIN, 1, "l1").value.value)
+            assert cond.value == norm.value
         else:
             assert cond == norm.verdict
-            assert [v for _, v in cond.sweep] == sums
+            assert cond.sweep == norm.sweep
 
     def test_row_l1_sup(self, name):
         """(linf : linf) reads the row 1-norms, as the operator norm out of
@@ -516,7 +533,7 @@ class TestNoncompactness:
     def test_single_row_exactly_compact(self):
         est = noncompactness_estimate(SINGLE, LIN, 2, "c0", r_max=8)
         assert est.exact and est.limit.value == 0
-        assert [v for r, v in est.sweep if r >= 1] == [0.0] * 8
+        assert est.sweep == ((1, 0.0),)
         verdict = compactness_verdict(SINGLE, LIN, 2, "c0", r_max=8)
         assert verdict.status is Status.HOLDS_EXACTLY and verdict.label == "compact"
 
@@ -531,49 +548,18 @@ class TestNoncompactness:
         assert verdict.label == "evidence-noncompact"
         assert verdict.status is Status.EVIDENCE_DIVERGING
 
-    def test_sweep_monotone_nonincreasing(self):
-        rng = random.Random(17)
-        cases = [
-            (SINGLE, 2, "c0"), (TWO, 2, "c0"), (TWO, 2, "l1"), (TWO, 1, "l1"),
-            (_random_matrix(rng, 8, 8), 2, "c0"),
-            (_random_matrix(rng, 6, 6), 2, "l1"),
-            (e_matrix(LIN), 2, "c0"),
-        ]
-        for m, p, target in cases:
-            est = noncompactness_estimate(m, LIN, p, target, r_max=12)
-            values = [v for _, v in est.sweep]
-            for a, b in zip(values, values[1:]):
-                assert b <= a + 1e-12
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10**6),
-        rows=st.integers(min_value=1, max_value=6),
-        cols=st.integers(min_value=1, max_value=6),
-        scale=st.sampled_from([1, 10**5, 10**9]),
-        branch=st.sampled_from([("c0", 2), ("c", 3), ("l1", 1), ("l1", 2), ("l1", "3/2")]),
-        lam=st.sampled_from([LIN, GEO]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_float_sweep_never_increases(self, seed, rows, cols, scale, branch, lam):
-        """Each branch of the tail sweep (suffix maxima for c0 and c, column
-        sums for l1 at p = 1, subset suprema for l1 at p > 1) is
-        nonincreasing in r as floats, with no tolerance: a suffix maximum's
-        midpoint never decreases, column sums only grow as rows are added,
-        the subset branch tightens each point by its successors, and float()
-        rounds monotonically.  So the 1e-12 guard of noncompactness_estimate
-        never fires, also where one ulp is far above 1e-12.  Repeated rows
-        reach equal quantities by different routes."""
-        rng = random.Random(seed)
-        base = [[Fraction(rng.randint(-3 * scale, 3 * scale), rng.randint(1, 7))
-                 for _ in range(cols)] for _ in range(rows)]
-        m = RowWindowedMatrix(base + base[:rng.randint(0, rows)])
-        target, p = branch
-        r_max = max(4, m.row_bound + 2)
-        sweep = _tail_sweep(HatMatrix(m, lam), Exponent.of(p), target, m.row_bound,
-                            r_max, 256)
-        values = [v for _, v in sweep]
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        assert noncompactness_estimate(m, lam, p, target, r_max=r_max).sweep == tuple(sweep)
+    @pytest.mark.parametrize("p, target", [(2, "c0"), ("inf", "c0"), (1, "c0"), (1, "l1")])
+    @pytest.mark.parametrize("name", [*BUILTINS, *COMPACT, "two"])
+    @pytest.mark.parametrize("lam", [LIN, GEO], ids=["linear", "geometric"])
+    def test_sweep_at_most_the_operator_norm(self, lam, name, p, target):
+        """chi(A) <= ||A|| at every sweep point: the tail norm at w reads
+        the rows w // 2 <= n < w of the norm's rows n < w, on the same
+        points, so its float is never above the norm's."""
+        m = {**BUILTINS, **COMPACT, "two": lambda lam: TWO}[name](lam)
+        est = noncompactness_estimate(m, lam, p, target, r_max=8)
+        norm = operator_norm(m, lam, p, target, window=8 + 8)
+        assert [w for w, _ in est.sweep] == [w for w, _ in norm.sweep]
+        assert all(v <= bound for (_, v), (_, bound) in zip(est.sweep, norm.sweep))
 
     def test_target_c_needs_finite_rows(self):
         with pytest.raises(AlphaLimitUndetermined):
@@ -595,14 +581,18 @@ class TestNoncompactness:
         with pytest.raises(UnsupportedTarget):
             noncompactness_estimate(SINGLE, LIN, 2, "bv", r_max=8)
 
-    def test_compact_iff_zero_mnc_finite_cases(self):
+    def test_compact_iff_zero_mnc_finite_cases(self, monkeypatch):
+        """A finite matrix's tail vanishes past its last row: one exact
+        point (row bound, 0), read without a single hat row."""
+        monkeypatch.setattr(HatMatrix, "row", None)
         rng = random.Random(18)
         for _ in range(5):
             m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            est = noncompactness_estimate(m, LIN, 2, "c0", r_max=8)
-            verdict = compactness_verdict(m, LIN, 2, "c0", r_max=8)
-            assert est.exact and est.limit.value == 0
-            assert verdict.label == "compact"
+            for p, target in ((2, "c0"), ("inf", "c"), (1, "l1"), ("3/2", "l1")):
+                est = noncompactness_estimate(m, LIN, p, target, r_max=8)
+                assert est.exact and est.limit.value == 0
+                assert est.sweep == ((m.row_bound, 0.0),)
+                assert compactness_verdict(m, LIN, p, target, r_max=8).label == "compact"
 
     def test_verdict_is_the_estimate_compactness(self):
         rng = random.Random(20)
@@ -635,3 +625,16 @@ class TestNoncompactness:
             est = noncompactness_estimate(m, LIN, 2, "c0", r_max=8)
             assert est.limit.value <= norm.value.hi
             assert all(v <= float(norm.value.hi) * (1 + 1e-12) for _, v in est.sweep)
+
+
+@pytest.mark.parametrize("p, target", [(2, "c0"), ("inf", "c0"), (1, "l1"), (2, "l1"),
+                                       ("3/2", "l1")])
+@pytest.mark.parametrize("name", [*BUILTINS, *COMPACT])
+@pytest.mark.parametrize("lam", [LIN, GEO], ids=["linear", "geometric"])
+def test_mnc_truth_grid(lam, name, p, target):
+    """Every builtin is noncompact into c0 and l1, and a diagonal hat that
+    tends to zero is compact: the tail sweep over nested windows reads
+    each, never a tail cut short by the window edge."""
+    m = {**BUILTINS, **COMPACT}[name](lam)
+    want = "evidence-compact" if name in COMPACT else "evidence-noncompact"
+    assert compactness_verdict(m, lam, p, target, r_max=16).label == want
